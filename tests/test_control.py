@@ -12,6 +12,7 @@ from ctrlchan.control import (
     controlled_map,
     controlled_output,
     stinespring_oracle,
+    switch_map,
     switch_output,
 )
 from ctrlchan.implementations import ChannelImplementation, standard_implementation
@@ -219,6 +220,37 @@ class TestClassicalControl:
             classical_control(i0, i0, (0.5, 0.6), np.eye(2) / 2)
 
 
+def _random_block(d, rng):
+    """A non-Hermitian d x d operator block."""
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def _switch_double_sum(ch0, ch1, joint_in):
+    p0 = projector(ket(0, 2))
+    p1 = projector(ket(1, 2))
+    out = np.zeros_like(joint_in)
+    for k in ch0.kraus:
+        for l in ch1.kraus:
+            w = tensor(p0, l @ k) + tensor(p1, k @ l)
+            out += w @ joint_in @ dagger(w)
+    return out
+
+
+def _switch_dilation(ch0, ch1, joint_in):
+    d = ch0.dim
+    k0, k1 = len(ch0.kraus), len(ch1.kraus)
+    # isometry (control x target) -> (control x target x env0 x env1)
+    v = np.zeros((2 * d * k0 * k1, 2 * d), dtype=complex)
+    for i, k in enumerate(ch0.kraus):
+        for j, l in enumerate(ch1.kraus):
+            env = tensor(ket(i, k0)[:, None], ket(j, k1)[:, None])
+            v += tensor(tensor(projector(ket(0, 2)), l @ k), env)
+            v += tensor(tensor(projector(ket(1, 2)), k @ l), env)
+    # trace out both environments without forming the full joint matrix
+    blocks = v.reshape(2 * d, k0 * k1, 2 * d)
+    return np.einsum("aeb,bc,dec->ad", blocks, joint_in, blocks.conj())
+
+
 class TestSwitch:
     def test_depolarising_pair_structure(self):
         # fully noisy arms still pass the input through the interference block
@@ -281,6 +313,29 @@ class TestSwitch:
         a = switch_output(depol, depol, PLUS, rho)
         b = switch_output(remixed, remixed, PLUS, rho)
         assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-10
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_double_sum_and_dilation(self, d):
+        # two references that share nothing with switch_map: the switch Kraus
+        # operators W_ij = |0><0| (x) L_j K_i + |1><1| (x) K_i L_j summed
+        # literally, and an explicit isometry into control x target x env0 x
+        # env1 whose environments are traced out afterwards
+        rng = np.random.default_rng(100 + d)
+        controls = [ControlState.basis(0), ControlState.basis(1)]
+        for _ in range(2):
+            amp = random_pure_state(2, rng)
+            controls.append(ControlState(amp[0], amp[1]))
+        k_pairs = [(1, d * d), (d * d, 2), (2, 3), (d + 1, d)]
+        for (k0, k1), control in zip(k_pairs, controls):
+            ch0 = random_channel(d, k0, rng)
+            ch1 = random_channel(d, k1, rng)
+            out_map = switch_map(ch0, ch1, control)
+            c = np.array([control.a, control.b])
+            for x in (random_density_matrix(d, rng), _random_block(d, rng)):
+                joint_in = tensor(np.outer(c, c.conj()), x)
+                got = out_map(x)
+                assert np.max(np.abs(got - _switch_double_sum(ch0, ch1, joint_in))) <= 1e-12
+                assert np.max(np.abs(got - _switch_dilation(ch0, ch1, joint_in))) <= 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
