@@ -1,9 +1,9 @@
-"""Quantum channels as Kraus-operator lists, with Choi-matrix machinery.
+"""Quantum channels as stacked Kraus operators, with Choi-matrix machinery.
 
 A channel here is always a completely positive trace-preserving map on a
-d-dimensional system, carried as a finite list of d x d Kraus operators
-``{K_i}`` with ``sum_i K_i^dag K_i = 1``.  The Choi matrix lives on the
-input (x) output index space with the input factor on the slow index.
+d-dimensional system, carried as one read-only ``(k, d, d)`` array of Kraus
+operators ``{K_i}`` with ``sum_i K_i^dag K_i = 1``.  The Choi matrix lives on
+the input (x) output index space with the input factor on the slow index.
 """
 
 from __future__ import annotations
@@ -18,13 +18,10 @@ from .linalg import (
     SIGMA_X,
     SIGMA_Z,
     as_matrix,
-    choi_vec,
-    dagger,
     hermitian_eig,
     is_hermitian,
     is_isometry,
     partial_trace,
-    readonly,
     unvec,
     validate_density_matrix,
 )
@@ -42,35 +39,56 @@ STANDARD_KINDS = (
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """A CPTP map given by a non-empty tuple of equal-size Kraus operators."""
+    """A CPTP map given by a non-empty stack of equal-size Kraus operators.
 
-    kraus: tuple[np.ndarray, ...]
+    ``kraus`` may be passed as any sequence of d x d matrices or as a
+    ``(k, d, d)`` array; it is stored as a read-only complex ``(k, d, d)``
+    array, so ``len``, iteration and ``kraus[i]`` address single operators.
+    """
+
+    kraus: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(as_matrix(k) for k in self.kraus)
-        if not ops:
+        try:
+            ops = np.array(self.kraus, dtype=complex)
+        except ValueError as exc:
+            raise _unstackable(self.kraus) from exc
+        if ops.shape[:1] == (0,):
             raise ValueError("a channel needs at least one Kraus operator")
-        for idx, k in enumerate(ops):
-            if k.shape[0] != k.shape[1]:
-                raise ValueError(f"kraus[{idx}] is not square: shape {k.shape}")
-        d = ops[0].shape[0]
-        for idx, k in enumerate(ops):
-            if k.shape[0] != d:
-                raise ValueError(
-                    f"kraus[{idx}] has dimension {k.shape[0]}, expected {d}"
-                )
-        total = sum(dagger(k) @ k for k in ops)
-        dev = float(np.max(np.abs(total - np.eye(d))))
+        if ops.ndim != 3:
+            raise ValueError(
+                f"expected a stack of Kraus matrices, got an array of shape {ops.shape}"
+            )
+        if ops.shape[1] != ops.shape[2]:
+            raise ValueError(f"kraus[0] is not square: shape {ops.shape[1:]}")
+        d = ops.shape[1]
+        flat = ops.reshape(-1, d)
+        dev = float(np.max(np.abs(flat.conj().T @ flat - np.eye(d))))
         if dev > DEFAULT_TOL:
             raise ValueError(
                 f"kraus operators are not trace-preserving: "
                 f"max |sum K^dag K - 1| = {dev:.3e}"
             )
-        object.__setattr__(self, "kraus", tuple(readonly(k) for k in ops))
+        ops.setflags(write=False)
+        object.__setattr__(self, "kraus", ops)
 
     @property
     def dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
+
+
+def _unstackable(kraus) -> ValueError:
+    """Name the operator that keeps a ragged Kraus list from stacking."""
+    shapes = [np.shape(k) for k in kraus]
+    for idx, shape in enumerate(shapes):
+        if len(shape) != 2 or shape[0] != shape[1]:
+            return ValueError(f"kraus[{idx}] is not square: shape {shape}")
+    for idx, shape in enumerate(shapes):
+        if shape != shapes[0]:
+            return ValueError(
+                f"kraus[{idx}] has dimension {shape[0]}, expected {shapes[0][0]}"
+            )
+    return ValueError("kraus operators do not stack into one complex array")
 
 
 def validate_channel(kraus) -> Channel:
@@ -90,20 +108,15 @@ def apply(ch: Channel, rho, *, validate: bool = True) -> np.ndarray:
         raise ValueError(f"state of shape {rho.shape} does not match dimension {ch.dim}")
     if validate:
         rho = validate_density_matrix(rho)
-    out = np.zeros_like(rho)
-    for k in ch.kraus:
-        out += k @ rho @ dagger(k)
-    return out
+    return np.tensordot(ch.kraus @ rho, ch.kraus.conj(), axes=([0, 2], [0, 2]))
 
 
 def choi_of(ch: Channel) -> np.ndarray:
-    """Choi matrix C = sum_i |K_i>><<K_i| (positive semidefinite, d^2 x d^2)."""
-    d = ch.dim
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for k in ch.kraus:
-        v = choi_vec(k)
-        c += np.outer(v, v.conj())
-    return c
+    """Choi matrix C = sum_i |K_i>><<K_i| = V V^dag (positive semidefinite,
+    d^2 x d^2), with V the d^2 x k matrix of vectorised Kraus operators."""
+    k, d, _ = ch.kraus.shape
+    v = ch.kraus.transpose(2, 1, 0).reshape(d * d, k)
+    return v @ v.conj().T
 
 
 def validate_choi(c, tol: float = DEFAULT_TOL) -> int:
@@ -162,23 +175,14 @@ def remix(ch: Channel, u, tol: float = DEFAULT_TOL) -> Channel:
     u = as_matrix(u)
     if not is_isometry(u, tol):
         raise ValueError("remix matrix must have orthonormal columns")
-    n_new, n_old = u.shape
-    ops = list(ch.kraus)
-    if n_old < len(ops):
+    n_old = u.shape[1]
+    if n_old < len(ch.kraus):
         raise ValueError(
             f"remix matrix has {n_old} columns but the channel has "
-            f"{len(ops)} Kraus operators"
+            f"{len(ch.kraus)} Kraus operators"
         )
-    d = ch.dim
-    while len(ops) < n_old:
-        ops.append(np.zeros((d, d), dtype=complex))
-    new_ops = []
-    for i in range(n_new):
-        acc = np.zeros((d, d), dtype=complex)
-        for r in range(n_old):
-            acc += u[i, r] * ops[r]
-        new_ops.append(acc)
-    return Channel(tuple(new_ops))
+    # Columns past the Kraus count would multiply zero padding operators.
+    return Channel(np.tensordot(u[:, : len(ch.kraus)], ch.kraus, 1))
 
 
 def weyl_basis(d: int) -> list[np.ndarray]:

@@ -88,10 +88,7 @@ class AdmissibilityReport:
 
 def transformation_matrix(impl: ChannelImplementation) -> np.ndarray:
     """T = sum_i <env|i> K_i; note <env|i> is the conjugate of env[i]."""
-    t = np.zeros((impl.dim, impl.dim), dtype=complex)
-    for amp, k in zip(impl.env, impl.channel.kraus):
-        t += np.conj(amp) * k
-    return t
+    return np.tensordot(impl.env.conj(), impl.channel.kraus, 1)
 
 
 def admissible(

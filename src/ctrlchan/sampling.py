@@ -49,7 +49,7 @@ def random_density_matrix(d: int, rng: np.random.Generator, rank: int | None = N
 def random_channel(d: int, kraus_count: int, rng: np.random.Generator) -> Channel:
     """Uniform CPTP map: a Haar isometry d -> d*k sliced into k Kraus blocks."""
     v = haar_isometry(d * kraus_count, d, rng)
-    return Channel(tuple(v[i * d:(i + 1) * d, :] for i in range(kraus_count)))
+    return Channel(v.reshape(kraus_count, d, d))
 
 
 def random_env(n: int, rng: np.random.Generator, norm: float | None = None) -> np.ndarray:

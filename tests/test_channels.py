@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ctrlchan.channels import (
+    Channel,
     apply,
     canonical_kraus,
     choi_of,
@@ -63,6 +64,46 @@ class TestValidateChannel:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             validate_channel([])
+
+
+class TestKrausArray:
+    def test_stacked_readonly_complex(self):
+        ch = random_channel(3, 4, np.random.default_rng(40))
+        assert isinstance(ch.kraus, np.ndarray)
+        assert ch.kraus.shape == (4, 3, 3)
+        assert ch.kraus.dtype == np.complex128
+        assert not ch.kraus.flags.writeable
+        with pytest.raises(ValueError):
+            ch.kraus[0, 0, 0] = 1.0
+
+    def test_tuple_and_stack_agree(self):
+        ops = [SIGMA_X / np.sqrt(2), SIGMA_Z / np.sqrt(2)]
+        from_tuple = Channel(tuple(ops))
+        stacked = np.stack(ops)
+        from_stack = Channel(stacked)
+        assert np.array_equal(from_tuple.kraus, from_stack.kraus)
+        assert from_stack.kraus.dtype == np.complex128
+        # the channel owns a copy: the caller's array stays writeable
+        assert stacked.flags.writeable
+
+    def test_stacked_non_square_rejected(self):
+        with pytest.raises(ValueError, match="not square"):
+            Channel(np.ones((2, 2, 3)) / 2)
+
+    def test_ragged_non_square_rejected(self):
+        with pytest.raises(ValueError, match=r"kraus\[1\] is not square"):
+            Channel((np.eye(2), np.ones((2, 3))))
+
+    def test_ragged_dimension_rejected(self):
+        with pytest.raises(ValueError, match=r"kraus\[1\] has dimension 3, expected 2"):
+            Channel((np.eye(2) / np.sqrt(2), np.eye(3) / np.sqrt(2)))
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            Channel(np.zeros((0, 2, 2)))
+        with pytest.raises(ValueError, match="at least one"):
+            Channel(())
+
 
 
 class TestApply:
@@ -210,6 +251,16 @@ class TestRemix:
         out = remix(ch, u)  # pads the single Kraus operator with two zeros
         assert len(out.kraus) == 3
         assert np.max(np.abs(choi_of(out) - choi_of(ch))) <= 1e-10
+
+    def test_padding_matches_explicit_sum(self):
+        rng = np.random.default_rng(41)
+        ch = random_channel(3, 2, rng)
+        u = haar_isometry(5, 4, rng)  # four columns, two Kraus operators
+        out = remix(ch, u)
+        padded = list(ch.kraus) + [np.zeros((3, 3)), np.zeros((3, 3))]
+        for i in range(5):
+            expected = sum(u[i, r] * padded[r] for r in range(4))
+            assert np.max(np.abs(out.kraus[i] - expected)) <= 1e-15
 
     def test_non_isometry_rejected(self):
         ch = standard_channel("identity", 2)
