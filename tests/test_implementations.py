@@ -148,6 +148,20 @@ class TestRealize:
         with pytest.raises(ValueError, match="residual"):
             realize(ch, SIGMA_X)
 
+    @pytest.mark.parametrize("p", [1e-9, 1e-12, 1e-15])
+    def test_tiny_weight_phase_flip_dilation(self, p):
+        # The T of a genuine dilation that puts all environment weight on the
+        # sqrt(p) sigma_z Kraus operator; its Choi weight p is far below any
+        # relative rank cutoff on C, but its singular value sqrt(p) on V is not.
+        impl = standard_implementation("phase_flip", p=p, alpha=0.0, beta=1.0)
+        t = transformation_matrix(impl)
+        rep = admissible(impl.channel, t)
+        assert rep.admissible
+        assert rep.range_residual <= 1e-12
+        assert abs(rep.quadratic_form - 1.0) <= 1e-12
+        rebuilt = transformation_matrix(realize(impl.channel, t))
+        assert np.max(np.abs(rebuilt - t)) <= 1e-12
+
     def test_roundtrip_random(self):
         rng = np.random.default_rng(2)
         for d in (2, 3):
