@@ -10,7 +10,6 @@ classical control.
 from .channels import (
     Channel,
     apply,
-    canonical_kraus,
     choi_of,
     remix,
     standard_channel,

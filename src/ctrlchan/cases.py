@@ -2,14 +2,12 @@
 
 Each case checks one quantitative claim end to end and returns a
 :class:`CaseReport`.  Randomised suites derive every draw from the seed and
-the trial index, so reports are reproducible (and order-independent when the
-trials run concurrently).
+the trial index, so reports are reproducible and independent of trial order.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,7 +59,6 @@ class CaseOptions:
     seed: int = 0
     trials: int | None = None
     tol: float | None = None
-    parallel: bool = False
 
 
 @dataclass(frozen=True)
@@ -144,13 +141,6 @@ def run_case(case_id: str, options: CaseOptions | None = None) -> CaseReport:
 
 def run_cases(case_list, options: CaseOptions | None = None) -> list[CaseReport]:
     return [run_case(cid, options) for cid in case_list]
-
-
-def _trial_values(fn: Callable[[int], float], trials: int, parallel: bool) -> list[float]:
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            return list(pool.map(fn, range(trials)))
-    return [fn(i) for i in range(trials)]
 
 
 def _trial_rng(options: CaseOptions, trial: int) -> np.random.Generator:
@@ -245,7 +235,7 @@ def _closed_form_vs_oracle(options: CaseOptions) -> _Result:
         oracle = stinespring_oracle(i0, i1, c, rho)
         return float(np.max(np.abs(closed.matrix - oracle.matrix)))
 
-    computed = max(_trial_values(one, trials, options.parallel))
+    computed = max(one(i) for i in range(trials))
     return _Result(computed, 0.0, 1e-10, detail=f"{trials} trials at d={d}")
 
 
@@ -268,7 +258,7 @@ def _switch_remix_invariance(options: CaseOptions) -> _Result:
         remixed = switch_output(remix(ch0, u0), remix(ch1, u1), c, rho)
         return float(np.max(np.abs(base.matrix - remixed.matrix)))
 
-    computed = max(_trial_values(one, trials, options.parallel))
+    computed = max(one(i) for i in range(trials))
     return _Result(computed, 0.0, 1e-10, detail=f"{trials} trials at d={d}")
 
 
@@ -322,7 +312,7 @@ def _classical_control_null(options: CaseOptions) -> _Result:
         out = classical_control(i0, i1, weights, rho).matrix
         return float(np.max(np.abs(out - reference)))
 
-    computed = max(_trial_values(one, trials, options.parallel))
+    computed = max(one(i) for i in range(trials))
     return _Result(computed, 0.0, 1e-12, detail=f"{trials} random inputs at d={d}")
 
 
@@ -353,9 +343,9 @@ def _tmat_membership_sweep(options: CaseOptions) -> _Result:
         verdict = admissible(depol, t).admissible
         return verdict == (target <= 1.0 / d)
 
-    forward_ok = all(_trial_values(forward, trials, options.parallel))
-    roundtrip_err = max(_trial_values(roundtrip, trials, options.parallel))
-    membership_ok = all(_trial_values(membership, trials, options.parallel))
+    forward_ok = all(forward(i) for i in range(trials))
+    roundtrip_err = max(roundtrip(i) for i in range(trials))
+    membership_ok = all(membership(i) for i in range(trials))
     passed = forward_ok and membership_ok and roundtrip_err <= 1e-10
     detail = (
         f"forward pass: {forward_ok}; membership agreement: {membership_ok}; "
@@ -380,5 +370,5 @@ def _diamond_saturation(options: CaseOptions) -> _Result:
         distance = output_distance(inst, ControlState.plus(), rho)
         return abs(distance - diamond_bound(t1, t1p))
 
-    computed = max(_trial_values(one, trials, options.parallel))
+    computed = max(one(i) for i in range(trials))
     return _Result(computed, 0.0, 1e-10, detail=f"{trials} trials at d={d}")

@@ -8,7 +8,6 @@ the input (x) output index space with the input factor on the slow index.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +18,7 @@ from .linalg import (
     SIGMA_Z,
     as_matrix,
     hermitian_eig,
-    is_hermitian,
     is_isometry,
-    partial_trace,
-    unvec,
     validate_density_matrix,
 )
 
@@ -117,51 +113,6 @@ def choi_of(ch: Channel) -> np.ndarray:
     k, d, _ = ch.kraus.shape
     v = ch.kraus.transpose(2, 1, 0).reshape(d * d, k)
     return v @ v.conj().T
-
-
-def validate_choi(c, tol: float = DEFAULT_TOL) -> int:
-    """Check the Choi-matrix invariants and return the system dimension.
-
-    The matrix must be Hermitian positive semidefinite with its partial trace
-    over the output factor equal to the identity on the input factor.
-    """
-    c = as_matrix(c)
-    n = c.shape[0]
-    if c.shape[0] != c.shape[1]:
-        raise ValueError(f"Choi matrix must be square, got shape {c.shape}")
-    d = math.isqrt(n)
-    if d * d != n:
-        raise ValueError(f"Choi matrix side {n} is not a perfect square")
-    if not is_hermitian(c, tol):
-        raise ValueError("Choi matrix is not Hermitian within tolerance")
-    w = np.linalg.eigvalsh(c)
-    if float(w[0]) < -tol:
-        raise ValueError(f"Choi matrix has a negative eigenvalue {w[0]:.3e}")
-    marginal = partial_trace(c, d, d, keep="first")
-    dev = float(np.max(np.abs(marginal - np.eye(d))))
-    if dev > tol:
-        raise ValueError(
-            f"Choi matrix input marginal deviates from identity by {dev:.3e}"
-        )
-    return d
-
-
-def canonical_kraus(choi, rank_tol: float = 1e-12, tol: float = DEFAULT_TOL) -> Channel:
-    """Kraus operators from the nonzero eigenpairs of a Choi matrix.
-
-    Each operator is ``unvec(sqrt(lam_k) v_k)``; eigenvalues at or below
-    ``rank_tol`` times the largest are dropped.
-    """
-    c = as_matrix(choi)
-    d = validate_choi(c, tol)
-    w, v = hermitian_eig(c, tol)
-    cutoff = rank_tol * max(float(w[0]), 0.0)
-    ops = [
-        unvec(np.sqrt(lam) * v[:, k], d, d)
-        for k, lam in enumerate(w)
-        if lam > cutoff
-    ]
-    return Channel(tuple(ops))
 
 
 def remix(ch: Channel, u, tol: float = DEFAULT_TOL) -> Channel:

@@ -106,7 +106,6 @@ def _cmd_reproduce(args) -> int:
         seed=args.seed,
         trials=args.trials,
         tol=args.tol,
-        parallel=args.parallel,
     )
     reports = run_cases(selected, options)
     if args.format == "json":
@@ -293,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--seed", type=int, default=0, help="seed for randomised suites")
     rep.add_argument("--trials", type=int, default=None, help="override per-case trial count")
     rep.add_argument("--tol", type=float, default=None, help="override the case tolerance")
-    rep.add_argument("--parallel", action="store_true", help="run independent trials concurrently")
     rep.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
     rep.set_defaults(func=_cmd_reproduce)
 

@@ -7,7 +7,6 @@ import pytest
 from ctrlchan.channels import (
     Channel,
     apply,
-    canonical_kraus,
     choi_of,
     remix,
     standard_channel,
@@ -185,36 +184,6 @@ class TestChoi:
         for k in ch.kraus:
             v = choi_vec(k)
             assert np.max(np.abs(proj @ v - v)) <= 1e-10
-
-
-class TestCanonicalKraus:
-    def test_depolarising_choi(self):
-        ch = canonical_kraus(np.eye(4) / 2)
-        assert len(ch.kraus) == 4
-        for i, k in enumerate(ch.kraus):
-            assert abs(np.trace(dagger(k) @ k) - 0.5) <= 1e-12
-            for j in range(i + 1, 4):
-                overlap = np.trace(dagger(k) @ ch.kraus[j])
-                assert abs(overlap) <= 1e-10
-
-    def test_identity_choi(self):
-        ch = canonical_kraus(projector(choi_vec(np.eye(2))))
-        assert len(ch.kraus) == 1
-        k = ch.kraus[0]
-        phase = k[0, 0] / abs(k[0, 0])
-        assert np.allclose(k / phase, np.eye(2), atol=1e-12)
-
-    def test_roundtrip_random_channels(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            d = int(rng.integers(2, 4))
-            ch = random_channel(d, int(rng.integers(1, d * d + 1)), rng)
-            c = choi_of(ch)
-            assert np.max(np.abs(choi_of(canonical_kraus(c)) - c)) <= 1e-10
-
-    def test_invalid_choi_rejected(self):
-        with pytest.raises(ValueError):
-            canonical_kraus(np.eye(4))  # wrong marginal (trace 4, not TP-normalised)
 
 
 class TestRemix:

@@ -61,14 +61,28 @@ class TestReproduce:
         assert doc["all_passed"] is True
         assert "runtime_ms" not in doc["cases"][0]
 
-    def test_seed_changes_draws_not_verdict(self, capsys):
+    def test_seed_changes_draws_not_verdict(self, capsys, monkeypatch):
+        # Compare the first channel each seed draws: the maxima of the case's
+        # rounding errors may tie between seeds, the draws themselves do not.
+        from ctrlchan import sampling
+
+        drawn = []
+        draw = sampling.random_channel
+
+        def recording(*args):
+            drawn.append(draw(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(sampling, "random_channel", recording)
         args = ["reproduce", "--case", "switch-remix-invariance", "--trials", "5", "--format", "json"]
         assert main(args + ["--seed", "1"]) == 0
         first = json.loads(capsys.readouterr().out)
+        first_draw = drawn[0].kraus
+        drawn.clear()
         assert main(args + ["--seed", "2"]) == 0
         second = json.loads(capsys.readouterr().out)
         assert first["all_passed"] and second["all_passed"]
-        assert first["cases"][0]["computed"] != second["cases"][0]["computed"]
+        assert not np.array_equal(first_draw, drawn[0].kraus)
 
     def test_csv_format(self, capsys):
         assert main(["reproduce", "--case", "depolarising-discrimination", "--format", "csv"]) == 0
@@ -79,15 +93,6 @@ class TestReproduce:
     def test_unknown_case_rejected(self):
         with pytest.raises(SystemExit):
             main(["reproduce", "--case", "no-such-case"])
-
-    def test_parallel_matches_sequential(self, capsys):
-        args = ["reproduce", "--case", "eq5-vs-stinespring", "--trials", "8",
-                "--seed", "3", "--format", "json"]
-        assert main(args) == 0
-        sequential = json.loads(capsys.readouterr().out)
-        assert main(args + ["--parallel"]) == 0
-        parallel = json.loads(capsys.readouterr().out)
-        assert sequential["cases"][0]["computed"] == parallel["cases"][0]["computed"]
 
 
 class TestSimulate:

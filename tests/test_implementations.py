@@ -5,14 +5,17 @@ import pytest
 
 from ctrlchan.channels import choi_of, remix, standard_channel, weyl_basis
 from ctrlchan.implementations import (
+    BOUND_TOL,
+    RANGE_TOL,
     ChannelImplementation,
     admissible,
     realize,
     standard_implementation,
     transformation_matrix,
 )
-from ctrlchan.linalg import SIGMA_X, SIGMA_Z, dagger, hs_norm
+from ctrlchan.linalg import SIGMA_X, SIGMA_Z, choi_vec, dagger, hs_norm, pseudoinverse
 from ctrlchan.sampling import (
+    haar_isometry,
     random_admissible_t,
     random_channel,
     random_depolarising_t,
@@ -20,6 +23,16 @@ from ctrlchan.sampling import (
     random_implementation,
     random_unitary,
 )
+
+
+def choi_route(ch, t):
+    """Range residual and quadratic form of ``t`` through the Choi pseudoinverse,
+    <<T|C^+|T>>, sharing no code with the Kraus-space solve."""
+    c = choi_of(ch)
+    c_pinv = pseudoinverse(c)
+    tvec = choi_vec(t)
+    residual = np.linalg.norm(tvec - c @ (c_pinv @ tvec)) / np.linalg.norm(tvec)
+    return float(residual), float(np.real(tvec.conj() @ c_pinv @ tvec))
 
 
 def spike(d):
@@ -170,6 +183,38 @@ class TestRealize:
                 t = random_admissible_t(ch, rng)
                 impl = realize(ch, t)
                 assert np.max(np.abs(transformation_matrix(impl) - t)) <= 1e-10
+
+
+class TestChoiCrossCheck:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_choi_pseudoinverse_route(self, d):
+        rng = np.random.default_rng(100 + d)
+        for trial in range(8):
+            k = int(rng.integers(1, d * d + 1))
+            ch = random_channel(d, k, rng)
+            if trial % 2:
+                # A taller isometry makes the Kraus set linearly dependent.
+                ch = remix(ch, haar_isometry(k + int(rng.integers(1, 4)), k, rng))
+            t = random_admissible_t(ch, rng)
+            gaussian = 0.1 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            for m in (t, 1.5 * t, gaussian):
+                rep = admissible(ch, m)
+                residual, qform = choi_route(ch, m)
+                in_range = residual <= RANGE_TOL
+                assert rep.admissible == (in_range and qform <= 1.0 + BOUND_TOL)
+                assert (rep.range_residual <= RANGE_TOL) == in_range
+                if in_range:
+                    assert abs(rep.quadratic_form - qform) <= 1e-9
+                if not rep.admissible:
+                    with pytest.raises(ValueError, match="not admissible"):
+                        realize(ch, m)
+                    continue
+                impl = realize(ch, m)
+                assert impl.channel is ch
+                env_sq = float(np.sum(np.abs(impl.env) ** 2))
+                assert abs(env_sq - rep.quadratic_form) <= 1e-12
+                assert env_sq <= 1.0
+                assert np.max(np.abs(transformation_matrix(impl) - m)) <= 1e-10
 
 
 class TestStandardImplementation:
