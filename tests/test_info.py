@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctrlchan.channels import apply, standard_channel
-from ctrlchan.control import ControlState, classical_map, controlled_map
+from ctrlchan.control import ControlState, classical_map, controlled_map, switch_map
 from ctrlchan.implementations import ChannelImplementation, standard_implementation
 from ctrlchan.info import (
     Ensemble,
@@ -18,6 +18,7 @@ from ctrlchan.info import (
     holevo_lower_bound,
     shannon_entropy,
     switch_holevo_qubit,
+    switch_holevo_qubit_gridsearch,
 )
 from ctrlchan.linalg import ket, partial_trace, projector
 from ctrlchan.sampling import random_density_matrix, random_env, random_pure_state
@@ -207,3 +208,45 @@ class TestAnalyticBounds:
             single = coherent_info_bound(lambda m: apply(ch, m, validate=False), nu0)
             assert abs(single - (1.0 - binary_entropy(p))) <= 1e-9
             assert cc_dephasing_bound(p) > single
+
+
+def literal_gridsearch(angle_step, prob_step):
+    """The grid search as a literal triple loop, with numpy's own spectra."""
+
+    def bits(rho):
+        w = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+        w = w[w > 0.0]
+        return float(-(w * np.log2(w)).sum())
+
+    ch = standard_channel("depolarising", 2)
+    out_map = switch_map(ch, ch, PLUS)
+    thetas = np.arange(0.0, np.pi + angle_step / 2.0, angle_step)
+    states = [np.array([np.cos(th / 2.0), np.sin(th / 2.0)], dtype=complex) for th in thetas]
+    outputs = [out_map(np.outer(s, s.conj())) for s in states]
+    entropies = [bits(out) for out in outputs]
+    best, best_point = -np.inf, None
+    for idx0 in range(len(thetas)):
+        for idx1 in range(idx0, len(thetas)):
+            for p0 in np.arange(prob_step, 1.0, prob_step):
+                avg = p0 * outputs[idx0] + (1.0 - p0) * outputs[idx1]
+                value = bits(avg) - p0 * entropies[idx0] - (1.0 - p0) * entropies[idx1]
+                if value > best:
+                    best = value
+                    best_point = (float(thetas[idx0]), float(thetas[idx1]), float(p0))
+    return best, best_point
+
+
+class TestSwitchGridSearch:
+    @pytest.mark.parametrize("angle_step", [np.pi / 6, np.pi / 7, np.pi / 13, np.pi / 60],
+                             ids=["pi/6", "pi/7", "pi/13", "pi/60"])
+    @pytest.mark.parametrize("prob_step", [0.25, 0.1, 0.05], ids=["1/4", "1/10", "1/20"])
+    def test_matches_literal_loop(self, angle_step, prob_step):
+        value, point = switch_holevo_qubit_gridsearch(angle_step, prob_step)
+        ref_value, ref_point = literal_gridsearch(angle_step, prob_step)
+        assert abs(value - ref_value) <= 1e-12
+        assert point == ref_point
+
+    def test_default_grid_optimum(self):
+        value, point = switch_holevo_qubit_gridsearch()
+        assert point == (0.0, np.pi, 0.5)
+        assert abs(value - switch_holevo_qubit()) <= 1e-9
