@@ -175,6 +175,16 @@ class TestRealize:
         rebuilt = transformation_matrix(realize(impl.channel, t))
         assert np.max(np.abs(rebuilt - t)) <= 1e-12
 
+    def test_realises_t_at_the_admissibility_bound(self):
+        # ||env||^2 = 1 + 5e-9 lies inside the rounding allowance of admissible,
+        # so realize must build that dilation rather than reject it.
+        ch = standard_channel("identity", 2)
+        t = np.sqrt(1.0 + 5e-9) * np.eye(2)
+        assert admissible(ch, t).admissible
+        impl = realize(ch, t)
+        assert abs(float(np.sum(np.abs(impl.env) ** 2)) - (1.0 + 5e-9)) <= 1e-15
+        assert np.max(np.abs(transformation_matrix(impl) - t)) <= 1e-15
+
     def test_roundtrip_random(self):
         rng = np.random.default_rng(2)
         for d in (2, 3):
