@@ -37,7 +37,9 @@ from .linalg import pseudoinverse  # noqa: F401
 # eps * kappa(V) relative, so the quadratic form of a T with ||env|| = 1 reads
 # 1 + O(eps * kappa(V)): near 1e-11 at kappa(V) ~ 1e5, up to 3e-8 at ~3e7.
 # 1e-8 keeps such T admissible up to kappa(V) ~ 1e7; range residuals of
-# genuine T stay below 1e-14.
+# genuine T stay below 1e-14.  BOUND_TOL is also the allowance on ||env||^2
+# in ChannelImplementation, so that realize can build every T that
+# admissible accepts.
 RANGE_TOL = 1e-8
 BOUND_TOL = 1e-8
 
@@ -63,9 +65,10 @@ class ChannelImplementation:
                 f"{len(self.channel.kraus)} Kraus operators"
             )
         norm_sq = float(np.sum(np.abs(env) ** 2))
-        if norm_sq > 1.0 + DEFAULT_TOL:
+        if norm_sq > 1.0 + BOUND_TOL:
             raise ValueError(
-                f"environment vector has squared norm {norm_sq:.6g} > 1"
+                f"environment vector has squared norm 1 + {norm_sq - 1.0:.3e}, "
+                f"above 1 + {BOUND_TOL:.0e}"
             )
         object.__setattr__(self, "env", readonly(env))
 

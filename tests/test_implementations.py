@@ -52,6 +52,11 @@ class TestChannelImplementation:
         with pytest.raises(ValueError, match="norm"):
             ChannelImplementation(ch, np.array([1.2]))
 
+    def test_excess_over_one_is_printed(self):
+        ch = standard_channel("identity", 2)
+        with pytest.raises(ValueError, match=r"squared norm 1 \+ 3\.000e-08, above 1 \+ 1e-08"):
+            ChannelImplementation(ch, np.array([np.sqrt(1.0 + 3e-8)]))
+
     def test_subnormalised_env_is_legal(self):
         ch = standard_channel("identity", 2)
         impl = ChannelImplementation(ch, np.array([0.5]))
