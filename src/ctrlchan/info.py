@@ -16,7 +16,13 @@ import numpy as np
 
 from .channels import standard_channel
 from .control import ControlState, switch_map
-from .linalg import DEFAULT_TOL, partial_trace, readonly, validate_density_matrix
+from .linalg import (
+    DEFAULT_TOL,
+    _checked_spectrum,
+    partial_trace,
+    readonly,
+    validate_density_matrix,
+)
 
 _ENTROPY_CLAMP = 1e-12
 
@@ -28,17 +34,24 @@ def shannon_entropy(probs) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
-def entropy(rho, tol: float = DEFAULT_TOL) -> float:
-    """Von Neumann entropy of a density matrix, in bits.
+def entropy(rho, tol: float = DEFAULT_TOL):
+    """Von Neumann entropy in bits of a density matrix or of a stack of them.
 
+    ``rho`` is one matrix ``(n, n)``, giving a float, or a stack
+    ``(..., n, n)``, giving an array of shape ``rho.shape[:-2]``.  Every
+    matrix is checked as by :func:`ctrlchan.linalg.validate_density_matrix`
+    (square, Hermitian, unit trace, no eigenvalue below ``-tol``), and one
+    ``eigvalsh`` over the whole input gives both the check and the spectrum.
     Eigenvalues in (-1e-12, 0) are clamped to zero; anything more negative is
     rejected as an invalid state.
     """
-    rho = validate_density_matrix(rho, tol)
-    w = np.linalg.eigvalsh(rho)
-    if float(w[0]) < -_ENTROPY_CLAMP:
-        raise ValueError(f"eigenvalue {w[0]:.3e} below the clamping window")
-    return shannon_entropy(np.clip(w, 0.0, None))
+    w = _checked_spectrum(rho, tol)
+    low = w[..., 0] < -_ENTROPY_CLAMP
+    if np.any(low):
+        raise ValueError(f"eigenvalue {w[..., 0][low][0]:.3e} below the clamping window")
+    w = np.clip(w, 0.0, None)
+    bits = -(w * np.log2(np.where(w > 0.0, w, 1.0))).sum(axis=-1)
+    return float(bits) if bits.ndim == 0 else bits
 
 
 def binary_entropy(p: float) -> float:
@@ -170,18 +183,20 @@ def switch_holevo_qubit_gridsearch(
         np.array([np.cos(th / 2.0), np.sin(th / 2.0)], dtype=complex)
         for th in thetas
     ]
-    outputs = [out_map(np.outer(s, s.conj())) for s in states]
-    entropies = [entropy(out) for out in outputs]
+    outputs = np.stack([out_map(np.outer(s, s.conj())) for s in states])
+    entropies = entropy(outputs)
     probs = np.arange(prob_step, 1.0, prob_step)
+    if probs.size == 0:
+        raise ValueError(f"prob_step {prob_step} leaves no probability in (0, 1)")
 
-    best = -np.inf
-    best_point = (0.0, 0.0, 0.0)
-    for idx0 in range(len(thetas)):
-        for idx1 in range(idx0, len(thetas)):
-            for p0 in probs:
-                avg = p0 * outputs[idx0] + (1.0 - p0) * outputs[idx1]
-                value = entropy(avg) - p0 * entropies[idx0] - (1.0 - p0) * entropies[idx1]
-                if value > best:
-                    best = value
-                    best_point = (float(thetas[idx0]), float(thetas[idx1]), float(p0))
-    return float(best), best_point
+    # Rows are the pairs idx0 <= idx1 in loop order, columns the p0 values, so
+    # argmax on the flattened table finds the first maximum in (idx0, idx1, p0)
+    # order.  One stack per p0 keeps memory at one (pairs, 4, 4) array.
+    idx0, idx1 = np.triu_indices(len(thetas))
+    values = np.empty((idx0.size, probs.size))
+    for j, p0 in enumerate(probs):
+        avg = p0 * outputs[idx0] + (1.0 - p0) * outputs[idx1]
+        values[:, j] = entropy(avg) - p0 * entropies[idx0] - (1.0 - p0) * entropies[idx1]
+    pair, j = np.unravel_index(np.argmax(values), values.shape)
+    best_point = (float(thetas[idx0[pair]]), float(thetas[idx1[pair]]), float(probs[j]))
+    return float(values[pair, j]), best_point

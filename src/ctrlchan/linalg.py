@@ -168,14 +168,32 @@ def hs_norm(m) -> float:
 def validate_density_matrix(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return the coerced array."""
     rho = as_matrix(rho)
-    if rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    if not is_hermitian(rho, tol):
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"density matrix has trace {tr:.6g}, expected 1")
-    w = np.linalg.eigvalsh(rho)
-    if float(w[0]) < -tol:
-        raise ValueError(f"density matrix has a negative eigenvalue {w[0]:.3e}")
+    _checked_spectrum(rho, tol)
     return rho
+
+
+def _checked_spectrum(rho, tol: float) -> np.ndarray:
+    """Ascending eigenvalues of a density matrix or of each matrix in a stack
+    ``(..., n, n)``, from one ``eigvalsh`` over the whole input.
+
+    Every matrix is checked first to be square, Hermitian and of unit trace
+    within ``tol``, and then to have no eigenvalue below ``-tol``; the error
+    names the first matrix that fails.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim < 2:
+        raise ValueError(f"expected a matrix, got an array of ndim {rho.ndim}")
+    if rho.shape[-2] != rho.shape[-1]:
+        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    asym = np.max(np.abs(rho - np.swapaxes(rho, -2, -1).conj()), axis=(-2, -1))
+    if not np.all(asym <= tol):
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0) > tol
+    if np.any(off):
+        raise ValueError(f"density matrix has trace {complex(tr[off][0]):.6g}, expected 1")
+    w = np.linalg.eigvalsh(rho)
+    low = w[..., 0] < -tol
+    if np.any(low):
+        raise ValueError(f"density matrix has a negative eigenvalue {w[..., 0][low][0]:.3e}")
+    return w

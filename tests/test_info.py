@@ -51,6 +51,50 @@ class TestEntropy:
         with pytest.raises(ValueError):
             entropy(np.eye(2))
 
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(6)
+        for d in (2, 3, 5):
+            stack = np.array([[random_density_matrix(d, rng) for _ in range(4)] for _ in range(3)])
+            values = entropy(stack)
+            assert values.shape == (3, 4)
+            for i in range(3):
+                for j in range(4):
+                    assert abs(values[i, j] - entropy(stack[i, j])) <= 1e-12
+
+    def test_matrix_gives_float(self):
+        assert type(entropy(np.eye(2) / 2)) is float
+
+    @pytest.mark.parametrize(
+        "member, message",
+        [
+            (np.array([[0.5, 0.1], [0.0, 0.5]]), "not Hermitian"),
+            (np.eye(2) / 3, "trace"),
+            (np.diag([1.0 + 1e-6, -1e-6]), "negative eigenvalue -1.000e-06"),
+            (np.diag([1.0 + 1e-10, -1e-10]), "eigenvalue -1.000e-10 below the clamping window"),
+        ],
+        ids=["non-hermitian", "trace", "negative", "clamp-window"],
+    )
+    def test_stack_checks_every_member(self, member, message):
+        stack = np.array([np.eye(2) / 2, np.diag([0.25, 0.75]), member, np.eye(2) / 2])
+        with pytest.raises(ValueError, match=message):
+            entropy(member)
+        with pytest.raises(ValueError, match=message):
+            entropy(stack)
+
+    def test_one_eigendecomposition_per_call(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        entropy(np.eye(3) / 3)
+        assert calls == [(3, 3)]
+        entropy(np.broadcast_to(np.eye(2) / 2, (5, 2, 2)))
+        assert calls == [(3, 3), (5, 2, 2)]
+
 
 class TestBinaryEntropy:
     def test_reference_points(self):
