@@ -46,10 +46,11 @@ def entropy(rho, tol: float = DEFAULT_TOL):
     rejected as an invalid state.
     """
     w = _checked_spectrum(rho, tol)
-    low = w[..., 0] < -_ENTROPY_CLAMP
-    if np.any(low):
-        raise ValueError(f"eigenvalue {w[..., 0][low][0]:.3e} below the clamping window")
-    w = np.clip(w, 0.0, None)
+    w0 = w[..., 0]
+    if w0.min(initial=0.0) < -_ENTROPY_CLAMP:
+        low = np.extract(w0 < -_ENTROPY_CLAMP, w0)[0]
+        raise ValueError(f"eigenvalue {low:.3e} below the clamping window")
+    w = np.maximum(w, 0.0)
     bits = -(w * np.log2(np.where(w > 0.0, w, 1.0))).sum(axis=-1)
     return float(bits) if bits.ndim == 0 else bits
 

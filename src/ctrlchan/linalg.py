@@ -177,23 +177,28 @@ def _checked_spectrum(rho, tol: float) -> np.ndarray:
     ``(..., n, n)``, from one ``eigvalsh`` over the whole input.
 
     Every matrix is checked first to be square, Hermitian and of unit trace
-    within ``tol``, and then to have no eigenvalue below ``-tol``; the error
-    names the first matrix that fails.
+    within ``tol``, and then to have no eigenvalue below ``-tol``; an error
+    quotes the value of the first matrix that fails.  Each check is one
+    reduction over the whole stack, so a single matrix costs no more than a
+    matrix-only check would.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2:
         raise ValueError(f"expected a matrix, got an array of ndim {rho.ndim}")
     if rho.shape[-2] != rho.shape[-1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    asym = np.max(np.abs(rho - np.swapaxes(rho, -2, -1).conj()), axis=(-2, -1))
-    if not np.all(asym <= tol):
+    if not np.abs(rho - np.swapaxes(rho, -2, -1).conj()).max(initial=0.0) <= tol:
         raise ValueError("density matrix is not Hermitian within tolerance")
     tr = np.trace(rho, axis1=-2, axis2=-1)
-    off = np.abs(tr - 1.0) > tol
-    if np.any(off):
-        raise ValueError(f"density matrix has trace {complex(tr[off][0]):.6g}, expected 1")
+    dev = abs(tr - 1.0)
+    if dev.max(initial=0.0) > tol:
+        raise ValueError(
+            f"density matrix has trace {complex(np.extract(dev > tol, tr)[0]):.6g}, expected 1"
+        )
     w = np.linalg.eigvalsh(rho)
-    low = w[..., 0] < -tol
-    if np.any(low):
-        raise ValueError(f"density matrix has a negative eigenvalue {w[..., 0][low][0]:.3e}")
+    w0 = w[..., 0]
+    if w0.min(initial=0.0) < -tol:
+        raise ValueError(
+            f"density matrix has a negative eigenvalue {np.extract(w0 < -tol, w0)[0]:.3e}"
+        )
     return w

@@ -294,3 +294,7 @@ class TestSwitchGridSearch:
         value, point = switch_holevo_qubit_gridsearch()
         assert point == (0.0, np.pi, 0.5)
         assert abs(value - switch_holevo_qubit()) <= 1e-9
+
+    def test_empty_probability_grid_rejected(self):
+        with pytest.raises(ValueError, match="no probability"):
+            switch_holevo_qubit_gridsearch(np.pi / 6, 1.0)
