@@ -169,6 +169,28 @@ class TestValidateT:
         assert doc["range_residual"] > 0.5
 
 
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    def test_realize_beyond_the_dilation_cap_reports_then_fails(self, tmp_path, capsys, fmt):
+        ident = tmp_path / "ident.json"
+        ident.write_text(json.dumps(channel_to_json(standard_channel("identity", 2))))
+        t = tmp_path / "t.json"
+        t.write_text(json.dumps(tmatrix_to_json(np.sqrt(1.0 + 5e-7) * np.eye(2))))
+        code = main([
+            "validate-t", "--channel", str(ident), "--t", str(t), "--tol", "1e-6",
+            "--realize", "--format", fmt,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "not admissible" in captured.err and "above 1 + 1e-08" in captured.err
+        if fmt == "json":
+            doc = json.loads(captured.out)
+            assert doc["admissible"] is True
+            assert abs(doc["quadratic_form"] - (1.0 + 5e-7)) <= 1e-12
+            assert doc["env"] is None and doc["roundtrip_error"] is None
+        else:
+            assert "quadratic form = 1.0000005 -> admissible" in captured.out
+
+
 class TestInfo:
     def test_metrics_for_transparent_pair(self, files, capsys):
         code = main([

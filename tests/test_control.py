@@ -73,6 +73,11 @@ class TestControlledOutputType:
         with pytest.raises(ValueError, match="trace"):
             ControlledOutput(np.eye(4))
 
+    def test_trace_excess_is_printed(self):
+        m = np.diag([0.5 + 2e-9, 0.5 + 2e-9, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"trace 1 \+ 4\.000e-09, expected 1"):
+            ControlledOutput(m)
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="negative"):
             ControlledOutput(np.diag([1.5, -0.5, 0.0, 0.0]))

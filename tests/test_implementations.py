@@ -190,6 +190,18 @@ class TestRealize:
         assert abs(float(np.sum(np.abs(impl.env) ** 2)) - (1.0 + 5e-9)) <= 1e-15
         assert np.max(np.abs(transformation_matrix(impl) - t)) <= 1e-15
 
+    def test_bound_tol_above_the_dilation_cap_rejected(self):
+        # admissible may be asked for a looser bound than any environment
+        # vector can hold; realize must then refuse with its own diagnosis.
+        ch = standard_channel("identity", 2)
+        t = np.sqrt(1.0 + 5e-7) * np.eye(2)
+        assert admissible(ch, t, bound_tol=1e-6).admissible
+        with pytest.raises(
+            ValueError,
+            match=r"not admissible.*quadratic form 1 \+ 5\.000e-07.*above 1 \+ 1e-08",
+        ):
+            realize(ch, t, bound_tol=1e-6)
+
     def test_roundtrip_random(self):
         rng = np.random.default_rng(2)
         for d in (2, 3):

@@ -281,14 +281,40 @@ def literal_gridsearch(angle_step, prob_step):
 
 
 class TestSwitchGridSearch:
-    @pytest.mark.parametrize("angle_step", [np.pi / 6, np.pi / 7, np.pi / 13, np.pi / 60],
-                             ids=["pi/6", "pi/7", "pi/13", "pi/60"])
-    @pytest.mark.parametrize("prob_step", [0.25, 0.1, 0.05], ids=["1/4", "1/10", "1/20"])
+    # 0.3 and 0.77 do not divide pi and 3.5 leaves the single angle 0; the
+    # probability steps 0.2 and 0.3 leave out 1/2, and 0.2 ties p with 1 - p.
+    @pytest.mark.parametrize(
+        "angle_step",
+        [np.pi / 6, np.pi / 7, np.pi / 13, np.pi / 60, 0.3, 0.77, 3.5],
+        ids=["pi/6", "pi/7", "pi/13", "pi/60", "0.3", "0.77", "3.5"],
+    )
+    @pytest.mark.parametrize("prob_step", [0.25, 0.1, 0.05, 0.2, 0.3],
+                             ids=["1/4", "1/10", "1/20", "0.2", "0.3"])
     def test_matches_literal_loop(self, angle_step, prob_step):
         value, point = switch_holevo_qubit_gridsearch(angle_step, prob_step)
         ref_value, ref_point = literal_gridsearch(angle_step, prob_step)
         assert abs(value - ref_value) <= 1e-12
         assert point == ref_point
+
+    def test_value_depends_on_relative_angle_only(self):
+        # The switch map commutes with joint target rotations, so rotating an
+        # ensemble of x-z plane states about y leaves its information unchanged.
+        def plane_state(theta):
+            return projector(np.array([np.cos(theta / 2.0), np.sin(theta / 2.0)]))
+
+        depol = standard_channel("depolarising", 2)
+        out_map = switch_map(depol, depol, PLUS)
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            th0, th1 = rng.uniform(0.0, 2.0 * np.pi, size=2)
+            p = rng.uniform(0.0, 1.0)
+            value = holevo_lower_bound(
+                out_map, Ensemble(((p, plane_state(th0)), (1.0 - p, plane_state(th1))))
+            )
+            relative = holevo_lower_bound(
+                out_map, Ensemble(((p, plane_state(0.0)), (1.0 - p, plane_state(th1 - th0))))
+            )
+            assert abs(value - relative) <= 1e-12
 
     def test_default_grid_optimum(self):
         value, point = switch_holevo_qubit_gridsearch()

@@ -241,6 +241,12 @@ class TestValidateDensityMatrix:
         with pytest.raises(ValueError, match="trace"):
             validate_density_matrix(np.eye(2))
 
+    def test_trace_deviation_is_printed(self):
+        with pytest.raises(ValueError, match=r"trace 1 \+ 4\.000e-09, expected 1"):
+            validate_density_matrix(np.diag([0.5 + 2e-9, 0.5 + 2e-9]))
+        with pytest.raises(ValueError, match=r"trace 1 - 3\.000e-09, expected 1"):
+            validate_density_matrix(np.diag([0.5, 0.5 - 3e-9]))
+
     def test_rejects_non_hermitian(self):
         m = np.array([[0.5, 0.5], [0.0, 0.5]])
         with pytest.raises(ValueError, match="Hermitian"):
