@@ -183,15 +183,19 @@ def _cmd_validate_t(args) -> int:
         "quadratic_form": report.quadratic_form,
     }
     exit_code = 0 if report.admissible else 1
+    impl = failure = None
     if args.realize:
+        doc["env"] = doc["roundtrip_error"] = None
         if report.admissible:
-            impl = realize(ch, t, range_tol=args.tol, bound_tol=args.tol)
-            roundtrip = float(np.max(np.abs(transformation_matrix(impl) - t)))
-            doc["env"] = vector_to_json(impl.env)
-            doc["roundtrip_error"] = roundtrip
-        else:
-            doc["env"] = None
-            doc["roundtrip_error"] = None
+            # The report is printed even when realize refuses a T that a
+            # --tol above the dilation cap let through.
+            try:
+                impl = realize(ch, t, range_tol=args.tol, bound_tol=args.tol)
+            except ValueError as exc:
+                failure = exc
+            else:
+                doc["env"] = vector_to_json(impl.env)
+                doc["roundtrip_error"] = float(np.max(np.abs(transformation_matrix(impl) - t)))
     if args.format == "json":
         print(_json_dumps(doc))
     else:
@@ -200,9 +204,11 @@ def _cmd_validate_t(args) -> int:
             f"range residual = {report.range_residual:.3e}, "
             f"quadratic form = {report.quadratic_form:.9g} -> {verdict}"
         )
-        if args.realize and report.admissible:
+        if impl is not None:
             print(f"environment amplitudes: {np.asarray(impl.env)}")
             print(f"roundtrip error: {doc['roundtrip_error']:.3e}")
+    if failure is not None:
+        raise failure
     return exit_code
 
 

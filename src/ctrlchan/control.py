@@ -30,6 +30,7 @@ from .channels import Channel, apply
 from .implementations import ChannelImplementation, transformation_matrix
 from .linalg import (
     DEFAULT_TOL,
+    _one_plus,
     as_matrix,
     dagger,
     hermitian_eig,
@@ -81,7 +82,7 @@ class ControlledOutput:
             raise ValueError("joint output is not Hermitian within tolerance")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > DEFAULT_TOL:
-            raise ValueError(f"joint output has trace {tr:.6g}, expected 1")
+            raise ValueError(f"joint output has trace {_one_plus(tr)}, expected 1")
         w = np.linalg.eigvalsh(m)
         if float(w[0]) < -DEFAULT_TOL:
             raise ValueError(f"joint output has a negative eigenvalue {w[0]:.3e}")

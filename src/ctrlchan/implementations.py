@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, standard_channel, weyl_basis
-from .linalg import DEFAULT_TOL, as_matrix, readonly
+from .linalg import DEFAULT_TOL, _one_plus, as_matrix, readonly
 
 # Kept importable here for bench/test_bench.py::test_tracer_skips_names_that_no_longer_exist.
 from .linalg import pseudoinverse  # noqa: F401
@@ -64,10 +64,10 @@ class ChannelImplementation:
                 f"environment vector of length {env.size} does not match "
                 f"{len(self.channel.kraus)} Kraus operators"
             )
-        norm_sq = float(np.sum(np.abs(env) ** 2))
+        norm_sq = float(np.vdot(env, env).real)
         if norm_sq > 1.0 + BOUND_TOL:
             raise ValueError(
-                f"environment vector has squared norm 1 + {norm_sq - 1.0:.3e}, "
+                f"environment vector has squared norm {_one_plus(norm_sq)}, "
                 f"above 1 + {BOUND_TOL:.0e}"
             )
         object.__setattr__(self, "env", readonly(env))
@@ -138,14 +138,22 @@ def realize(
 
     The implementation uses the caller's own Kraus operators, with
     environment amplitudes env = conj(V^+ t), the minimum-norm choice.
-    Raises if ``t`` is not admissible.
+    Raises if ``t`` is not admissible.  A ``bound_tol`` above ``BOUND_TOL``
+    widens the test but not what a dilation can hold: a quadratic form above
+    1 + ``BOUND_TOL`` is refused all the same.
     """
     report, coeff = _solve(ch, t, range_tol, bound_tol)
     if not report.admissible:
         raise ValueError(
             "matrix is not admissible for this channel "
             f"(range residual {report.range_residual:.3e}, "
-            f"quadratic form {report.quadratic_form:.6f})"
+            f"quadratic form {_one_plus(report.quadratic_form)})"
+        )
+    if report.quadratic_form > 1.0 + BOUND_TOL:
+        raise ValueError(
+            "matrix is not admissible for a dilation: quadratic form "
+            f"{_one_plus(report.quadratic_form)} is above 1 + {BOUND_TOL:.0e}, "
+            "the most an environment vector can hold"
         )
     return ChannelImplementation(ch, coeff.conj())
 

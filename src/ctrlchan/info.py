@@ -174,7 +174,11 @@ def switch_holevo_qubit_gridsearch(
     Candidate states are restricted to the x-z plane of the Bloch sphere:
     the switch map commutes with any joint unitary rotation of the ensemble,
     and two pure qubit states can always be rotated into that plane, so the
-    restriction loses nothing.  Returns (best value, (theta0, theta1, p0)).
+    restriction loses nothing.  For the same reason theta0 is fixed at 0: a
+    joint rotation about y takes (theta0, theta1) to (0, theta1 - theta0)
+    and keeps the value, and every difference of two grid angles is itself a
+    grid angle, so the pairs (0, theta) already carry every value of the full
+    (theta0, theta1) grid.  Returns (best value, (0.0, theta1, p0)).
     """
     ch = standard_channel("depolarising", 2)
     out_map = switch_map(ch, ch, ControlState.plus())
@@ -190,14 +194,12 @@ def switch_holevo_qubit_gridsearch(
     if probs.size == 0:
         raise ValueError(f"prob_step {prob_step} leaves no probability in (0, 1)")
 
-    # Rows are the pairs idx0 <= idx1 in loop order, columns the p0 values, so
-    # argmax on the flattened table finds the first maximum in (idx0, idx1, p0)
-    # order.  One stack per p0 keeps memory at one (pairs, 4, 4) array.
-    idx0, idx1 = np.triu_indices(len(thetas))
-    values = np.empty((idx0.size, probs.size))
-    for j, p0 in enumerate(probs):
-        avg = p0 * outputs[idx0] + (1.0 - p0) * outputs[idx1]
-        values[:, j] = entropy(avg) - p0 * entropies[idx0] - (1.0 - p0) * entropies[idx1]
-    pair, j = np.unravel_index(np.argmax(values), values.shape)
-    best_point = (float(thetas[idx0[pair]]), float(thetas[idx1[pair]]), float(probs[j]))
-    return float(values[pair, j]), best_point
+    # Rows are theta1, columns p0; argmax on the flattened table finds the
+    # first maximum in (theta1, p0) order.  The operands keep the order of
+    # the literal (theta0, theta1, p0) loop, so each value is bitwise the one
+    # that loop computes at theta0 = 0.
+    p0 = probs[:, None, None]
+    avg = p0 * outputs[0] + (1.0 - p0) * outputs[:, None]
+    values = entropy(avg) - probs * entropies[0] - (1.0 - probs) * entropies[:, None]
+    k, j = np.unravel_index(np.argmax(values), values.shape)
+    return float(values[k, j]), (0.0, float(thetas[k]), float(probs[j]))

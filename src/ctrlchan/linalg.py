@@ -165,6 +165,17 @@ def hs_norm(m) -> float:
     return float(np.linalg.norm(as_matrix(m)))
 
 
+def _one_plus(x) -> str:
+    """``x`` written as 1 plus its deviation, ``1 + 4.000e-09``, so that a
+    deviation far below the printed precision of ``x`` itself still shows."""
+    x = complex(x)
+    dev = x.real - 1.0
+    text = f"1 {'-' if dev < 0.0 else '+'} {abs(dev):.3e}"
+    if x.imag:
+        text += f" {'-' if x.imag < 0.0 else '+'} {abs(x.imag):.3e}j"
+    return text
+
+
 def validate_density_matrix(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return the coerced array."""
     rho = as_matrix(rho)
@@ -193,7 +204,7 @@ def _checked_spectrum(rho, tol: float) -> np.ndarray:
     dev = abs(tr - 1.0)
     if dev.max(initial=0.0) > tol:
         raise ValueError(
-            f"density matrix has trace {complex(np.extract(dev > tol, tr)[0]):.6g}, expected 1"
+            f"density matrix has trace {_one_plus(np.extract(dev > tol, tr)[0])}, expected 1"
         )
     w = np.linalg.eigvalsh(rho)
     w0 = w[..., 0]
