@@ -143,17 +143,12 @@ def realize(
     1 + ``BOUND_TOL`` is refused all the same.
     """
     report, coeff = _solve(ch, t, range_tol, bound_tol)
-    if not report.admissible:
+    if not report.admissible or report.quadratic_form > 1.0 + BOUND_TOL:
         raise ValueError(
             "matrix is not admissible for this channel "
             f"(range residual {report.range_residual:.3e}, "
-            f"quadratic form {_one_plus(report.quadratic_form)})"
-        )
-    if report.quadratic_form > 1.0 + BOUND_TOL:
-        raise ValueError(
-            "matrix is not admissible for a dilation: quadratic form "
-            f"{_one_plus(report.quadratic_form)} is above 1 + {BOUND_TOL:.0e}, "
-            "the most an environment vector can hold"
+            f"quadratic form {_one_plus(report.quadratic_form)}; no dilation "
+            f"holds a quadratic form above 1 + {BOUND_TOL:.0e})"
         )
     return ChannelImplementation(ch, coeff.conj())
 
