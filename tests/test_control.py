@@ -9,6 +9,7 @@ from ctrlchan.control import (
     ControlState,
     ControlledOutput,
     classical_control,
+    classical_map,
     controlled_map,
     controlled_output,
     stinespring_oracle,
@@ -32,6 +33,7 @@ from ctrlchan.sampling import (
     random_env,
     random_implementation,
     random_pure_state,
+    random_unitary,
 )
 
 PLUS = ControlState.plus()
@@ -57,6 +59,10 @@ class TestControlState:
     def test_bad_basis_index(self):
         with pytest.raises(ValueError):
             ControlState.basis(2)
+
+    def test_excess_over_one_is_printed(self):
+        with pytest.raises(ValueError, match=r"squared norm 1 \+ 2\.000e-09"):
+            ControlState(1.0, np.sqrt(2e-9))
 
 
 class TestControlledOutputType:
@@ -139,6 +145,31 @@ class TestControlledOutput:
         assert np.allclose(f(a + 2.0j * b), f(a) + 2.0j * f(b), atol=1e-12)
 
 
+def _oracle_per_kraus(i0, i1, control, rho):
+    """The dilation oracle filled one Kraus operator at a time: for each
+    eigenvector of rho, an explicit control x target x env0 x env1 amplitude
+    tensor, with env slot 0 holding the weight outside the dilation basis."""
+    d = i0.dim
+
+    def embedded(env):
+        return np.concatenate(([np.sqrt(max(1.0 - float(np.sum(np.abs(env) ** 2)), 0.0))], env))
+
+    e0, e1 = embedded(i0.env), embedded(i1.env)
+    w, vecs = np.linalg.eigh(rho)
+    out = np.zeros((2 * d, 2 * d), dtype=complex)
+    for lam, psi in zip(w, vecs.T):
+        if lam < 1e-12:
+            continue
+        amp = np.zeros((2, d, e0.size, e1.size), dtype=complex)
+        for i, k in enumerate(i0.channel.kraus):
+            amp[0, :, i + 1, :] += control.a * np.outer(k @ psi, e1)
+        for j, l in enumerate(i1.channel.kraus):
+            amp[1, :, :, j + 1] += control.b * np.outer(l @ psi, e0)
+        joint = amp.reshape(2 * d, -1)
+        out += lam * (joint @ joint.conj().T)
+    return out
+
+
 class TestStinespringOracle:
     def test_matches_closed_form_qubit(self):
         rng = np.random.default_rng(5)
@@ -182,6 +213,34 @@ class TestStinespringOracle:
         closed = controlled_output(i0, i1, PLUS, rho)
         oracle = stinespring_oracle(i0, i1, PLUS, rho)
         assert np.max(np.abs(closed.matrix - oracle.matrix)) <= 1e-10
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_per_kraus_loop(self, d):
+        rng = np.random.default_rng(200 + d)
+        # one Kraus operator, d^2 of them, and a dependent set: two operators
+        # remixed into d + 3 by a taller isometry
+        channels = [
+            random_channel(d, 1, rng),
+            random_channel(d, d * d, rng),
+            remix(random_channel(d, 2, rng), haar_isometry(d + 3, 2, rng)),
+        ]
+        impls = [
+            ChannelImplementation(ch, random_env(len(ch.kraus), rng, norm=norm))
+            for ch in channels
+            for norm in (0.0, 0.6, 1.0)
+        ]
+        amp = random_pure_state(2, rng)
+        controls = [ControlState.basis(0), ControlState.basis(1), ControlState(amp[0], amp[1])]
+        # rank d - 1 (pure for a qubit) with d - 1 equal nonzero eigenvalues
+        frame = random_unitary(d, rng)[:, : max(d - 1, 1)]
+        degenerate = frame @ frame.conj().T / frame.shape[1]
+        states = [random_density_matrix(d, rng), projector(random_pure_state(d, rng)), degenerate]
+        for i0, i1 in zip(impls, impls[1:] + impls[:1]):
+            for control in controls:
+                for rho in states:
+                    got = stinespring_oracle(i0, i1, control, rho).matrix
+                    ref = _oracle_per_kraus(i0, i1, control, rho)
+                    assert np.max(np.abs(got - ref)) <= 1e-12
 
 
 class TestClassicalControl:
@@ -374,3 +433,39 @@ class TestControlMarginal:
         out = controlled_output(impl, impl, PLUS, rho)
         target = partial_trace(out.matrix, 2, 2, keep="second")
         assert np.max(np.abs(target - np.eye(2) / 2)) <= 1e-12
+
+
+class TestMapStacks:
+    @staticmethod
+    def _maps(d, rng):
+        i0 = random_implementation(d, 3, rng)
+        i1 = random_implementation(d, d * d, rng)
+        amp = random_pure_state(2, rng)
+        control = ControlState(amp[0], amp[1])
+        return {
+            "controlled": controlled_map(i0, i1, control),
+            "classical": classical_map(i0, i1, (0.3, 0.7)),
+            "switch": switch_map(i0.channel, i1.channel, control),
+        }
+
+    @pytest.mark.parametrize("kind", ["controlled", "classical", "switch"])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_stack_matches_each_matrix(self, kind, d):
+        rng = np.random.default_rng(300 + d)
+        out_map = self._maps(d, rng)[kind]
+        blocks = np.stack(
+            [random_density_matrix(d, rng) for _ in range(3)]
+            + [_random_block(d, rng) for _ in range(3)]
+        )
+        one_at_a_time = np.stack([out_map(m) for m in blocks])
+        for lead in ((6,), (2, 3)):
+            got = out_map(blocks.reshape(lead + (d, d)))
+            assert got.shape == lead + (2 * d, 2 * d)
+            assert np.max(np.abs(got.reshape(one_at_a_time.shape) - one_at_a_time)) <= 1e-13
+
+    @pytest.mark.parametrize("kind", ["controlled", "classical", "switch"])
+    def test_wrong_trailing_shape_rejected(self, kind):
+        out_map = self._maps(2, np.random.default_rng(310))[kind]
+        for bad in (np.eye(3) / 3, np.zeros((4, 3, 3)), np.zeros((4, 2, 3))):
+            with pytest.raises(ValueError, match="does not match dimension"):
+                out_map(bad)

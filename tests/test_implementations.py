@@ -90,6 +90,16 @@ class TestTransformationMatrix:
         assert np.max(np.abs(transformation_matrix(impl))) == 0.0
 
 
+    def test_computed_once_and_read_only(self):
+        impl = random_implementation(3, 5, np.random.default_rng(40))
+        t = transformation_matrix(impl)
+        assert transformation_matrix(impl) is t
+        assert np.array_equal(t, np.tensordot(impl.env.conj(), impl.channel.kraus, 1))
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0, 0] = 0.0
+
+
 class TestAdmissible:
     def test_identity_rejects_sigma_x(self):
         rep = admissible(standard_channel("identity", 2), 0.7 * SIGMA_X)
@@ -262,6 +272,10 @@ class TestStandardImplementation:
         with pytest.raises(ValueError, match="alpha"):
             standard_implementation("identity", d=2, alpha=1.5)
 
+    def test_identity_alpha_excess_is_printed(self):
+        with pytest.raises(ValueError, match=r"\|alpha\| = 1 \+ 2\.000e-09 exceeds 1"):
+            standard_implementation("identity", d=2, alpha=1.0 + 2e-9)
+
     def test_depolarising_constraint_violated(self):
         t = np.eye(2, dtype=complex)  # Tr[T^dag T] = 2 > 1/2
         with pytest.raises(ValueError, match="bound"):
@@ -304,6 +318,14 @@ class TestStandardImplementation:
     def test_flip_constraint(self):
         with pytest.raises(ValueError, match="exceeds"):
             standard_implementation("phase_flip", p=0.5, alpha=1.0, beta=0.5)
+
+
+    @pytest.mark.parametrize("kind", ["phase_flip", "bit_flip"])
+    def test_flip_weight_excess_is_printed(self, kind):
+        with pytest.raises(
+            ValueError, match=r"\|alpha\|\^2 \+ \|beta\|\^2 = 1 \+ 2\.000e-09 exceeds 1"
+        ):
+            standard_implementation(kind, p=0.5, alpha=1.0, beta=np.sqrt(2e-9))
 
 
 class TestProperties:

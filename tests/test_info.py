@@ -131,6 +131,10 @@ class TestEnsemble:
         ens = Ensemble(((1.0, np.eye(3) / 3),))
         assert ens.dim == 3
 
+    def test_excess_over_one_is_printed(self):
+        with pytest.raises(ValueError, match=r"probabilities sum to 1 \+ 2\.000e-09, expected 1"):
+            Ensemble(((0.5, np.eye(2) / 2), (0.5 + 2e-9, np.eye(2) / 2)))
+
 
 class TestHolevoLowerBound:
     def test_cc_depolarising_reference_value(self):
@@ -320,6 +324,24 @@ class TestSwitchGridSearch:
         value, point = switch_holevo_qubit_gridsearch()
         assert point == (0.0, np.pi, 0.5)
         assert abs(value - switch_holevo_qubit()) <= 1e-9
+
+    def test_one_map_evaluation(self, monkeypatch):
+        import ctrlchan.info
+
+        shapes = []
+
+        def counting_switch_map(*args):
+            out_map = switch_map(*args)
+
+            def counted(rho):
+                shapes.append(np.shape(rho))
+                return out_map(rho)
+
+            return counted
+
+        monkeypatch.setattr(ctrlchan.info, "switch_map", counting_switch_map)
+        switch_holevo_qubit_gridsearch(np.pi / 6, 0.25)
+        assert shapes == [(7, 2, 2)]
 
     def test_empty_probability_grid_rejected(self):
         with pytest.raises(ValueError, match="no probability"):
