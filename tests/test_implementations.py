@@ -299,6 +299,12 @@ class TestStandardImplementation:
         with pytest.raises(ValueError, match="constraint"):
             standard_implementation("partial_depolarising", q=q, t=t)
 
+    def test_partial_depolarising_weight_excess_is_printed(self):
+        # at q = 1 the whole weight sits on the identity amplitude Tr[T] / d
+        t = np.sqrt(1.0 + 2e-9) * np.eye(2, dtype=complex)
+        with pytest.raises(ValueError, match=r"amplitude weight 1 \+ 2\.000e-09 > 1"):
+            standard_implementation("partial_depolarising", q=1.0, t=t)
+
     def test_partial_depolarising_q_one(self):
         impl = standard_implementation(
             "partial_depolarising", q=1.0, t=0.4 * np.eye(2, dtype=complex)
