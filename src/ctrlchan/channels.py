@@ -16,6 +16,7 @@ from .linalg import (
     DEFAULT_TOL,
     SIGMA_X,
     SIGMA_Z,
+    _checked_spectrum,
     as_matrix,
     hermitian_eig,
     is_isometry,
@@ -96,15 +97,21 @@ def validate_channel(kraus) -> Channel:
 def apply(ch: Channel, rho, *, validate: bool = True) -> np.ndarray:
     """Send a state through the channel: rho -> sum_i K_i rho K_i^dag.
 
-    With ``validate=False`` the input is used as-is, which extends the map
-    linearly to arbitrary matrices (useful when acting on operator blocks).
+    ``rho`` is one matrix ``(d, d)`` or a stack ``(..., d, d)``, mapped
+    matrix by matrix.  The sum is one product of the row [K_1 ... K_k] with
+    the column of the k blocks rho K_i^dag.  With ``validate=False`` the
+    input is used as-is, which extends the map linearly to arbitrary
+    matrices (useful when acting on operator blocks).
     """
-    rho = as_matrix(rho)
-    if rho.shape != (ch.dim, ch.dim):
-        raise ValueError(f"state of shape {rho.shape} does not match dimension {ch.dim}")
+    rho = np.asarray(rho, dtype=complex)
+    d = ch.dim
+    if rho.ndim < 2 or rho.shape[-2:] != (d, d):
+        raise ValueError(f"state of shape {rho.shape} does not match dimension {d}")
     if validate:
-        rho = validate_density_matrix(rho)
-    return np.tensordot(ch.kraus @ rho, ch.kraus.conj(), axes=([0, 2], [0, 2]))
+        _checked_spectrum(rho, DEFAULT_TOL)
+    row = ch.kraus.transpose(1, 0, 2).reshape(d, -1)
+    column = rho[..., None, :, :] @ ch.kraus.conj().transpose(0, 2, 1)
+    return row @ column.reshape(rho.shape[:-2] + (-1, d))
 
 
 def choi_of(ch: Channel) -> np.ndarray:

@@ -1,7 +1,11 @@
 """Joint control-target outputs for channel pairs under a quantum control.
 
 Three global maps are provided, all returning the (2d x 2d) joint state of
-the control qubit and the target in 2 x 2 block form:
+the control qubit and the target in 2 x 2 block form.  Each comes as a map
+factory (:func:`controlled_map`, :func:`classical_map`, :func:`switch_map`)
+whose map takes one d x d matrix or a ``(..., d, d)`` stack, writing the four
+blocks of each output into one preallocated array, and as a function that
+validates one density matrix and wraps the output:
 
 * :func:`controlled_output` routes the target through one of two channel
   boxes in superposition.  The diagonal blocks are the individual channel
@@ -52,7 +56,7 @@ class ControlState:
         b = complex(self.b)
         norm_sq = abs(a) ** 2 + abs(b) ** 2
         if abs(norm_sq - 1.0) > DEFAULT_TOL:
-            raise ValueError(f"control amplitudes have squared norm {norm_sq:.6g}")
+            raise ValueError(f"control amplitudes have squared norm {_one_plus(norm_sq)}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -121,6 +125,14 @@ def _common_dim(i0: ChannelImplementation, i1: ChannelImplementation) -> int:
     return i0.dim
 
 
+def _map_input(rho, d: int) -> np.ndarray:
+    """Coerce a map input, one matrix or a ``(..., d, d)`` stack."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim < 2 or rho.shape[-2:] != (d, d):
+        raise ValueError(f"input of shape {rho.shape} does not match dimension {d}")
+    return rho
+
+
 def controlled_map(
     i0: ChannelImplementation,
     i1: ChannelImplementation,
@@ -134,7 +146,8 @@ def controlled_map(
          [ a* b T1 rho T0^dag,   |b|^2 C1(rho)      ]]
 
     and accepts arbitrary square matrices: it is linear in rho, so it can be
-    applied to operator blocks as well as to density matrices.
+    applied to operator blocks as well as to density matrices.  A stack
+    ``(..., d, d)`` is mapped matrix by matrix into ``(..., 2d, 2d)``.
     """
     d = _common_dim(i0, i1)
     t0 = transformation_matrix(i0)
@@ -147,13 +160,13 @@ def controlled_map(
     cross = a * np.conj(b)
 
     def output(rho) -> np.ndarray:
-        rho = as_matrix(rho)
-        if rho.shape != (d, d):
-            raise ValueError(f"input of shape {rho.shape} does not match dimension {d}")
-        return np.block([
-            [w0 * apply(i0.channel, rho, validate=False), cross * (t0 @ rho @ t1_dag)],
-            [np.conj(cross) * (t1 @ rho @ t0_dag), w1 * apply(i1.channel, rho, validate=False)],
-        ])
+        rho = _map_input(rho, d)
+        out = np.empty(rho.shape[:-2] + (2 * d, 2 * d), dtype=complex)
+        out[..., :d, :d] = w0 * apply(i0.channel, rho, validate=False)
+        out[..., :d, d:] = cross * (t0 @ rho @ t1_dag)
+        out[..., d:, :d] = np.conj(cross) * (t1 @ rho @ t0_dag)
+        out[..., d:, d:] = w1 * apply(i1.channel, rho, validate=False)
+        return out
 
     return output
 
@@ -191,7 +204,8 @@ def stinespring_oracle(
     For each eigenvector of ``rho``, the joint pure state over
     control x target x env0 x env1 is built directly: the |0> branch applies
     the Kraus operators of the first channel while the second environment
-    stays in its initial state, and vice versa.  Both environments are then
+    stays in its initial state, and vice versa.  Each branch is one array
+    expression over all Kraus operators at once.  Both environments are then
     traced out and the results mixed with the eigenvalues of ``rho``.
     """
     d = _common_dim(i0, i1)
@@ -202,21 +216,19 @@ def stinespring_oracle(
     kraus1 = i1.channel.kraus
     e0 = _embedded_env(i0.env)
     e1 = _embedded_env(i1.env)
-    n0 = len(kraus0) + 1
-    n1 = len(kraus1) + 1
     w, vecs = hermitian_eig(rho)
     out = np.zeros((2 * d, 2 * d), dtype=complex)
-    for idx in range(w.size):
-        lam = float(w[idx])
+    # amp[c, x, m, n]: control c, target x, env0 slot m, env1 slot n; the
+    # slots a branch never writes stay zero for every eigenvector
+    amp = np.zeros((2, d, e0.size, e1.size), dtype=complex)
+    for lam, psi in zip(w, vecs.T):
         if lam < 1e-12:
             continue
-        psi = vecs[:, idx]
-        amp = np.zeros((2, d, n0, n1), dtype=complex)
-        for i, k in enumerate(kraus0):
-            amp[0, :, i + 1, :] += control.a * np.outer(k @ psi, e1)
-        for j, l in enumerate(kraus1):
-            amp[1, :, :, j + 1] += control.b * np.outer(l @ psi, e0)
-        joint = amp.reshape(2 * d, n0 * n1)
+        # |0> branch: K_i psi with env0 in slot i + 1 and env1 untouched
+        amp[0, :, 1:, :] = control.a * (kraus0 @ psi).T[:, :, None] * e1
+        # |1> branch: L_j psi with env1 in slot j + 1 and env0 untouched
+        amp[1, :, :, 1:] = control.b * (kraus1 @ psi).T[:, None, :] * e0[:, None]
+        joint = amp.reshape(2 * d, -1)
         out += lam * (joint @ joint.conj().T)
     return ControlledOutput(out)
 
@@ -226,19 +238,18 @@ def classical_map(
     i1: ChannelImplementation,
     weights: tuple[float, float],
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Linear map for the decohered-control mixture of the two arms."""
+    """Linear map for the decohered-control mixture of the two arms; like
+    :func:`controlled_map`, it takes one matrix or a ``(..., d, d)`` stack."""
     d = _common_dim(i0, i1)
     w0, w1 = float(weights[0]), float(weights[1])
     if w0 < -DEFAULT_TOL or w1 < -DEFAULT_TOL or abs(w0 + w1 - 1.0) > DEFAULT_TOL:
         raise ValueError(f"weights must be nonnegative and sum to 1, got {weights}")
 
     def output(rho) -> np.ndarray:
-        rho = as_matrix(rho)
-        if rho.shape != (d, d):
-            raise ValueError(f"input of shape {rho.shape} does not match dimension {d}")
-        out = np.zeros((2 * d, 2 * d), dtype=complex)
-        out[:d, :d] = w0 * apply(i0.channel, rho, validate=False)
-        out[d:, d:] = w1 * apply(i1.channel, rho, validate=False)
+        rho = _map_input(rho, d)
+        out = np.zeros(rho.shape[:-2] + (2 * d, 2 * d), dtype=complex)
+        out[..., :d, :d] = w0 * apply(i0.channel, rho, validate=False)
+        out[..., d:, d:] = w1 * apply(i1.channel, rho, validate=False)
         return out
 
     return output
@@ -291,7 +302,8 @@ def switch_map(
     with the inner channel applied to all k operators in one matrix product;
     the diagonal blocks are S1 S0 vec(rho) and S0 S1 vec(rho).  Building the
     map costs O((k0 + k1) d^4) and so does each evaluation, against
-    O(k0 k1 d^3) for the double sum over Kraus pairs.
+    O(k0 k1 d^3) for the double sum over Kraus pairs.  Like the other maps,
+    it takes one matrix or a stack ``(..., d, d)``, mapped matrix by matrix.
     """
     if ch0.dim != ch1.dim:
         raise ValueError(f"channels act on different dimensions: {ch0.dim} vs {ch1.dim}")
@@ -309,17 +321,19 @@ def switch_map(
     dag1 = ch1.kraus.conj().transpose(0, 2, 1)
 
     def output(rho) -> np.ndarray:
-        rho = as_matrix(rho)
-        if rho.shape != (d, d):
-            raise ValueError(f"input of shape {rho.shape} does not match dimension {d}")
-        vec = rho.reshape(d * d)
-        off01 = row1 @ ((rho @ dag1).reshape(-1, d * d) @ r0).reshape(-1, d)
-        off10 = row0 @ ((rho @ dag0).reshape(-1, d * d) @ r1).reshape(-1, d)
-        out = np.empty((2 * d, 2 * d), dtype=complex)
-        out[:d, :d] = w0 * (vec @ r0 @ r1).reshape(d, d)
-        out[d:, d:] = w1 * (vec @ r1 @ r0).reshape(d, d)
-        out[:d, d:] = cross * off01
-        out[d:, :d] = np.conj(cross) * off10
+        rho = _map_input(rho, d)
+        lead = rho.shape[:-2]
+        vec = rho.reshape(lead + (d * d,))
+        # rows vec(rho L_j^dag) and vec(rho K_i^dag), one per Kraus operator
+        right1 = (rho[..., None, :, :] @ dag1).reshape(lead + (-1, d * d))
+        right0 = (rho[..., None, :, :] @ dag0).reshape(lead + (-1, d * d))
+        off01 = row1 @ (right1 @ r0).reshape(lead + (-1, d))
+        off10 = row0 @ (right0 @ r1).reshape(lead + (-1, d))
+        out = np.empty(lead + (2 * d, 2 * d), dtype=complex)
+        out[..., :d, :d] = w0 * (vec @ r0 @ r1).reshape(lead + (d, d))
+        out[..., d:, d:] = w1 * (vec @ r1 @ r0).reshape(lead + (d, d))
+        out[..., :d, d:] = cross * off01
+        out[..., d:, :d] = np.conj(cross) * off10
         return out
 
     return output

@@ -24,6 +24,7 @@ sqrt(kappa(C)) rather than kappa(C).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +77,14 @@ class ChannelImplementation:
     def dim(self) -> int:
         return self.channel.dim
 
+    @cached_property
+    def t(self) -> np.ndarray:
+        """Transformation matrix T = sum_i <env|i> K_i, computed on first use
+        and kept read-only; note <env|i> is the conjugate of env[i]."""
+        t = np.tensordot(self.env.conj(), self.channel.kraus, 1)
+        t.setflags(write=False)
+        return t
+
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
@@ -91,8 +100,9 @@ class AdmissibilityReport:
 
 
 def transformation_matrix(impl: ChannelImplementation) -> np.ndarray:
-    """T = sum_i <env|i> K_i; note <env|i> is the conjugate of env[i]."""
-    return np.tensordot(impl.env.conj(), impl.channel.kraus, 1)
+    """T = sum_i <env|i> K_i, the read-only ``impl.t`` computed once per
+    implementation."""
+    return impl.t
 
 
 def _solve(ch: Channel, t, range_tol: float, bound_tol: float):
@@ -179,7 +189,7 @@ def standard_implementation(
         if alpha is None:
             raise ValueError("identity implementation needs alpha")
         if abs(alpha) > 1.0 + tol:
-            raise ValueError(f"|alpha| = {abs(alpha):.6g} exceeds 1")
+            raise ValueError(f"|alpha| = {_one_plus(abs(alpha))} exceeds 1")
         ch = standard_channel("identity", d)
         return ChannelImplementation(ch, np.array([np.conj(alpha)]))
 
@@ -220,7 +230,7 @@ def standard_implementation(
         if weight > 1.0 + tol:
             raise ValueError(
                 f"target matrix violates the admissibility constraint "
-                f"(amplitude weight {weight:.6g} > 1)"
+                f"(amplitude weight {_one_plus(weight)} > 1)"
             )
         ch = standard_channel("partial_depolarising", d, q)
         return ChannelImplementation(ch, overlaps.conj())
@@ -230,7 +240,7 @@ def standard_implementation(
             raise ValueError(f"{kind} implementation needs p, alpha and beta")
         weight = abs(alpha) ** 2 + abs(beta) ** 2
         if weight > 1.0 + tol:
-            raise ValueError(f"|alpha|^2 + |beta|^2 = {weight:.6g} exceeds 1")
+            raise ValueError(f"|alpha|^2 + |beta|^2 = {_one_plus(weight)} exceeds 1")
         ch = standard_channel(kind, 2, p)
         return ChannelImplementation(ch, np.array([np.conj(alpha), np.conj(beta)]))
 

@@ -3,7 +3,9 @@
 All entropies are in bits.  The two map-based quantities take the global map
 as a plain function on matrices (see :func:`ctrlchan.control.controlled_map`
 and friends), so they work uniformly for controlled pairs, the switch, the
-classical baseline, or any bare channel.
+classical baseline, or any bare channel.  The maps from ``control`` also take
+``(..., d, d)`` stacks, and the switch grid search maps all its states in one
+call; a caller's own function only needs to accept one matrix.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .control import ControlState, switch_map
 from .linalg import (
     DEFAULT_TOL,
     _checked_spectrum,
+    _one_plus,
     partial_trace,
     readonly,
     validate_density_matrix,
@@ -89,7 +92,7 @@ class Ensemble:
             total += p
             frozen.append((p, readonly(rho)))
         if abs(total - 1.0) > DEFAULT_TOL:
-            raise ValueError(f"probabilities sum to {total:.6g}, expected 1")
+            raise ValueError(f"probabilities sum to {_one_plus(total)}, expected 1")
         object.__setattr__(self, "items", tuple(frozen))
 
     @property
@@ -103,20 +106,22 @@ def holevo_lower_bound(output_map: Callable[[np.ndarray], np.ndarray], ensemble:
     On the classical-quantum state sum_a p_a |a><a| (x) M(rho_a) the mutual
     information between flag and output reduces to the ensemble quantity
     S(sum_a p_a M(rho_a)) - sum_a p_a S(M(rho_a)), which is computed blockwise
-    here.  It lower-bounds the Holevo information of the map.
+    here, with every entropy from one stacked :func:`entropy` call.  It
+    lower-bounds the Holevo information of the map.  ``output_map`` is called
+    once per ensemble member, so it only needs to accept one matrix.
     """
     outputs = [output_map(rho) for _, rho in ensemble.items]
     shape = outputs[0].shape
     for out in outputs[1:]:
         if out.shape != shape:
             raise ValueError("map produced outputs of differing dimensions")
-    average = np.zeros(shape, dtype=complex)
-    conditional = 0.0
-    for (p, _), out in zip(ensemble.items, outputs):
-        average += p * out
-        if p > 0.0:
-            conditional += p * entropy(out)
-    return entropy(average) - conditional
+    probs = np.array([p for p, _ in ensemble.items])
+    outputs = np.stack(outputs)
+    average = np.tensordot(probs, outputs, 1)
+    used = probs > 0.0
+    # one entropy call: the outputs of positive weight, then the average
+    entropies = entropy(np.concatenate((outputs[used], average[None])))
+    return float(entropies[-1] - probs[used] @ entropies[:-1])
 
 
 def coherent_info_bound(output_map: Callable[[np.ndarray], np.ndarray], input_bipartite) -> float:
@@ -178,17 +183,15 @@ def switch_holevo_qubit_gridsearch(
     joint rotation about y takes (theta0, theta1) to (0, theta1 - theta0)
     and keeps the value, and every difference of two grid angles is itself a
     grid angle, so the pairs (0, theta) already carry every value of the full
-    (theta0, theta1) grid.  Returns (best value, (0.0, theta1, p0)).
+    (theta0, theta1) grid.  The switch map is evaluated once, on the stack of
+    all grid states.  Returns (best value, (0.0, theta1, p0)).
     """
     ch = standard_channel("depolarising", 2)
     out_map = switch_map(ch, ch, ControlState.plus())
 
     thetas = np.arange(0.0, np.pi + angle_step / 2.0, angle_step)
-    states = [
-        np.array([np.cos(th / 2.0), np.sin(th / 2.0)], dtype=complex)
-        for th in thetas
-    ]
-    outputs = np.stack([out_map(np.outer(s, s.conj())) for s in states])
+    states = np.stack((np.cos(thetas / 2.0), np.sin(thetas / 2.0)), axis=-1).astype(complex)
+    outputs = out_map(states[:, :, None] * states[:, None, :].conj())
     entropies = entropy(outputs)
     probs = np.arange(prob_step, 1.0, prob_step)
     if probs.size == 0:
