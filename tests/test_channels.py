@@ -132,6 +132,26 @@ class TestApply:
         with pytest.raises(ValueError, match="dimension"):
             apply(standard_channel("identity", 2), np.eye(3) / 3)
 
+    def test_stack_matches_literal_sum(self):
+        rng = np.random.default_rng(2)
+        ch = random_channel(3, 4, rng)
+        blocks = rng.standard_normal((2, 3, 3, 3)) + 1j * rng.standard_normal((2, 3, 3, 3))
+        got = apply(ch, blocks, validate=False)
+        assert got.shape == blocks.shape
+        for idx in np.ndindex(blocks.shape[:-2]):
+            ref = sum(k @ blocks[idx] @ dagger(k) for k in ch.kraus)
+            assert np.max(np.abs(got[idx] - ref)) <= 1e-13
+
+    def test_stack_validates_every_member(self):
+        ch = standard_channel("identity", 2)
+        states = np.stack([np.eye(2) / 2, np.eye(2) / 2])
+        assert apply(ch, states).shape == (2, 2, 2)
+        states[1] = np.eye(2)
+        with pytest.raises(ValueError, match="trace"):
+            apply(ch, states)
+        with pytest.raises(ValueError, match="does not match dimension"):
+            apply(ch, np.zeros((2, 3, 3)))
+
     def test_trace_and_positivity_preserved(self):
         rng = np.random.default_rng(1)
         library = [
