@@ -314,21 +314,24 @@ def switch_map(
     cross = a * np.conj(b)
     r0 = _transfer_matrix(ch0)
     r1 = _transfer_matrix(ch1)
-    # sum_j M_j X_j = [M_1 ... M_k] [X_1; ...; X_k] for the interference sums
+    # sum_j M_j X_j = [M_1 ... M_k] [X_1; ...; X_k] for the interference sums,
+    # and rho [M_1^dag ... M_k^dag] holds every rho M_j^dag side by side
     row0 = ch0.kraus.transpose(1, 0, 2).reshape(d, -1)
     row1 = ch1.kraus.transpose(1, 0, 2).reshape(d, -1)
-    dag0 = ch0.kraus.conj().transpose(0, 2, 1)
-    dag1 = ch1.kraus.conj().transpose(0, 2, 1)
+    side0 = ch0.kraus.conj().transpose(2, 0, 1).reshape(d, -1)
+    side1 = ch1.kraus.conj().transpose(2, 0, 1).reshape(d, -1)
+
+    def rows(rho, side, lead):
+        """vec(rho M_j^dag) as one row per Kraus operator."""
+        blocks = (rho @ side).reshape(lead + (d, -1, d))
+        return np.swapaxes(blocks, -3, -2).reshape(lead + (-1, d * d))
 
     def output(rho) -> np.ndarray:
         rho = _map_input(rho, d)
         lead = rho.shape[:-2]
         vec = rho.reshape(lead + (d * d,))
-        # rows vec(rho L_j^dag) and vec(rho K_i^dag), one per Kraus operator
-        right1 = (rho[..., None, :, :] @ dag1).reshape(lead + (-1, d * d))
-        right0 = (rho[..., None, :, :] @ dag0).reshape(lead + (-1, d * d))
-        off01 = row1 @ (right1 @ r0).reshape(lead + (-1, d))
-        off10 = row0 @ (right0 @ r1).reshape(lead + (-1, d))
+        off01 = row1 @ (rows(rho, side1, lead) @ r0).reshape(lead + (-1, d))
+        off10 = row0 @ (rows(rho, side0, lead) @ r1).reshape(lead + (-1, d))
         out = np.empty(lead + (2 * d, 2 * d), dtype=complex)
         out[..., :d, :d] = w0 * (vec @ r0 @ r1).reshape(lead + (d, d))
         out[..., d:, d:] = w1 * (vec @ r1 @ r0).reshape(lead + (d, d))
