@@ -254,6 +254,93 @@ class TestChoiCrossCheck:
                 assert np.max(np.abs(transformation_matrix(impl) - m)) <= 1e-10
 
 
+def kraus_matrix(ch):
+    k = len(ch.kraus)
+    return ch.kraus.reshape(k, -1).T
+
+
+def lstsq_route(ch, t):
+    """Verdict, range residual and quadratic form of ``t`` from a fresh
+    ``lstsq`` on the Kraus matrix V, the solve the library once made."""
+    v = kraus_matrix(ch)
+    tvec = np.asarray(t, dtype=complex).reshape(-1)
+    coeff = np.linalg.lstsq(v, tvec, rcond=None)[0]
+    residual = float(np.linalg.norm(tvec - v @ coeff) / np.linalg.norm(tvec))
+    qform = float(np.vdot(coeff, coeff).real)
+    return residual <= RANGE_TOL and qform <= 1.0 + BOUND_TOL, residual, qform
+
+
+def off_range(ch, t, rng):
+    """``t`` plus a component outside range(V) of a tenth of its norm, or a
+    Gaussian matrix of that size when V spans every d x d matrix."""
+    d = ch.dim
+    v = kraus_matrix(ch)
+    g = (rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)).astype(complex)
+    perp = g - v @ np.linalg.lstsq(v, g, rcond=None)[0]
+    scale = 0.1 * max(np.linalg.norm(t), 1.0 / d)
+    if np.linalg.norm(perp) <= 1e-6 * np.linalg.norm(g):
+        return scale * g.reshape(d, d) / np.linalg.norm(g)
+    return t + scale * perp.reshape(d, d) / np.linalg.norm(perp)
+
+
+def dependent_inputs():
+    rng = np.random.default_rng(300)
+    for d in (2, 3, 4):
+        for k in (1, 2, d + 1, d * d):
+            ch = random_channel(d, k, rng)
+            ch = remix(ch, haar_isometry(k + int(rng.integers(1, 5)), k, rng))
+            yield ch, random_admissible_t(ch, rng), rng
+
+
+def tiny_weight_inputs():
+    rng = np.random.default_rng(301)
+    for p in (1e-9, 1e-12, 1e-15):
+        for alpha, beta in ((0.0, 1.0), (0.6, 0.8j), (1.0, 0.0)):
+            impl = standard_implementation("phase_flip", p=p, alpha=alpha, beta=beta)
+            yield impl.channel, transformation_matrix(impl), rng
+
+
+def random_inputs(d):
+    rng = np.random.default_rng(302 + d)
+    for k in (1, d, d * d // 2, d * d):
+        ch = random_channel(d, k, rng)
+        yield ch, random_admissible_t(ch, rng), rng
+
+
+PARITY_FAMILIES = {
+    "dependent": dependent_inputs,
+    "tiny-weight": tiny_weight_inputs,
+    "random-d8": lambda: random_inputs(8),
+    "random-d16": lambda: random_inputs(16),
+}
+
+
+class TestLstsqParity:
+    """The Kraus-space solve agrees with a fresh ``lstsq`` on V, on dependent
+    Kraus sets, tiny Kraus weights and d up to 16, for T, 1.5 T and an
+    off-range T."""
+
+    @pytest.mark.parametrize("family", sorted(PARITY_FAMILIES))
+    def test_matches_lstsq_reference(self, family):
+        accepted = refused = 0
+        for ch, t, rng in PARITY_FAMILIES[family]():
+            for m in (t, 1.5 * t, off_range(ch, t, rng)):
+                ok, residual, qform = lstsq_route(ch, m)
+                rep = admissible(ch, m)
+                assert rep.admissible == ok
+                assert (rep.range_residual <= RANGE_TOL) == (residual <= RANGE_TOL)
+                assert abs(rep.quadratic_form - qform) <= 1e-9
+                if not ok:
+                    with pytest.raises(ValueError, match="not admissible"):
+                        realize(ch, m)
+                    refused += 1
+                    continue
+                impl = realize(ch, m)
+                assert np.max(np.abs(transformation_matrix(impl) - m)) <= 1e-10
+                accepted += 1
+        assert accepted > 0 and refused > 0
+
+
 class TestStandardImplementation:
     def test_depolarising_spike_env_pattern(self):
         impl = standard_implementation("depolarising", t=spike(2))
