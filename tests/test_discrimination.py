@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctrlchan.channels import standard_channel
-from ctrlchan.control import ControlState, controlled_output
+from ctrlchan import control, discrimination, linalg
+from ctrlchan.channels import choi_of, remix, standard_channel
+from ctrlchan.control import ControlledOutput, ControlState, controlled_output
 from ctrlchan.discrimination import (
     DiscriminationInstance,
     diamond_bound,
@@ -19,6 +20,9 @@ from ctrlchan.discrimination import (
 from ctrlchan.implementations import realize, standard_implementation
 from ctrlchan.linalg import SIGMA_X, ket, projector
 from ctrlchan.sampling import (
+    haar_isometry,
+    random_admissible_t,
+    random_channel,
     random_density_matrix,
     random_depolarising_t,
     random_implementation,
@@ -70,6 +74,44 @@ class TestDiscriminationInstance:
         with pytest.raises(ValueError, match="different channels"):
             DiscriminationInstance(fixed, a, b)
 
+    def test_rejects_random_channels_of_one_kraus_count(self):
+        rng = np.random.default_rng(20)
+        fixed = standard_implementation("identity", d=3, alpha=1.0)
+        ch_a, ch_b = random_channel(3, 4, rng), random_channel(3, 4, rng)
+        a = realize(ch_a, random_admissible_t(ch_a, rng))
+        b = realize(ch_b, random_admissible_t(ch_b, rng))
+        with pytest.raises(
+            ValueError, match=r"candidates implement different channels: Choi deviation \d"
+        ):
+            DiscriminationInstance(fixed, a, b)
+
+    def test_same_channel_object_makes_no_choi(self, monkeypatch):
+        calls = []
+
+        def counting(ch):
+            calls.append(ch)
+            return choi_of(ch)
+
+        monkeypatch.setattr(discrimination, "choi_of", counting)
+        rng = np.random.default_rng(21)
+        fixed = standard_implementation("identity", d=3, alpha=1.0)
+        ch = random_channel(3, 5, rng)
+        a = realize(ch, random_admissible_t(ch, rng))
+        b = realize(ch, random_admissible_t(ch, rng))
+        DiscriminationInstance(fixed, a, b)
+        assert calls == []
+
+    def test_remixed_candidate_accepted(self):
+        # a different Channel object for the same map still takes the Choi route
+        rng = np.random.default_rng(22)
+        fixed = standard_implementation("identity", d=3, alpha=1.0)
+        ch = random_channel(3, 4, rng)
+        other = remix(ch, haar_isometry(6, 4, rng))
+        t1, t1p = random_admissible_t(ch, rng), random_admissible_t(ch, rng)
+        inst = DiscriminationInstance(fixed, realize(ch, t1), realize(other, t1p))
+        rho = projector(optimal_input(t1, t1p))
+        assert abs(output_distance(inst, PLUS, rho) - diamond_bound(t1, t1p)) <= 1e-10
+
 
 class TestOutputDistance:
     def test_equal_candidates_give_zero(self):
@@ -104,6 +146,42 @@ class TestOutputDistance:
         assert np.max(np.abs(delta[:2, :2])) <= 1e-12
         assert np.max(np.abs(delta[2:, 2:])) <= 1e-12
         assert np.max(np.abs(delta[:2, 2:])) > 1e-3
+
+
+    def test_validates_rho_once_and_checks_each_output(self, monkeypatch):
+        validations = []
+        outputs = []
+        post_init = ControlledOutput.__post_init__
+
+        def counting(rho, *args, **kwargs):
+            validations.append(rho)
+            return linalg.validate_density_matrix(rho, *args, **kwargs)
+
+        def checked(self):
+            outputs.append(self)
+            post_init(self)
+
+        for module in (control, discrimination):
+            monkeypatch.setattr(module, "validate_density_matrix", counting)
+        monkeypatch.setattr(ControlledOutput, "__post_init__", checked)
+        inst, _ = depolarising_instance(2)
+        value = output_distance(inst, PLUS, projector(ket(0, 2)))
+        assert abs(value - 1.0 / np.sqrt(2.0)) <= 1e-10
+        assert len(validations) == 1
+        assert len(outputs) == 2
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (np.diag([1.5, -0.5]), r"density matrix has a negative eigenvalue -5\.000e-01"),
+            (np.array([[0.5, 0.5], [0.0, 0.5]]), "density matrix is not Hermitian"),
+            (np.eye(2), r"density matrix has trace 1 \+ 1\.000e\+00, expected 1"),
+        ],
+    )
+    def test_rejects_non_density_input(self, rho, message):
+        inst, _ = depolarising_instance(2)
+        with pytest.raises(ValueError, match=message):
+            output_distance(inst, PLUS, rho)
 
 
 class TestDiamondBound:

@@ -1,5 +1,8 @@
 """Tests for channel implementations, admissibility and realisation."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -339,6 +342,45 @@ class TestLstsqParity:
                 assert np.max(np.abs(transformation_matrix(impl) - m)) <= 1e-10
                 accepted += 1
         assert accepted > 0 and refused > 0
+
+
+class TestFactorization:
+    def test_one_svd_for_many_solves_on_one_channel(self, monkeypatch):
+        rng = np.random.default_rng(310)
+        ch = random_channel(3, 4, rng)
+        ts = [random_admissible_t(ch, rng) for _ in range(5)]
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        for t in ts:
+            rep = admissible(ch, t)
+            assert rep.admissible
+            # quadratic form 2.25: refused
+            assert not admissible(ch, 1.5 * t / np.sqrt(rep.quadratic_form)).admissible
+            realize(ch, t)
+        assert calls == [(9, 4)]
+
+    def test_second_channel_evicts_the_first(self):
+        # one factorization is kept: the last channel solved on stays alive
+        # until a solve on another channel replaces it
+        rng = np.random.default_rng(311)
+        first = random_channel(3, 4, rng)
+        second = random_channel(3, 5, rng)
+        t_first = random_admissible_t(first, rng)
+        t_second = random_admissible_t(second, rng)
+        admissible(first, t_first)
+        ref = weakref.ref(first)
+        del first
+        gc.collect()
+        assert ref() is not None
+        admissible(second, t_second)
+        gc.collect()
+        assert ref() is None
 
 
 class TestStandardImplementation:
