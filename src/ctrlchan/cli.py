@@ -35,6 +35,7 @@ from .discrimination import (
     success_probability,
 )
 from .implementations import (
+    BOUND_TOL,
     admissible,
     realize,
     standard_implementation,
@@ -317,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--t", required=True, help="transformation-matrix JSON")
     val.add_argument("--realize", action="store_true",
                      help="also construct the dilation and report the roundtrip error")
-    val.add_argument("--tol", type=float, default=1e-8, help="membership tolerance")
+    val.add_argument("--tol", type=float, default=BOUND_TOL,
+                     help="range and bound tolerance (default: %(default)g, BOUND_TOL)")
     val.add_argument("--format", choices=("pretty", "json"), default="pretty")
     val.set_defaults(func=_cmd_validate_t)
 

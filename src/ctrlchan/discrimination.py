@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import choi_of
-from .control import ControlState, controlled_output
+from .control import ControlledOutput, ControlState, controlled_map
 from .implementations import ChannelImplementation, transformation_matrix
 from .linalg import (
     DEFAULT_TOL,
@@ -39,6 +39,8 @@ class DiscriminationInstance:
         d = self.fixed.dim
         if self.candidate_a.dim != d or self.candidate_b.dim != d:
             raise ValueError("all implementations must share the target dimension")
+        if self.candidate_a.channel is self.candidate_b.channel:
+            return  # one Channel object: the Choi deviation is exactly 0
         dev = float(np.max(np.abs(
             choi_of(self.candidate_a.channel) - choi_of(self.candidate_b.channel)
         )))
@@ -69,11 +71,12 @@ def output_distance(
     Computed twice: directly on the two controlled outputs, and through the
     closed form |a b| * || tau rho T0^dag ||_1 with tau the difference of the
     candidate transformation matrices.  The two routes must agree within
-    ``agree_tol``; the direct value is returned.
+    ``agree_tol``; the direct value is returned.  ``rho`` is validated once,
+    and each joint output is checked as a :class:`ControlledOutput`.
     """
     rho = validate_density_matrix(rho)
-    out_a = controlled_output(inst.fixed, inst.candidate_a, control, rho)
-    out_b = controlled_output(inst.fixed, inst.candidate_b, control, rho)
+    out_a = ControlledOutput(controlled_map(inst.fixed, inst.candidate_a, control)(rho))
+    out_b = ControlledOutput(controlled_map(inst.fixed, inst.candidate_b, control)(rho))
     direct = 0.5 * trace_norm(out_a.matrix - out_b.matrix)
 
     t0 = transformation_matrix(inst.fixed)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ctrlchan.channels import standard_channel
-from ctrlchan.cli import main
+from ctrlchan.cli import build_parser, main
+from ctrlchan.implementations import BOUND_TOL
 from ctrlchan.serialization import channel_to_json, state_to_json, tmatrix_to_json
 
 
@@ -168,6 +169,13 @@ class TestValidateT:
         assert doc["admissible"] is False
         assert doc["range_residual"] > 0.5
 
+
+    def test_tol_defaults_to_bound_tol(self, capsys):
+        args = build_parser().parse_args(["validate-t", "--channel", "c", "--t", "t"])
+        assert args.tol == BOUND_TOL
+        with pytest.raises(SystemExit):
+            main(["validate-t", "--help"])
+        assert f"default: {BOUND_TOL:g}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("fmt", ["json", "pretty"])
     def test_realize_beyond_the_dilation_cap_reports_then_fails(self, tmp_path, capsys, fmt):

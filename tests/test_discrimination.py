@@ -71,15 +71,6 @@ class TestDiscriminationInstance:
         fixed = standard_implementation("identity", d=2, alpha=1.0)
         a = standard_implementation("depolarising", t=spike(2))
         b = standard_implementation("phase_flip", p=0.5, alpha=0.0, beta=1.0)
-        with pytest.raises(ValueError, match="different channels"):
-            DiscriminationInstance(fixed, a, b)
-
-    def test_rejects_random_channels_of_one_kraus_count(self):
-        rng = np.random.default_rng(20)
-        fixed = standard_implementation("identity", d=3, alpha=1.0)
-        ch_a, ch_b = random_channel(3, 4, rng), random_channel(3, 4, rng)
-        a = realize(ch_a, random_admissible_t(ch_a, rng))
-        b = realize(ch_b, random_admissible_t(ch_b, rng))
         with pytest.raises(
             ValueError, match=r"candidates implement different channels: Choi deviation \d"
         ):
