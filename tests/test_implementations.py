@@ -264,7 +264,7 @@ def kraus_matrix(ch):
 
 def lstsq_route(ch, t):
     """Verdict, range residual and quadratic form of ``t`` from a fresh
-    ``lstsq`` on the Kraus matrix V, the solve the library once made."""
+    ``lstsq`` on the Kraus matrix V, the reference for the factored solve."""
     v = kraus_matrix(ch)
     tvec = np.asarray(t, dtype=complex).reshape(-1)
     coeff = np.linalg.lstsq(v, tvec, rcond=None)[0]
