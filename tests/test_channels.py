@@ -324,6 +324,19 @@ class TestStandardChannel:
             out = apply(ch, random_density_matrix(3, rng))
             assert np.max(np.abs(out - sigma)) <= 1e-12
 
+    def test_constant_kraus_order(self):
+        # sqrt(w_j) |v_j><m|, eigenvalues descending, then m ascending; the
+        # zero eigenvalue contributes no operators
+        sigma = np.diag([0.2, 0.5, 0.0, 0.3])
+        ch = standard_channel("constant", 4, sigma)
+        expected = [
+            np.sqrt(w) * np.outer(ket(j, 4), ket(m, 4))
+            for w, j in ((0.5, 1), (0.3, 3), (0.2, 0))
+            for m in range(4)
+        ]
+        assert ch.kraus.shape == (12, 4, 4)
+        assert np.max(np.abs(np.abs(ch.kraus) - np.abs(expected))) <= 1e-15
+
     def test_unitary_channel(self):
         rng = np.random.default_rng(10)
         u = random_unitary(2, rng)

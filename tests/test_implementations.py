@@ -348,22 +348,28 @@ class TestFactorization:
     def test_one_svd_for_many_solves_on_one_channel(self, monkeypatch):
         rng = np.random.default_rng(310)
         ch = random_channel(3, 4, rng)
-        ts = [random_admissible_t(ch, rng) for _ in range(5)]
         calls = []
-        svd = np.linalg.svd
 
-        def counting(a, *args, **kwargs):
-            calls.append(a.shape)
-            return svd(a, *args, **kwargs)
+        def counting(name):
+            fn = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "svd", counting)
+            def counted(a, *args, **kwargs):
+                calls.append((name, a.shape))
+                return fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        counting("svd")
+        counting("eigh")
+        # draws and solves on one channel share its factorization
+        ts = [random_admissible_t(ch, rng) for _ in range(5)]
         for t in ts:
             rep = admissible(ch, t)
             assert rep.admissible
             # quadratic form 2.25: refused
             assert not admissible(ch, 1.5 * t / np.sqrt(rep.quadratic_form)).admissible
             realize(ch, t)
-        assert calls == [(9, 4)]
+        assert calls == [("svd", (9, 4))]
 
     def test_second_channel_evicts_the_first(self):
         # one factorization is kept: the last channel solved on stays alive
@@ -383,7 +389,65 @@ class TestFactorization:
         assert ref() is None
 
 
+def dependent_channels():
+    rng = np.random.default_rng(320)
+    for d in (2, 3, 4):
+        for k in (1, 2, d + 1, d * d):
+            ch = random_channel(d, k, rng)
+            yield remix(ch, haar_isometry(k + int(rng.integers(1, 5)), k, rng)), rng
+
+
+def tiny_weight_channels():
+    rng = np.random.default_rng(321)
+    for p in (1e-9, 1e-12, 1e-15):
+        yield standard_channel("phase_flip", 2, p), rng
+
+
+def d16_channels():
+    rng = np.random.default_rng(322)
+    for k in (1, 16, 64, 256):
+        yield random_channel(16, k, rng), rng
+
+
+DRAW_FAMILIES = {
+    "dependent": dependent_channels,
+    "tiny-weight": tiny_weight_channels,
+    "d16": d16_channels,
+}
+
+
+class TestRandomAdmissibleT:
+    @pytest.mark.parametrize("family", sorted(DRAW_FAMILIES))
+    def test_draws_are_admitted_and_realized(self, family):
+        for ch, rng in DRAW_FAMILIES[family]():
+            for _ in range(5):
+                t = random_admissible_t(ch, rng)
+                rep = admissible(ch, t)
+                assert rep.admissible
+                assert rep.quadratic_form < 1.0
+                impl = realize(ch, t)
+                assert np.max(np.abs(transformation_matrix(impl) - t)) <= 1e-10
+                if family == "tiny-weight":
+                    # the sqrt(p) sigma_z direction carries 1/p of the
+                    # quadratic form per unit weight, so it holds nearly all
+                    weight = float(np.sum(np.abs(impl.env) ** 2))
+                    assert abs(impl.env[1]) ** 2 >= 0.99 * weight
+
+    def test_quadratic_form_is_uniform(self):
+        # 400 draws: the count below 1/2 is binomial(400, 1/2), 200 +- 10
+        rng = np.random.default_rng(323)
+        ch = random_channel(3, 5, rng)
+        qforms = [admissible(ch, random_admissible_t(ch, rng)).quadratic_form for _ in range(400)]
+        assert 160 <= sum(q < 0.5 for q in qforms) <= 240
+        assert max(qforms) < 1.0
+
+
 class TestStandardImplementation:
+    @pytest.mark.parametrize("kind", ["depolarising", "partial_depolarising"])
+    def test_non_square_target_rejected(self, kind):
+        with pytest.raises(ValueError, match="square"):
+            standard_implementation(kind, q=0.5, t=0.1 * np.ones((2, 3)))
+
     def test_depolarising_spike_env_pattern(self):
         impl = standard_implementation("depolarising", t=spike(2))
         # overlaps Tr[U_i^dag T] over the Weyl order (1, Z, X, XZ):
