@@ -20,14 +20,7 @@ from ctrlchan.channels import apply, standard_channel
 from ctrlchan.control import ControlState, controlled_map
 from ctrlchan.implementations import standard_implementation
 from ctrlchan.info import cc_dephasing_bound, coherent_info_bound
-from ctrlchan.linalg import projector
-
-
-def maximally_entangled(d=2):
-    phi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        phi[i * d + i] = 1.0 / np.sqrt(d)
-    return projector(phi)
+from ctrlchan.linalg import maximally_entangled
 
 
 def main():
@@ -36,7 +29,7 @@ def main():
     parser.add_argument("--json", action="store_true", help="emit a JSON record per row")
     args = parser.parse_args()
 
-    nu0 = maximally_entangled()
+    nu0 = maximally_entangled(2)
     rows = []
     for p in np.linspace(0.0, 1.0, args.steps):
         zp = standard_implementation("phase_flip", p=p, alpha=0.0, beta=1.0)

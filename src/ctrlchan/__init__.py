@@ -13,7 +13,6 @@ from .channels import (
     choi_of,
     remix,
     standard_channel,
-    validate_channel,
     weyl_basis,
 )
 from .control import (
@@ -61,7 +60,6 @@ from .linalg import (
     SIGMA_Z,
     choi_vec,
     dagger,
-    hermitian_eig,
     hs_norm,
     ket,
     partial_trace,
@@ -70,7 +68,6 @@ from .linalg import (
     spectral_norm,
     tensor,
     trace_norm,
-    unvec,
     validate_density_matrix,
 )
 

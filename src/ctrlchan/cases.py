@@ -47,7 +47,7 @@ from .info import (
     switch_holevo_qubit,
     switch_holevo_qubit_gridsearch,
 )
-from .linalg import ket, projector
+from .linalg import ket, maximally_entangled, projector
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,8 @@ class CaseReport:
     runtime_ms: int
     detail: str = ""
 
-    def to_dict(self, include_runtime: bool = False) -> dict:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "case_id": self.case_id,
             "computed": self.computed,
             "expected": self.expected if self.expected is not None else "n/a",
@@ -82,9 +82,6 @@ class CaseReport:
             "passed": self.passed,
             "detail": self.detail,
         }
-        if include_runtime:
-            doc["runtime_ms"] = self.runtime_ms
-        return doc
 
 
 @dataclass(frozen=True)
@@ -183,9 +180,7 @@ def _switch_holevo_gridsearch(options: CaseOptions) -> _Result:
 
 @case("dephasing-coherent-info")
 def _dephasing_coherent_info(options: CaseOptions) -> _Result:
-    phi = np.zeros(4, dtype=complex)
-    phi[0] = phi[3] = 1.0 / np.sqrt(2.0)
-    nu0 = projector(phi)
+    nu0 = maximally_entangled(2)
     deviations = []
     minimum = np.inf
     for p in np.arange(0.0, 1.0 + 1e-9, 0.1):

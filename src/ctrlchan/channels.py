@@ -18,7 +18,6 @@ from .linalg import (
     SIGMA_Z,
     _checked_spectrum,
     as_matrix,
-    hermitian_eig,
     is_isometry,
     validate_density_matrix,
 )
@@ -86,12 +85,6 @@ def _unstackable(kraus) -> ValueError:
                 f"kraus[{idx}] has dimension {shape[0]}, expected {shapes[0][0]}"
             )
     return ValueError("kraus operators do not stack into one complex array")
-
-
-def validate_channel(kraus) -> Channel:
-    """Build a :class:`Channel` from a sequence of matrices, checking that all
-    are square, equally sized, and jointly trace-preserving."""
-    return Channel(tuple(kraus))
 
 
 def apply(ch: Channel, rho, *, validate: bool = True) -> np.ndarray:
@@ -208,9 +201,9 @@ def standard_channel(kind: str, d: int = 2, param=None) -> Channel:
             raise ValueError(
                 f"constant output of shape {sigma.shape} does not match dimension {d}"
             )
-        w, v = hermitian_eig(sigma)
+        w, v = np.linalg.eigh(sigma)
         ops = []
-        for j in range(d):
+        for j in reversed(range(d)):
             if w[j] <= 1e-14:
                 continue
             for m in range(d):

@@ -42,7 +42,7 @@ from .implementations import (
     transformation_matrix,
 )
 from .info import Ensemble, coherent_info_bound, holevo_lower_bound
-from .linalg import ket, projector
+from .linalg import ket, maximally_entangled, projector
 from .serialization import (
     SchemaError,
     channel_from_json,
@@ -217,13 +217,6 @@ def _default_ensemble(d: int) -> Ensemble:
     return Ensemble(tuple((1.0 / d, projector(ket(i, d))) for i in range(d)))
 
 
-def _maximally_entangled(d: int) -> np.ndarray:
-    phi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        phi[i * d + i] = 1.0 / np.sqrt(d)
-    return projector(phi)
-
-
 def _cmd_info(args) -> int:
     i0 = implementation_from_json(load_json(args.channel0), "channel0")
     i1 = implementation_from_json(load_json(args.channel1), "channel1")
@@ -240,7 +233,7 @@ def _cmd_info(args) -> int:
         if args.input:
             nu0 = state_from_json(load_json(args.input))
         else:
-            nu0 = _maximally_entangled(i0.dim)
+            nu0 = maximally_entangled(i0.dim)
         doc["coherent_info_bound"] = coherent_info_bound(output_map, nu0)
     if args.format == "json":
         print(_json_dumps(doc))

@@ -37,7 +37,6 @@ from .linalg import (
     _one_plus,
     as_matrix,
     dagger,
-    hermitian_eig,
     is_hermitian,
     readonly,
     validate_density_matrix,
@@ -216,7 +215,7 @@ def stinespring_oracle(
     kraus1 = i1.channel.kraus
     e0 = _embedded_env(i0.env)
     e1 = _embedded_env(i1.env)
-    w, vecs = hermitian_eig(rho)
+    w, vecs = np.linalg.eigh(rho)
     out = np.zeros((2 * d, 2 * d), dtype=complex)
     # amp[c, x, m, n]: control c, target x, env0 slot m, env1 slot n; the
     # slots a branch never writes stay zero for every eigenvector

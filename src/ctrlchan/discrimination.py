@@ -20,7 +20,6 @@ from .linalg import (
     DEFAULT_TOL,
     as_matrix,
     dagger,
-    hermitian_eig,
     spectral_norm,
     trace_norm,
     validate_density_matrix,
@@ -116,8 +115,8 @@ def optimal_input(t1, t1p, degeneracy_tol: float = 1e-10) -> np.ndarray:
     if float(np.max(np.abs(tau))) == 0.0:
         raise ValueError("transformation matrices are identical")
     gram = dagger(tau) @ tau
-    w, v = hermitian_eig(gram)
-    top = w >= w[0] - degeneracy_tol * max(float(w[0]), 1.0)
+    w, v = np.linalg.eigh(gram)
+    top = w >= w[-1] - degeneracy_tol * max(float(w[-1]), 1.0)
     vtop = v[:, top]
     proj = vtop @ vtop.conj().T
     for k in range(proj.shape[0]):

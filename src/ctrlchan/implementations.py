@@ -19,9 +19,9 @@ Because the Choi matrix is C = V V^dag, this is the same as the Choi form
 |T>> in range(C) and <<T|C^+|T>> <= 1, but a solve on V decides it and
 yields the environment amplitudes, and it is conditioned by sqrt(kappa(C))
 rather than kappa(C).  There is one SVD per channel, shared by consecutive
-solves, one entry kept: a factorization held for each channel's lifetime
-raised the peak RSS of the ``dilation-d8`` benchmark, which keeps many
-channels alive, by 12 %.
+solves and by random draws of admissible T, one entry kept: a factorization
+held for each channel's lifetime raised the peak RSS of the ``dilation-d8``
+benchmark, which keeps many channels alive, by 12 %.
 """
 
 from __future__ import annotations
@@ -119,8 +119,10 @@ def _factor(ch: Channel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     to the singular values above the cutoff ``lstsq(rcond=None)`` uses,
     eps * max(d^2, k) * s_max, so that V^+ = W_r diag(1/s_r) U_r^dag.
 
-    One entry is kept, keyed by the channel object: consecutive solves on a
-    channel share it, and a solve on another channel replaces it.
+    This is the one factorization of a channel's range: solves here and
+    draws in :func:`ctrlchan.sampling.random_admissible_t` both use it.  One
+    entry is kept, keyed by the channel object: consecutive draws and solves
+    on a channel share it, and a call on another channel replaces it.
     """
     v = _kraus_matrix(ch)
     u, s, wh = np.linalg.svd(v, full_matrices=False)
@@ -225,9 +227,13 @@ def standard_implementation(
         ch = standard_channel("identity", d)
         return ChannelImplementation(ch, np.array([np.conj(alpha)]))
 
-    if kind == "depolarising":
+    if kind in ("depolarising", "partial_depolarising"):
         t = as_matrix(t)
         d = t.shape[0]
+        if t.shape != (d, d):
+            raise ValueError(f"target matrix must be square, got shape {t.shape}")
+
+    if kind == "depolarising":
         hs_sq = float(np.real(np.trace(t.conj().T @ t)))
         if hs_sq > 1.0 / d + tol:
             raise ValueError(
@@ -243,8 +249,6 @@ def standard_implementation(
         q = float(q)
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"q must lie in [0, 1], got {q}")
-        t = as_matrix(t)
-        d = t.shape[0]
         basis = weyl_basis(d)
         head = np.trace(t) / np.sqrt(d * d * q + 1.0 - q)
         tail = np.array([np.trace(u.conj().T @ t) for u in basis[1:]])

@@ -10,8 +10,6 @@ fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 DEFAULT_TOL = 1e-9
@@ -51,6 +49,11 @@ def projector(vec) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def maximally_entangled(d: int) -> np.ndarray:
+    """Density matrix of |Phi> = sum_i |i> (x) |i> / sqrt(d) on d x d."""
+    return projector(np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d))
+
+
 def dagger(m) -> np.ndarray:
     return as_matrix(m).conj().T
 
@@ -86,24 +89,6 @@ def choi_vec(t) -> np.ndarray:
     return as_matrix(t).T.flatten()
 
 
-def unvec(v, dim_in: int | None = None, dim_out: int | None = None) -> np.ndarray:
-    """Inverse of :func:`choi_vec`; dimensions inferred as square if omitted."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    n = v.size
-    if dim_in is None and dim_out is None:
-        d = math.isqrt(n)
-        if d * d != n:
-            raise ValueError(f"vector of length {n} is not square; pass dimensions")
-        dim_in = dim_out = d
-    elif dim_in is None:
-        dim_in = n // dim_out
-    elif dim_out is None:
-        dim_out = n // dim_in
-    if dim_in * dim_out != n:
-        raise ValueError(f"dimensions {dim_in} x {dim_out} do not match length {n}")
-    return v.reshape(dim_in, dim_out).T.copy()
-
-
 def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
@@ -120,32 +105,23 @@ def is_isometry(u, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(gram - np.eye(u.shape[1]))) <= tol)
 
 
-def hermitian_eig(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues descending, orthonormal eigenvector columns).
-    """
-    m = as_matrix(m)
-    if not is_hermitian(m, tol):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(m)
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
 def pseudoinverse(m, rank_tol: float = 1e-12, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a Hermitian positive semidefinite matrix.
 
     Eigenvalues at or below ``rank_tol`` times the largest eigenvalue are
     treated as zero; a negative eigenvalue beyond ``tol`` is an error.
     """
-    w, v = hermitian_eig(m, tol)
-    wmax = float(w[0]) if w.size else 0.0
-    if w.size and float(w[-1]) < -tol * max(wmax, 1.0):
-        raise ValueError(f"matrix has a negative eigenvalue {w[-1]:.3e}")
+    m = as_matrix(m)
+    if not is_hermitian(m, tol):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    w, v = np.linalg.eigh(m)
+    wmax = float(w[-1]) if w.size else 0.0
+    if w.size and float(w[0]) < -tol * max(wmax, 1.0):
+        raise ValueError(f"matrix has a negative eigenvalue {w[0]:.3e}")
     cutoff = rank_tol * max(wmax, 0.0)
     keep = w > cutoff
     if not np.any(keep):
-        return np.zeros_like(as_matrix(m))
+        return np.zeros_like(m)
     vk = v[:, keep]
     return (vk / w[keep]) @ vk.conj().T
 

@@ -3,15 +3,17 @@ vectors and admissible interference matrices.
 
 Used by the property-test suites and by the randomised reproduction cases of
 the CLI; every function takes an explicit ``numpy.random.Generator``.
+Admissible matrices are drawn on the SVD of the Kraus matrix that
+``admissible`` and ``realize`` solve against, so a draw and the solves that
+follow it on one channel share one factorization.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channels import Channel, choi_of
-from .implementations import ChannelImplementation
-from .linalg import hermitian_eig, unvec
+from .channels import Channel
+from .implementations import ChannelImplementation, _factor
 
 
 def _complex_gaussian(shape, rng: np.random.Generator) -> np.ndarray:
@@ -74,25 +76,23 @@ def random_implementation(
     return ChannelImplementation(ch, random_env(kraus_count, rng, env_norm))
 
 
-def random_admissible_t(
-    ch: Channel, rng: np.random.Generator, rank_tol: float = 1e-12
-) -> np.ndarray:
+def random_admissible_t(ch: Channel, rng: np.random.Generator) -> np.ndarray:
     """Random interference matrix satisfying the dilation constraint.
 
-    Draws Gaussian coefficients on the range of the Choi matrix, then scales
-    so the quadratic form <<T|C^+|T>> lands uniformly in [0, 1).
+    Draws Gaussian coefficients c on the kept left singular vectors U_r of
+    the Kraus matrix V, scales them so that the quadratic form
+    ||V^+ |T>>||^2 = sum_r |c_r|^2 / s_r^2 lands uniformly in [0, 1), and
+    returns U_r c unvectorised row by row, as the columns of V are.  The SVD
+    is the one :func:`~ctrlchan.implementations.admissible` and
+    :func:`~ctrlchan.implementations.realize` solve against, so draws and
+    solves on one channel share it and agree on its range.
     """
-    c = choi_of(ch)
-    w, v = hermitian_eig(c)
-    keep = w > rank_tol * max(float(w[0]), 0.0)
-    lam = w[keep]
-    vecs = v[:, keep]
-    coeff = _complex_gaussian(lam.size, rng)
-    qform = float(np.sum(np.abs(coeff) ** 2 / lam))
+    u_dag, inv_s, _ = _factor(ch)
+    coeff = _complex_gaussian(inv_s.size, rng)
+    qform = float(np.sum(np.abs(coeff * inv_s) ** 2))
     target = rng.uniform(0.0, 1.0)
     coeff *= np.sqrt(target / qform)
-    tvec = vecs @ coeff
-    return unvec(tvec, ch.dim, ch.dim)
+    return (u_dag.conj().T @ coeff).reshape(ch.dim, ch.dim)
 
 
 def random_depolarising_t(

@@ -39,7 +39,7 @@ from ctrlchan.info import (
     switch_holevo_qubit,
     switch_holevo_qubit_gridsearch,
 )
-from ctrlchan.linalg import ket, projector
+from ctrlchan.linalg import ket, maximally_entangled, projector
 from ctrlchan.sampling import (
     haar_isometry,
     random_admissible_t,
@@ -63,13 +63,6 @@ def spike(d):
     t = np.zeros((d, d), dtype=complex)
     t[0, 0] = 1.0 / np.sqrt(d)
     return t
-
-
-def maximally_entangled(d):
-    phi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        phi[i * d + i] = 1.0 / np.sqrt(d)
-    return projector(phi)
 
 
 def test_criterion_1_cc_depolarising_holevo():

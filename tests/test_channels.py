@@ -10,7 +10,6 @@ from ctrlchan.channels import (
     choi_of,
     remix,
     standard_channel,
-    validate_channel,
     weyl_basis,
 )
 from ctrlchan.linalg import (
@@ -36,33 +35,33 @@ PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
 class TestValidateChannel:
     def test_identity_singleton(self):
-        ch = validate_channel([np.eye(2)])
+        ch = Channel([np.eye(2)])
         assert ch.dim == 2 and len(ch.kraus) == 1
 
     def test_two_pauli_mix(self):
         # sum K^dag K = (sx^2 + sz^2)/2 = 1
-        ch = validate_channel([SIGMA_X / np.sqrt(2), SIGMA_Z / np.sqrt(2)])
+        ch = Channel([SIGMA_X / np.sqrt(2), SIGMA_Z / np.sqrt(2)])
         assert ch.dim == 2
 
     def test_single_unitary_is_valid(self):
-        assert validate_channel([SIGMA_X]).dim == 2
+        assert Channel([SIGMA_X]).dim == 2
 
     def test_scaled_pauli_rejected(self):
         # sum K^dag K = 1/4
         with pytest.raises(ValueError, match="trace-preserving"):
-            validate_channel([SIGMA_X / 2])
+            Channel([SIGMA_X / 2])
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="not square"):
-            validate_channel([np.ones((2, 3))])
+            Channel([np.ones((2, 3))])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
-            validate_channel([np.eye(2) / np.sqrt(2), np.eye(3) / np.sqrt(2)])
+            Channel([np.eye(2) / np.sqrt(2), np.eye(3) / np.sqrt(2)])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            validate_channel([])
+            Channel([])
 
 
 class TestKrausArray:

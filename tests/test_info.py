@@ -20,19 +20,12 @@ from ctrlchan.info import (
     switch_holevo_qubit,
     switch_holevo_qubit_gridsearch,
 )
-from ctrlchan.linalg import ket, partial_trace, projector
+from ctrlchan.linalg import ket, maximally_entangled, partial_trace, projector
 from ctrlchan.sampling import random_density_matrix, random_env, random_pure_state
 
 PLUS = ControlState.plus()
 
 H2_QUARTER = 0.8112781244591328  # -(1/4) log2(1/4) - (3/4) log2(3/4)
-
-
-def maximally_entangled(d):
-    phi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        phi[i * d + i] = 1.0 / np.sqrt(d)
-    return projector(phi)
 
 
 class TestEntropy:

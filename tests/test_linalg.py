@@ -8,20 +8,18 @@ from hypothesis import strategies as st
 from ctrlchan.linalg import (
     SIGMA_X,
     SIGMA_Y,
-    SIGMA_Z,
     choi_vec,
     dagger,
-    hermitian_eig,
     hs_norm,
     is_hermitian,
     ket,
+    maximally_entangled,
     partial_trace,
     projector,
     pseudoinverse,
     spectral_norm,
     tensor,
     trace_norm,
-    unvec,
     validate_density_matrix,
 )
 from ctrlchan.sampling import random_density_matrix, random_unitary
@@ -89,9 +87,13 @@ class TestPartialTrace:
         assert np.allclose(partial_trace(joint, 2, 3, keep="second"), sigma, atol=1e-12)
 
     def test_maximally_entangled_marginal(self):
-        phi = (np.kron(ket(0, 2), ket(0, 2)) + np.kron(ket(1, 2), ket(1, 2))) / np.sqrt(2)
-        marginal = partial_trace(projector(phi), 2, 2, keep="second")
-        assert np.allclose(marginal, np.eye(2) / 2, atol=1e-14)
+        for d in (2, 3):
+            phi = sum(np.kron(ket(i, d), ket(i, d)) for i in range(d)) / np.sqrt(d)
+            state = maximally_entangled(d)
+            assert np.max(np.abs(state - projector(phi))) <= 1e-15
+            for keep in ("first", "second"):
+                marginal = partial_trace(state, d, d, keep=keep)
+                assert np.allclose(marginal, np.eye(d) / d, atol=1e-14)
 
     @given(st.integers(2, 4), st.integers(2, 4), st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -122,47 +124,19 @@ class TestChoiVec:
         rng = np.random.default_rng(3)
         for _ in range(20):
             t = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            assert np.array_equal(unvec(choi_vec(t)), t)
+            assert np.array_equal(choi_vec(t).reshape(3, 3).T, t)
 
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_roundtrip_all_dims(self, d, seed):
         rng = np.random.default_rng(seed)
         t = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        assert np.array_equal(unvec(choi_vec(t)), t)
+        assert np.array_equal(choi_vec(t).reshape(d, d).T, t)
         assert np.allclose(choi_vec(t), choi_vec_by_sum(t), atol=1e-14)
 
     def test_rectangular(self):
         t = np.arange(6.0).reshape(3, 2)
-        assert np.array_equal(unvec(choi_vec(t), dim_in=2, dim_out=3), t)
-
-    def test_unvec_bad_length(self):
-        with pytest.raises(ValueError):
-            unvec(np.ones(5))
-
-
-class TestHermitianEig:
-    def test_sigma_z(self):
-        w, _ = hermitian_eig(SIGMA_Z)
-        assert np.allclose(w, [1.0, -1.0])
-
-    def test_maximally_mixed(self):
-        d = 4
-        w, _ = hermitian_eig(np.eye(d) / d)
-        assert np.allclose(w, np.full(d, 1.0 / d))
-
-    def test_reconstruction_residual(self):
-        rng = np.random.default_rng(11)
-        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        m = g + dagger(g)
-        w, v = hermitian_eig(m)
-        assert np.max(np.abs(v @ np.diag(w) @ dagger(v) - m)) <= 1e-12
-        assert np.max(np.abs(dagger(v) @ v - np.eye(6))) <= 1e-12
-        assert np.all(np.diff(w) <= 1e-12)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert np.array_equal(choi_vec(t).reshape(2, 3).T, t)
 
 
 class TestPseudoinverse:
@@ -198,6 +172,10 @@ class TestPseudoinverse:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             pseudoinverse(np.diag([1.0, -0.5]))
+
+    def test_non_hermitian_rejected(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            pseudoinverse(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestNorms:
