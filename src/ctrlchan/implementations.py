@@ -197,6 +197,13 @@ def realize(
     return ChannelImplementation(ch, coeff.conj())
 
 
+def _square(t) -> np.ndarray:
+    t = as_matrix(t)
+    if t.shape[0] != t.shape[1]:
+        raise ValueError(f"target matrix must be square, got shape {t.shape}")
+    return t
+
+
 def standard_implementation(
     kind: str,
     *,
@@ -227,13 +234,9 @@ def standard_implementation(
         ch = standard_channel("identity", d)
         return ChannelImplementation(ch, np.array([np.conj(alpha)]))
 
-    if kind in ("depolarising", "partial_depolarising"):
-        t = as_matrix(t)
-        d = t.shape[0]
-        if t.shape != (d, d):
-            raise ValueError(f"target matrix must be square, got shape {t.shape}")
-
     if kind == "depolarising":
+        t = _square(t)
+        d = t.shape[0]
         hs_sq = float(np.real(np.trace(t.conj().T @ t)))
         if hs_sq > 1.0 / d + tol:
             raise ValueError(
@@ -249,6 +252,8 @@ def standard_implementation(
         q = float(q)
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"q must lie in [0, 1], got {q}")
+        t = _square(t)
+        d = t.shape[0]
         basis = weyl_basis(d)
         head = np.trace(t) / np.sqrt(d * d * q + 1.0 - q)
         tail = np.array([np.trace(u.conj().T @ t) for u in basis[1:]])
