@@ -95,6 +95,22 @@ class TestReproduce:
         with pytest.raises(SystemExit):
             main(["reproduce", "--case", "no-such-case"])
 
+    @pytest.mark.parametrize("option, value", [
+        ("--trials", "0"), ("--trials", "-3"), ("--d", "0"), ("--d", "1"),
+    ])
+    def test_bad_count_rejected_by_name(self, option, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "--case", "eq5-vs-stinespring", option, value])
+        assert exc.value.code == 2
+        assert f"argument {option}" in capsys.readouterr().err
+
+    def test_tol_option_refused(self, capsys):
+        # Five cases decide their own verdict, so one override could only
+        # report a tolerance that was not used; there is no such option.
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "--case", "depolarising-discrimination", "--tol", "1e-20"])
+        assert exc.value.code == 2
+
 
 class TestSimulate:
     def test_identity_pair(self, files, capsys):

@@ -88,6 +88,16 @@ class TestControlledOutputType:
         with pytest.raises(ValueError, match="negative"):
             ControlledOutput(np.diag([1.5, -0.5, 0.0, 0.0]))
 
+    def test_rejects_non_hermitian(self):
+        m = np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex)
+        m[0, 2] = 0.1
+        with pytest.raises(ValueError, match="Hermitian"):
+            ControlledOutput(m)
+
+    def test_rejects_odd_side(self):
+        with pytest.raises(ValueError, match="even side"):
+            ControlledOutput(np.eye(3) / 3)
+
 
 class TestControlledOutput:
     def test_transparent_arms(self):

@@ -181,6 +181,25 @@ class TestHolevoLowerBound:
             value = holevo_lower_bound(controlled_map(i0, i1, PLUS), ens)
             assert -1e-10 <= value <= np.log2(n) + 1e-10
 
+    def test_one_map_evaluation(self):
+        impl = standard_implementation("identity", d=2, alpha=1.0)
+        out_map = controlled_map(impl, impl, PLUS)
+        shapes = []
+
+        def counted(rho):
+            shapes.append(np.shape(rho))
+            return out_map(rho)
+
+        ens = Ensemble((
+            (0.5, projector(ket(0, 2))),
+            (0.0, projector(ket(1, 2))),
+            (0.5, np.eye(2) / 2),
+        ))
+        value = holevo_lower_bound(counted, ens)
+        assert shapes == [(3, 2, 2)]
+        # transparent arms: S(3/4, 1/4) of the average minus half a bit
+        assert abs(value - (H2_QUARTER - 0.5)) <= 1e-12
+
 
 class TestCoherentInfoBound:
     def test_identity_map_on_entangled_input(self):
@@ -220,6 +239,20 @@ class TestCoherentInfoBound:
     def test_non_square_input_rejected(self):
         with pytest.raises(ValueError, match="split"):
             coherent_info_bound(lambda m: m, np.eye(6) / 6)
+
+    def test_one_map_evaluation(self):
+        zp = standard_implementation("phase_flip", p=0.3, alpha=0.0, beta=1.0)
+        xp = standard_implementation("bit_flip", p=0.3, alpha=0.0, beta=1.0)
+        out_map = controlled_map(zp, xp, PLUS)
+        shapes = []
+
+        def counted(block):
+            shapes.append(np.shape(block))
+            return out_map(block)
+
+        value = coherent_info_bound(counted, maximally_entangled(2))
+        assert shapes == [(2, 2, 2, 2)]
+        assert abs(value - cc_dephasing_bound(0.3)) <= 1e-9
 
 
 class TestAnalyticBounds:
@@ -339,3 +372,9 @@ class TestSwitchGridSearch:
     def test_empty_probability_grid_rejected(self):
         with pytest.raises(ValueError, match="no probability"):
             switch_holevo_qubit_gridsearch(np.pi / 6, 1.0)
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, float("nan")], ids=["zero", "negative", "nan"])
+    @pytest.mark.parametrize("name", ["angle_step", "prob_step"])
+    def test_non_positive_step_rejected_by_name(self, name, step):
+        with pytest.raises(ValueError, match=name):
+            switch_holevo_qubit_gridsearch(**{name: step})

@@ -1,5 +1,10 @@
 """Tests for the dense linear-algebra primitives."""
 
+import io
+import re
+import tokenize
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,3 +242,22 @@ class TestValidateDensityMatrix:
     def test_is_hermitian_predicate(self):
         assert is_hermitian(SIGMA_Y)
         assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestToleranceTable:
+    def test_no_exponent_literal_outside_the_table(self):
+        # Tolerances live in the table at the top of linalg.py; cases.py
+        # states each case's own.  Docstrings and comments do not count.
+        package = Path(__file__).resolve().parents[1] / "src" / "ctrlchan"
+        exponent = re.compile(r"^(?!0[xX])[0-9._]*[eE][+-]?[0-9]")
+        found = []
+        for path in sorted(package.glob("*.py")):
+            if path.name in ("linalg.py", "cases.py"):
+                continue
+            tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+            found += [
+                f"{path.name}:{tok.start[0]}: {tok.string}"
+                for tok in tokens
+                if tok.type == tokenize.NUMBER and exponent.match(tok.string)
+            ]
+        assert found == []
