@@ -50,7 +50,10 @@ def main():
     )
     same_ensemble = holevo_lower_bound(depol_pair, ens)
     exact = switch_holevo_qubit()
-    grid, (th0, th1, p0) = switch_holevo_qubit_gridsearch(args.angle_step, args.prob_step)
+    try:
+        grid, (th0, th1, p0) = switch_holevo_qubit_gridsearch(args.angle_step, args.prob_step)
+    except ValueError as exc:
+        parser.error(str(exc))
     print(f"order superposition (switch), exact value: {exact:.6f} bits")
     print(f"  same {{3/5, 2/5}} ensemble through the switch: {same_ensemble:.6f}")
     print(

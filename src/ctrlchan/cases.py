@@ -58,7 +58,6 @@ class CaseOptions:
     d: int = 2
     seed: int = 0
     trials: int | None = None
-    tol: float | None = None
 
 
 @dataclass(frozen=True)
@@ -117,19 +116,18 @@ def run_case(case_id: str, options: CaseOptions | None = None) -> CaseReport:
     start = time.perf_counter()
     result = _REGISTRY[case_id](options)
     runtime_ms = int(round((time.perf_counter() - start) * 1000.0))
-    tolerance = options.tol if options.tol is not None else result.tolerance
     abs_error = None
     if result.expected is not None:
         abs_error = abs(result.computed - result.expected)
     passed = result.passed
     if passed is None:
-        passed = abs_error is not None and abs_error <= tolerance
+        passed = abs_error is not None and abs_error <= result.tolerance
     return CaseReport(
         case_id=case_id,
         computed=float(result.computed),
         expected=result.expected,
         abs_error=abs_error,
-        tolerance=tolerance,
+        tolerance=result.tolerance,
         passed=bool(passed),
         runtime_ms=runtime_ms,
         detail=result.detail,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    CONSTANT_CUTOFF,
     DEFAULT_TOL,
     SIGMA_X,
     SIGMA_Z,
@@ -101,7 +102,7 @@ def apply(ch: Channel, rho, *, validate: bool = True) -> np.ndarray:
     if rho.ndim < 2 or rho.shape[-2:] != (d, d):
         raise ValueError(f"state of shape {rho.shape} does not match dimension {d}")
     if validate:
-        _checked_spectrum(rho, DEFAULT_TOL)
+        _checked_spectrum(rho)
     row = ch.kraus.transpose(1, 0, 2).reshape(d, -1)
     column = rho[..., None, :, :] @ ch.kraus.conj().transpose(0, 2, 1)
     return row @ column.reshape(rho.shape[:-2] + (-1, d))
@@ -115,7 +116,7 @@ def choi_of(ch: Channel) -> np.ndarray:
     return v @ v.conj().T
 
 
-def remix(ch: Channel, u, tol: float = DEFAULT_TOL) -> Channel:
+def remix(ch: Channel, u) -> Channel:
     """Rewrite the Kraus list as K'_i = sum_r u_{ir} K_r.
 
     ``u`` must have orthonormal columns: a unitary, or a taller rectangular
@@ -124,7 +125,7 @@ def remix(ch: Channel, u, tol: float = DEFAULT_TOL) -> Channel:
     CPTP map is unchanged.
     """
     u = as_matrix(u)
-    if not is_isometry(u, tol):
+    if not is_isometry(u):
         raise ValueError("remix matrix must have orthonormal columns")
     n_old = u.shape[1]
     if n_old < len(ch.kraus):
@@ -204,7 +205,7 @@ def standard_channel(kind: str, d: int = 2, param=None) -> Channel:
         w, v = np.linalg.eigh(sigma)
         ops = []
         for j in reversed(range(d)):
-            if w[j] <= 1e-14:
+            if w[j] <= CONSTANT_CUTOFF:
                 continue
             for m in range(d):
                 k = np.zeros((d, d), dtype=complex)

@@ -42,7 +42,7 @@ from .implementations import (
     transformation_matrix,
 )
 from .info import Ensemble, coherent_info_bound, holevo_lower_bound
-from .linalg import ket, maximally_entangled, projector
+from .linalg import SATURATION_TOL, ket, maximally_entangled, projector
 from .serialization import (
     SchemaError,
     channel_from_json,
@@ -102,12 +102,7 @@ def _matrix_report(matrix: np.ndarray) -> dict:
 
 def _cmd_reproduce(args) -> int:
     selected = args.case if args.case else list(case_ids())
-    options = CaseOptions(
-        d=args.d,
-        seed=args.seed,
-        trials=args.trials,
-        tol=args.tol,
-    )
+    options = CaseOptions(d=args.d, seed=args.seed, trials=args.trials)
     reports = run_cases(selected, options)
     if args.format == "json":
         doc = {
@@ -265,7 +260,7 @@ def _cmd_distinguish(args) -> int:
         "diamond_bound": bound,
         "success_probability": success_probability(distance),
         "optimal_input": vector_to_json(best_input),
-        "saturates_bound": bool(abs(distance - bound) <= 1e-10),
+        "saturates_bound": bool(abs(distance - bound) <= SATURATION_TOL),
     }
     if args.format == "json":
         print(_json_dumps(doc))
@@ -278,6 +273,15 @@ def _cmd_distinguish(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """Argparse type: an integer of at least ``low``."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctrlchan",
@@ -288,10 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("reproduce", help="run registered reproduction cases")
     rep.add_argument("--case", action="append", choices=sorted(case_ids()), metavar="CASE",
                      help="case id (repeatable; default: all). Known: " + ", ".join(case_ids()))
-    rep.add_argument("--d", type=int, default=2, help="target dimension where applicable")
-    rep.add_argument("--seed", type=int, default=0, help="seed for randomised suites")
-    rep.add_argument("--trials", type=int, default=None, help="override per-case trial count")
-    rep.add_argument("--tol", type=float, default=None, help="override the case tolerance")
+    rep.add_argument("--d", type=_int_at_least(2), default=2, help="target dimension, at least 2")
+    rep.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for randomised suites")
+    rep.add_argument("--trials", type=_int_at_least(1), help="override per-case trial count")
     rep.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
     rep.set_defaults(func=_cmd_reproduce)
 

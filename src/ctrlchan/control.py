@@ -4,8 +4,9 @@ Three global maps are provided, all returning the (2d x 2d) joint state of
 the control qubit and the target in 2 x 2 block form.  Each comes as a map
 factory (:func:`controlled_map`, :func:`classical_map`, :func:`switch_map`)
 whose map takes one d x d matrix or a ``(..., d, d)`` stack, writing the four
-blocks of each output into one preallocated array, and as a function that
-validates one density matrix and wraps the output:
+blocks of each output into one preallocated array (:mod:`ctrlchan.info` maps
+whole stacks in one call), and as a function that validates one density
+matrix and wraps the output:
 
 * :func:`controlled_output` routes the target through one of two channel
   boxes in superposition.  The diagonal blocks are the individual channel
@@ -34,10 +35,11 @@ from .channels import Channel, apply
 from .implementations import ChannelImplementation, transformation_matrix
 from .linalg import (
     DEFAULT_TOL,
+    ORACLE_SKIP,
+    _checked_spectrum,
     _one_plus,
     as_matrix,
     dagger,
-    is_hermitian,
     readonly,
     validate_density_matrix,
 )
@@ -78,17 +80,9 @@ class ControlledOutput:
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
-        n = m.shape[0]
-        if m.shape[0] != m.shape[1] or n % 2 != 0:
+        if m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
             raise ValueError(f"joint output must be square with even side, got {m.shape}")
-        if not is_hermitian(m, DEFAULT_TOL):
-            raise ValueError("joint output is not Hermitian within tolerance")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > DEFAULT_TOL:
-            raise ValueError(f"joint output has trace {_one_plus(tr)}, expected 1")
-        w = np.linalg.eigvalsh(m)
-        if float(w[0]) < -DEFAULT_TOL:
-            raise ValueError(f"joint output has a negative eigenvalue {w[0]:.3e}")
+        _checked_spectrum(m)
         object.__setattr__(self, "matrix", readonly(m))
 
     @property
@@ -221,7 +215,7 @@ def stinespring_oracle(
     # slots a branch never writes stay zero for every eigenvector
     amp = np.zeros((2, d, e0.size, e1.size), dtype=complex)
     for lam, psi in zip(w, vecs.T):
-        if lam < 1e-12:
+        if lam < ORACLE_SKIP:
             continue
         # |0> branch: K_i psi with env0 in slot i + 1 and env1 untouched
         amp[0, :, 1:, :] = control.a * (kraus0 @ psi).T[:, :, None] * e1

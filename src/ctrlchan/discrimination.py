@@ -17,7 +17,11 @@ from .channels import choi_of
 from .control import ControlledOutput, ControlState, controlled_map
 from .implementations import ChannelImplementation, transformation_matrix
 from .linalg import (
+    AGREE_TOL,
+    COLUMN_WEIGHT,
     DEFAULT_TOL,
+    DEGENERACY_TOL,
+    DISTANCE_WINDOW,
     as_matrix,
     dagger,
     spectral_norm,
@@ -58,19 +62,13 @@ def trace_distance(rho, sigma) -> float:
     return 0.5 * trace_norm(rho - sigma)
 
 
-def output_distance(
-    inst: DiscriminationInstance,
-    control: ControlState,
-    rho,
-    *,
-    agree_tol: float = 1e-10,
-) -> float:
+def output_distance(inst: DiscriminationInstance, control: ControlState, rho) -> float:
     """Trace distance between the two joint outputs on input ``rho``.
 
     Computed twice: directly on the two controlled outputs, and through the
     closed form |a b| * || tau rho T0^dag ||_1 with tau the difference of the
     candidate transformation matrices.  The two routes must agree within
-    ``agree_tol``; the direct value is returned.  ``rho`` is validated once,
+    ``AGREE_TOL``; the direct value is returned.  ``rho`` is validated once,
     and each joint output is checked as a :class:`ControlledOutput`.
     """
     rho = validate_density_matrix(rho)
@@ -81,7 +79,7 @@ def output_distance(
     t0 = transformation_matrix(inst.fixed)
     tau = transformation_matrix(inst.candidate_a) - transformation_matrix(inst.candidate_b)
     closed = abs(control.a * np.conj(control.b)) * trace_norm(tau @ rho @ dagger(t0))
-    if abs(direct - closed) > agree_tol:
+    if abs(direct - closed) > AGREE_TOL:
         raise ValueError(
             f"closed form {closed:.12g} and direct distance {direct:.12g} disagree"
         )
@@ -98,7 +96,7 @@ def diamond_bound(t1, t1p) -> float:
     return 0.5 * spectral_norm(t1 - t1p)
 
 
-def optimal_input(t1, t1p, degeneracy_tol: float = 1e-10) -> np.ndarray:
+def optimal_input(t1, t1p) -> np.ndarray:
     """Pure input maximising <psi| tau^dag tau |psi> with tau = T - T'.
 
     With a transparent reference arm (identity channel, T0 = 1) this input
@@ -116,13 +114,13 @@ def optimal_input(t1, t1p, degeneracy_tol: float = 1e-10) -> np.ndarray:
         raise ValueError("transformation matrices are identical")
     gram = dagger(tau) @ tau
     w, v = np.linalg.eigh(gram)
-    top = w >= w[-1] - degeneracy_tol * max(float(w[-1]), 1.0)
+    top = w >= w[-1] - DEGENERACY_TOL * max(float(w[-1]), 1.0)
     vtop = v[:, top]
     proj = vtop @ vtop.conj().T
     for k in range(proj.shape[0]):
         column = proj[:, k]
         weight = float(np.linalg.norm(column))
-        if weight > 1e-6:
+        if weight > COLUMN_WEIGHT:
             return column / weight
     raise RuntimeError("projector onto the top eigenspace is numerically zero")
 
@@ -130,7 +128,7 @@ def optimal_input(t1, t1p, degeneracy_tol: float = 1e-10) -> np.ndarray:
 def success_probability(distance: float) -> float:
     """Best probability of telling two equiprobable outputs apart: (1 + D)/2."""
     distance = float(distance)
-    if distance < -1e-12 or distance > 1.0 + 1e-12:
+    if distance < -DISTANCE_WINDOW or distance > 1.0 + DISTANCE_WINDOW:
         raise ValueError(f"distance must lie in [0, 1], got {distance}")
     return 0.5 * (1.0 + min(max(distance, 0.0), 1.0))
 

@@ -32,20 +32,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .channels import Channel, standard_channel, weyl_basis
-from .linalg import DEFAULT_TOL, _one_plus, as_matrix, readonly
+from .linalg import BOUND_TOL, DEFAULT_TOL, RANGE_TOL, _one_plus, as_matrix, readonly
 
 # Kept importable here for bench/test_bench.py::test_tracer_skips_names_that_no_longer_exist.
 from .linalg import pseudoinverse  # noqa: F401
-
-# Rounding in t alone moves the least-squares coefficients by about
-# eps * kappa(V) relative, so the quadratic form of a T with ||env|| = 1 reads
-# 1 + O(eps * kappa(V)): near 1e-11 at kappa(V) ~ 1e5, up to 3e-8 at ~3e7.
-# 1e-8 keeps such T admissible up to kappa(V) ~ 1e7; range residuals of
-# genuine T stay below 1e-14.  BOUND_TOL is also the allowance on ||env||^2
-# in ChannelImplementation, so that realize can build every T that
-# admissible accepts.
-RANGE_TOL = 1e-8
-BOUND_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +203,6 @@ def standard_implementation(
     p: float | None = None,
     q: float | None = None,
     t=None,
-    tol: float = DEFAULT_TOL,
 ) -> ChannelImplementation:
     """Closed-form dilations for the worked channel families.
 
@@ -229,7 +218,7 @@ def standard_implementation(
     if kind == "identity":
         if alpha is None:
             raise ValueError("identity implementation needs alpha")
-        if abs(alpha) > 1.0 + tol:
+        if abs(alpha) > 1.0 + DEFAULT_TOL:
             raise ValueError(f"|alpha| = {_one_plus(abs(alpha))} exceeds 1")
         ch = standard_channel("identity", d)
         return ChannelImplementation(ch, np.array([np.conj(alpha)]))
@@ -238,7 +227,7 @@ def standard_implementation(
         t = _square(t)
         d = t.shape[0]
         hs_sq = float(np.real(np.trace(t.conj().T @ t)))
-        if hs_sq > 1.0 / d + tol:
+        if hs_sq > 1.0 / d + DEFAULT_TOL:
             raise ValueError(
                 f"Tr[T^dag T] = {hs_sq:.6g} exceeds the depolarising bound {1.0 / d:.6g}"
             )
@@ -259,7 +248,7 @@ def standard_implementation(
         tail = np.array([np.trace(u.conj().T @ t) for u in basis[1:]])
         if q == 1.0:
             # Range collapses to multiples of the identity.
-            if float(np.max(np.abs(tail))) > tol:
+            if float(np.max(np.abs(tail))) > DEFAULT_TOL:
                 raise ValueError(
                     "target matrix is outside the range of the q = 1 channel"
                 )
@@ -268,7 +257,7 @@ def standard_implementation(
             tail = tail / np.sqrt(1.0 - q)
         overlaps = np.concatenate(([head], tail))
         weight = float(np.sum(np.abs(overlaps) ** 2))
-        if weight > 1.0 + tol:
+        if weight > 1.0 + DEFAULT_TOL:
             raise ValueError(
                 f"target matrix violates the admissibility constraint "
                 f"(amplitude weight {_one_plus(weight)} > 1)"
@@ -280,7 +269,7 @@ def standard_implementation(
         if p is None or alpha is None or beta is None:
             raise ValueError(f"{kind} implementation needs p, alpha and beta")
         weight = abs(alpha) ** 2 + abs(beta) ** 2
-        if weight > 1.0 + tol:
+        if weight > 1.0 + DEFAULT_TOL:
             raise ValueError(f"|alpha|^2 + |beta|^2 = {_one_plus(weight)} exceeds 1")
         ch = standard_channel(kind, 2, p)
         return ChannelImplementation(ch, np.array([np.conj(alpha), np.conj(beta)]))

@@ -1,11 +1,11 @@
 """Entropies and the communication figures of merit.
 
 All entropies are in bits.  The two map-based quantities take the global map
-as a plain function on matrices (see :func:`ctrlchan.control.controlled_map`
-and friends), so they work uniformly for controlled pairs, the switch, the
-classical baseline, or any bare channel.  The maps from ``control`` also take
-``(..., d, d)`` stacks, and the switch grid search maps all its states in one
-call; a caller's own function only needs to accept one matrix.
+as a plain linear function (see :func:`ctrlchan.control.controlled_map` and
+friends), so they work uniformly for controlled pairs, the switch, the
+classical baseline, or any bare channel.  A map takes a ``(..., d, d)`` stack
+and maps it matrix by matrix, as the maps from ``control`` and
+:func:`ctrlchan.channels.apply` do; each quantity calls it once.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ from .channels import standard_channel
 from .control import ControlState, switch_map
 from .linalg import (
     DEFAULT_TOL,
+    ENTROPY_CLAMP,
     _checked_spectrum,
     _one_plus,
     partial_trace,
     readonly,
     validate_density_matrix,
 )
-
-_ENTROPY_CLAMP = 1e-12
 
 
 def shannon_entropy(probs) -> float:
@@ -37,21 +36,21 @@ def shannon_entropy(probs) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
-def entropy(rho, tol: float = DEFAULT_TOL):
+def entropy(rho):
     """Von Neumann entropy in bits of a density matrix or of a stack of them.
 
     ``rho`` is one matrix ``(n, n)``, giving a float, or a stack
     ``(..., n, n)``, giving an array of shape ``rho.shape[:-2]``.  Every
     matrix is checked as by :func:`ctrlchan.linalg.validate_density_matrix`
-    (square, Hermitian, unit trace, no eigenvalue below ``-tol``), and one
-    ``eigvalsh`` over the whole input gives both the check and the spectrum.
-    Eigenvalues in (-1e-12, 0) are clamped to zero; anything more negative is
-    rejected as an invalid state.
+    (square, Hermitian, unit trace, no eigenvalue below ``-DEFAULT_TOL``),
+    and one ``eigvalsh`` over the whole input gives both the check and the
+    spectrum.  Eigenvalues in (-ENTROPY_CLAMP, 0) are clamped to zero;
+    anything more negative is rejected as an invalid state.
     """
-    w = _checked_spectrum(rho, tol)
+    w = _checked_spectrum(rho)
     w0 = w[..., 0]
-    if w0.min(initial=0.0) < -_ENTROPY_CLAMP:
-        low = np.extract(w0 < -_ENTROPY_CLAMP, w0)[0]
+    if w0.min(initial=0.0) < -ENTROPY_CLAMP:
+        low = np.extract(w0 < -ENTROPY_CLAMP, w0)[0]
         raise ValueError(f"eigenvalue {low:.3e} below the clamping window")
     w = np.maximum(w, 0.0)
     bits = -(w * np.log2(np.where(w > 0.0, w, 1.0))).sum(axis=-1)
@@ -108,15 +107,10 @@ def holevo_lower_bound(output_map: Callable[[np.ndarray], np.ndarray], ensemble:
     S(sum_a p_a M(rho_a)) - sum_a p_a S(M(rho_a)), which is computed blockwise
     here, with every entropy from one stacked :func:`entropy` call.  It
     lower-bounds the Holevo information of the map.  ``output_map`` is called
-    once per ensemble member, so it only needs to accept one matrix.
+    once, on the stack of all ensemble states.
     """
-    outputs = [output_map(rho) for _, rho in ensemble.items]
-    shape = outputs[0].shape
-    for out in outputs[1:]:
-        if out.shape != shape:
-            raise ValueError("map produced outputs of differing dimensions")
     probs = np.array([p for p, _ in ensemble.items])
-    outputs = np.stack(outputs)
+    outputs = output_map(np.stack([rho for _, rho in ensemble.items]))
     average = np.tensordot(probs, outputs, 1)
     used = probs > 0.0
     # one entropy call: the outputs of positive weight, then the average
@@ -129,7 +123,8 @@ def coherent_info_bound(output_map: Callable[[np.ndarray], np.ndarray], input_bi
 
     The input must be a density matrix on reference (x) target with the two
     factors of equal dimension; the map is applied to the target factor block
-    by block (it must be linear).  The result may be negative.
+    by block (it must be linear), in one call on the stack of all d^2 blocks.
+    The result may be negative.
     """
     nu0 = validate_density_matrix(input_bipartite)
     n = nu0.shape[0]
@@ -138,13 +133,10 @@ def coherent_info_bound(output_map: Callable[[np.ndarray], np.ndarray], input_bi
         raise ValueError(
             f"bipartite input of side {n} does not split into equal factors"
         )
-    blocks = nu0.reshape(d, d, d, d)
-    mapped = [[output_map(np.ascontiguousarray(blocks[m, :, k, :])) for k in range(d)] for m in range(d)]
-    d_out = mapped[0][0].shape[0]
-    nu = np.zeros((d * d_out, d * d_out), dtype=complex)
-    for m in range(d):
-        for k in range(d):
-            nu[m * d_out:(m + 1) * d_out, k * d_out:(k + 1) * d_out] = mapped[m][k]
+    # blocks[m, k] is <m| nu0 |k> on the target, for reference indices m, k
+    mapped = output_map(nu0.reshape(d, d, d, d).transpose(0, 2, 1, 3))
+    d_out = mapped.shape[-1]
+    nu = mapped.transpose(0, 2, 1, 3).reshape(d * d_out, d * d_out)
     h_joint = entropy(nu)
     h_out = entropy(partial_trace(nu, d, d_out, keep="second"))
     return h_out - h_joint
@@ -186,6 +178,9 @@ def switch_holevo_qubit_gridsearch(
     (theta0, theta1) grid.  The switch map is evaluated once, on the stack of
     all grid states.  Returns (best value, (0.0, theta1, p0)).
     """
+    for name, step in (("angle_step", angle_step), ("prob_step", prob_step)):
+        if not 0.0 < step < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {step}")
     ch = standard_channel("depolarising", 2)
     out_map = switch_map(ch, ch, ControlState.plus())
 

@@ -12,7 +12,29 @@ from __future__ import annotations
 
 import numpy as np
 
+# Every tolerance of the package, each named once with its reason; cases.py
+# states each reproduction case's own.
+#
+# Matrix comparisons: states, sum K^dag K = 1, isometries, normalisations.
 DEFAULT_TOL = 1e-9
+# Rounding in t alone moves the least-squares coefficients by about
+# eps * kappa(V) relative, so the quadratic form of a T with ||env|| = 1 reads
+# 1 + O(eps * kappa(V)): near 1e-11 at kappa(V) ~ 1e5, up to 3e-8 at ~3e7.
+# 1e-8 keeps such T admissible up to kappa(V) ~ 1e7; range residuals of
+# genuine T stay below 1e-14.  BOUND_TOL is also the allowance on ||env||^2
+# in ChannelImplementation, so that realize can build every T that
+# admissible accepts.
+RANGE_TOL = 1e-8
+BOUND_TOL = 1e-8
+ENTROPY_CLAMP = 1e-12  # entropy: an eigenvalue in (-ENTROPY_CLAMP, 0) is rounding, set to 0
+ORACLE_SKIP = 1e-12  # stinespring_oracle: input eigenvectors of smaller weight are skipped
+CONSTANT_CUTOFF = 1e-14  # constant channel: no Kraus operators for smaller eigenvalues
+AGREE_TOL = 1e-10  # output_distance: direct and closed-form values must agree
+DEGENERACY_TOL = 1e-10  # optimal_input: relative gap within which eigenvalues tie at the top
+COLUMN_WEIGHT = 1e-6  # optimal_input: least norm of a projected basis vector to take
+DISTANCE_WINDOW = 1e-12  # success_probability: rounding allowed outside [0, 1]
+SATURATION_TOL = 1e-10  # distinguish: distance this close to the diamond bound saturates it
+PINV_RANK_TOL = 1e-12  # pseudoinverse: eigenvalues this small relative to the top are 0
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -96,16 +118,16 @@ def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
-def is_isometry(u, tol: float = DEFAULT_TOL) -> bool:
-    """True when the columns of ``u`` are orthonormal."""
+def is_isometry(u) -> bool:
+    """True when the columns of ``u`` are orthonormal within ``DEFAULT_TOL``."""
     u = as_matrix(u)
     if u.shape[0] < u.shape[1]:
         return False
     gram = u.conj().T @ u
-    return bool(np.max(np.abs(gram - np.eye(u.shape[1]))) <= tol)
+    return bool(np.max(np.abs(gram - np.eye(u.shape[1]))) <= DEFAULT_TOL)
 
 
-def pseudoinverse(m, rank_tol: float = 1e-12, tol: float = DEFAULT_TOL) -> np.ndarray:
+def pseudoinverse(m, rank_tol: float = PINV_RANK_TOL, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a Hermitian positive semidefinite matrix.
 
     Eigenvalues at or below ``rank_tol`` times the largest eigenvalue are
@@ -152,40 +174,38 @@ def _one_plus(x) -> str:
     return text
 
 
-def validate_density_matrix(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
+def validate_density_matrix(rho) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return the coerced array."""
     rho = as_matrix(rho)
-    _checked_spectrum(rho, tol)
+    _checked_spectrum(rho)
     return rho
 
 
-def _checked_spectrum(rho, tol: float) -> np.ndarray:
+def _checked_spectrum(rho) -> np.ndarray:
     """Ascending eigenvalues of a density matrix or of each matrix in a stack
     ``(..., n, n)``, from one ``eigvalsh`` over the whole input.
 
     Every matrix is checked first to be square, Hermitian and of unit trace
-    within ``tol``, and then to have no eigenvalue below ``-tol``; an error
-    quotes the value of the first matrix that fails.  Each check is one
-    reduction over the whole stack, so a single matrix costs no more than a
-    matrix-only check would.
+    within ``DEFAULT_TOL``, and then to have no eigenvalue below
+    ``-DEFAULT_TOL``; an error quotes the value of the first matrix that
+    fails.  Each check is one reduction over the whole stack, so a single
+    matrix costs no more than a matrix-only check would.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2:
         raise ValueError(f"expected a matrix, got an array of ndim {rho.ndim}")
     if rho.shape[-2] != rho.shape[-1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    if not np.abs(rho - np.swapaxes(rho, -2, -1).conj()).max(initial=0.0) <= tol:
+    if not np.abs(rho - rho.swapaxes(-2, -1).conj()).max(initial=0.0) <= DEFAULT_TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
     tr = np.trace(rho, axis1=-2, axis2=-1)
     dev = abs(tr - 1.0)
-    if dev.max(initial=0.0) > tol:
-        raise ValueError(
-            f"density matrix has trace {_one_plus(np.extract(dev > tol, tr)[0])}, expected 1"
-        )
+    if dev.max(initial=0.0) > DEFAULT_TOL:
+        bad = np.extract(dev > DEFAULT_TOL, tr)[0]
+        raise ValueError(f"density matrix has trace {_one_plus(bad)}, expected 1")
     w = np.linalg.eigvalsh(rho)
     w0 = w[..., 0]
-    if w0.min(initial=0.0) < -tol:
-        raise ValueError(
-            f"density matrix has a negative eigenvalue {np.extract(w0 < -tol, w0)[0]:.3e}"
-        )
+    if w0.min(initial=0.0) < -DEFAULT_TOL:
+        low = np.extract(w0 < -DEFAULT_TOL, w0)[0]
+        raise ValueError(f"density matrix has a negative eigenvalue {low:.3e}")
     return w

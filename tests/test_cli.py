@@ -96,7 +96,7 @@ class TestReproduce:
             main(["reproduce", "--case", "no-such-case"])
 
     @pytest.mark.parametrize("option, value", [
-        ("--trials", "0"), ("--trials", "-3"), ("--d", "0"), ("--d", "1"),
+        ("--trials", "0"), ("--trials", "-3"), ("--d", "0"), ("--d", "1"), ("--seed", "-1"),
     ])
     def test_bad_count_rejected_by_name(self, option, value, capsys):
         with pytest.raises(SystemExit) as exc:
