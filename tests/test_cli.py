@@ -193,6 +193,35 @@ class TestValidateT:
             main(["validate-t", "--help"])
         assert f"default: {BOUND_TOL:g}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["-1", "-1e-9", "nan", "inf", "-inf"])
+    def test_tol_must_be_finite_and_non_negative(self, files, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "validate-t", "--channel", files["depol.json"], "--t", files["t.json"],
+                f"--tol={value}",
+            ])
+        assert exc.value.code == 2
+        assert "argument --tol" in capsys.readouterr().err
+
+    def test_wide_tol_does_not_widen_realize(self, tmp_path, capsys):
+        # sigma_x / 2 lies wholly outside range(V) of the identity channel;
+        # --tol 2 lets the report call it admissible, but realize keeps its
+        # own tolerances and refuses it rather than build a T of 0.
+        ident = tmp_path / "ident.json"
+        ident.write_text(json.dumps(channel_to_json(standard_channel("identity", 2))))
+        t = tmp_path / "t.json"
+        t.write_text(json.dumps(tmatrix_to_json(np.array([[0.0, 0.5], [0.5, 0.0]]))))
+        code = main([
+            "validate-t", "--channel", str(ident), "--t", str(t), "--tol", "2",
+            "--realize", "--format", "json",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "not admissible" in captured.err
+        doc = json.loads(captured.out)
+        assert doc["admissible"] is True
+        assert doc["env"] is None and doc["roundtrip_error"] is None
+
     @pytest.mark.parametrize("fmt", ["json", "pretty"])
     def test_realize_beyond_the_dilation_cap_reports_then_fails(self, tmp_path, capsys, fmt):
         ident = tmp_path / "ident.json"

@@ -430,6 +430,34 @@ class TestStandardImplementation:
         assert np.allclose(impl.env, expected, atol=1e-12)
         assert np.max(np.abs(transformation_matrix(impl) - spike(2))) <= 1e-12
 
+    @pytest.mark.parametrize("kind, d, q", [
+        ("depolarising", 2, None),
+        ("depolarising", 3, None),
+        ("depolarising", 16, None),
+        ("partial_depolarising", 2, 0.3),
+        ("partial_depolarising", 3, 1.0),
+    ])
+    @pytest.mark.parametrize("qform", [1.0 - 5e-9, 1.0 + 5e-9, 1.0 + 2e-8])
+    def test_accepts_exactly_what_admissible_accepts(self, kind, d, q, qform):
+        ch = standard_channel(kind, d, q)
+        t0 = np.eye(d, dtype=complex) if q == 1.0 else np.diag(np.linspace(1.0, 0.5, d))
+        t = t0 * np.sqrt(qform / admissible(ch, t0).quadratic_form)
+        if admissible(ch, t).admissible:
+            impl = standard_implementation(kind, q=q, t=t)
+            assert np.max(np.abs(transformation_matrix(impl) - t)) <= 1e-12
+        else:
+            with pytest.raises(ValueError, match=r"not admissible.*quadratic form 1 \+ "):
+                standard_implementation(kind, q=q, t=t)
+
+    @pytest.mark.parametrize("kind, kwargs, needs", [
+        ("depolarising", {}, "t"),
+        ("partial_depolarising", {"q": 0.5}, "q and t"),
+        ("partial_depolarising", {"t": np.eye(2) / 2}, "q and t"),
+    ])
+    def test_missing_target_named(self, kind, kwargs, needs):
+        with pytest.raises(ValueError, match=f"^{kind} implementation needs {needs}$"):
+            standard_implementation(kind, **kwargs)
+
     def test_identity_alpha_one(self):
         impl = standard_implementation("identity", d=3, alpha=1.0)
         assert np.allclose(impl.env, [1.0])
