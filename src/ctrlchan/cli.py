@@ -183,10 +183,10 @@ def _cmd_validate_t(args) -> int:
     if args.realize:
         doc["env"] = doc["roundtrip_error"] = None
         if report.admissible:
-            # The report is printed even when realize refuses a T that a
-            # --tol above the dilation cap let through.
+            # The report is printed even when realize, which keeps RANGE_TOL
+            # and BOUND_TOL, refuses a T that a wider --tol let through.
             try:
-                impl = realize(ch, t, range_tol=args.tol, bound_tol=args.tol)
+                impl = realize(ch, t)
             except ValueError as exc:
                 failure = exc
             else:
@@ -282,6 +282,14 @@ def _int_at_least(low: int):
     return integer
 
 
+def _tolerance(text: str) -> float:
+    """Argparse type: a finite, non-negative float."""
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctrlchan",
@@ -314,8 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--t", required=True, help="transformation-matrix JSON")
     val.add_argument("--realize", action="store_true",
                      help="also construct the dilation and report the roundtrip error")
-    val.add_argument("--tol", type=float, default=BOUND_TOL,
-                     help="range and bound tolerance (default: %(default)g, BOUND_TOL)")
+    val.add_argument("--tol", type=_tolerance, default=BOUND_TOL,
+                     help="range and bound tolerance of the admissibility report; "
+                          "--realize always uses RANGE_TOL and BOUND_TOL "
+                          "(default: %(default)g, BOUND_TOL)")
     val.add_argument("--format", choices=("pretty", "json"), default="pretty")
     val.set_defaults(func=_cmd_validate_t)
 

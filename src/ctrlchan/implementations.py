@@ -31,7 +31,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .channels import Channel, standard_channel, weyl_basis
+from .channels import Channel, standard_channel
 from .linalg import BOUND_TOL, DEFAULT_TOL, RANGE_TOL, _one_plus, as_matrix, readonly
 
 # Kept importable here for bench/test_bench.py::test_tracer_skips_names_that_no_longer_exist.
@@ -161,23 +161,19 @@ def admissible(
     return _solve(ch, t, range_tol, bound_tol)[0]
 
 
-def realize(
-    ch: Channel,
-    t,
-    *,
-    range_tol: float = RANGE_TOL,
-    bound_tol: float = BOUND_TOL,
-) -> ChannelImplementation:
+def realize(ch: Channel, t) -> ChannelImplementation:
     """Construct a dilation of ``ch`` whose transformation matrix is ``t``.
 
     The implementation uses the caller's own Kraus operators, with
     environment amplitudes env = conj(V^+ t), the minimum-norm choice.
-    Raises if ``t`` is not admissible.  A ``bound_tol`` above ``BOUND_TOL``
-    widens the test but not what a dilation can hold: a quadratic form above
-    1 + ``BOUND_TOL`` is refused all the same.
+    Raises if ``t`` is not admissible at ``RANGE_TOL`` and ``BOUND_TOL``.
+    These are fixed, not keywords as in :func:`admissible`: a wider range
+    tolerance would return a dilation whose T is only the part of ``t``
+    inside range(V), and no environment vector holds a quadratic form above
+    1 + ``BOUND_TOL``.
     """
-    report, coeff = _solve(ch, t, range_tol, bound_tol)
-    if not report.admissible or report.quadratic_form > 1.0 + BOUND_TOL:
+    report, coeff = _solve(ch, t, RANGE_TOL, BOUND_TOL)
+    if not report.admissible:
         raise ValueError(
             "matrix is not admissible for this channel "
             f"(range residual {report.range_residual:.3e}, "
@@ -185,13 +181,6 @@ def realize(
             f"holds a quadratic form above 1 + {BOUND_TOL:.0e})"
         )
     return ChannelImplementation(ch, coeff.conj())
-
-
-def _square(t) -> np.ndarray:
-    t = as_matrix(t)
-    if t.shape[0] != t.shape[1]:
-        raise ValueError(f"target matrix must be square, got shape {t.shape}")
-    return t
 
 
 def standard_implementation(
@@ -204,13 +193,18 @@ def standard_implementation(
     q: float | None = None,
     t=None,
 ) -> ChannelImplementation:
-    """Closed-form dilations for the worked channel families.
+    """Dilations for the worked channel families.
 
     kind:
         ``identity``: transformation matrix alpha * 1 with |alpha| <= 1.
-        ``depolarising``: any target ``t`` with Tr[T^dag T] <= 1/d, realised
-        over the Weyl Kraus set with amplitudes <env|i> = Tr[U_i^dag T].
-        ``partial_depolarising``: mixing weight ``q`` and target ``t``.
+        ``depolarising``: target ``t``; ``partial_depolarising``: mixing
+        weight ``q`` and target ``t``.  Both are :func:`realize` on
+        ``standard_channel(kind, d, q)`` with d the side of ``t``, so they
+        accept exactly the T that :func:`admissible` accepts; for
+        ``depolarising`` that is Tr[T^dag T] <= 1/d.  The Weyl columns of V
+        are orthogonal, so the amplitudes are the overlaps
+        <env|i> = Tr[U_i^dag T], divided for ``partial_depolarising`` by the
+        square roots of the Kraus weights, (d^2 q + 1 - q) and (1 - q).
         ``phase_flip`` / ``bit_flip``: flip probability ``p`` and amplitudes
         (alpha, beta) on the (identity, Pauli) Kraus pair, giving
         T = alpha sqrt(1-p) 1 + beta sqrt(p) sigma.
@@ -223,47 +217,12 @@ def standard_implementation(
         ch = standard_channel("identity", d)
         return ChannelImplementation(ch, np.array([np.conj(alpha)]))
 
-    if kind == "depolarising":
-        t = _square(t)
-        d = t.shape[0]
-        hs_sq = float(np.real(np.trace(t.conj().T @ t)))
-        if hs_sq > 1.0 / d + DEFAULT_TOL:
-            raise ValueError(
-                f"Tr[T^dag T] = {hs_sq:.6g} exceeds the depolarising bound {1.0 / d:.6g}"
-            )
-        overlaps = np.array([np.trace(u.conj().T @ t) for u in weyl_basis(d)])
-        ch = standard_channel("depolarising", d)
-        return ChannelImplementation(ch, overlaps.conj())
-
-    if kind == "partial_depolarising":
-        if q is None:
-            raise ValueError("partial_depolarising implementation needs q")
-        q = float(q)
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q must lie in [0, 1], got {q}")
-        t = _square(t)
-        d = t.shape[0]
-        basis = weyl_basis(d)
-        head = np.trace(t) / np.sqrt(d * d * q + 1.0 - q)
-        tail = np.array([np.trace(u.conj().T @ t) for u in basis[1:]])
-        if q == 1.0:
-            # Range collapses to multiples of the identity.
-            if float(np.max(np.abs(tail))) > DEFAULT_TOL:
-                raise ValueError(
-                    "target matrix is outside the range of the q = 1 channel"
-                )
-            tail = np.zeros_like(tail)
-        else:
-            tail = tail / np.sqrt(1.0 - q)
-        overlaps = np.concatenate(([head], tail))
-        weight = float(np.sum(np.abs(overlaps) ** 2))
-        if weight > 1.0 + DEFAULT_TOL:
-            raise ValueError(
-                f"target matrix violates the admissibility constraint "
-                f"(amplitude weight {_one_plus(weight)} > 1)"
-            )
-        ch = standard_channel("partial_depolarising", d, q)
-        return ChannelImplementation(ch, overlaps.conj())
+    if kind in ("depolarising", "partial_depolarising"):
+        if t is None or (kind == "partial_depolarising" and q is None):
+            needs = "t" if kind == "depolarising" else "q and t"
+            raise ValueError(f"{kind} implementation needs {needs}")
+        t = as_matrix(t)
+        return realize(standard_channel(kind, t.shape[0], q), t)
 
     if kind in ("phase_flip", "bit_flip"):
         if p is None or alpha is None or beta is None:
