@@ -63,6 +63,14 @@ class TestValidateChannel:
         with pytest.raises(ValueError, match="at least one"):
             Channel([])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0)])
+    def test_non_finite_kraus_rejected(self, bad):
+        k = np.eye(2, dtype=complex) / np.sqrt(2)
+        k1 = k.copy()
+        k1[0, 1] = bad
+        with pytest.raises(ValueError, match=r"^kraus has a non-finite entry .* at index \(1, 0, 1\)$"):
+            Channel([k, k1])
+
 
 class TestKrausArray:
     def test_stacked_readonly_complex(self):

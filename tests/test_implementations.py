@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,6 +60,12 @@ class TestChannelImplementation:
         ch = standard_channel("identity", 2)
         with pytest.raises(ValueError, match=r"squared norm 1 \+ 3\.000e-08, above 1 \+ 1e-08"):
             ChannelImplementation(ch, np.array([np.sqrt(1.0 + 3e-8)]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_env_rejected(self, bad):
+        ch = standard_channel("depolarising", 2)
+        with pytest.raises(ValueError, match=r"^env has a non-finite entry .* at index \(2,\)$"):
+            ChannelImplementation(ch, np.array([0.1, 0.1, bad, 0.1]))
 
     def test_subnormalised_env_is_legal(self):
         ch = standard_channel("identity", 2)
@@ -143,6 +150,16 @@ class TestAdmissible:
         with pytest.raises(ValueError, match="dimension"):
             admissible(standard_channel("identity", 2), np.eye(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_t_rejected(self, bad):
+        ch = standard_channel("depolarising", 2)
+        t = np.full((2, 2), 0.1, dtype=complex)
+        t[1, 0] = bad
+        with pytest.raises(ValueError, match=r"^t has a non-finite entry .* at index \(1, 0\)$"):
+            admissible(ch, t)
+        with pytest.raises(ValueError, match=r"^t has a non-finite entry"):
+            realize(ch, t)
+
 
 class TestRealize:
     def test_identity_half(self):
@@ -178,6 +195,22 @@ class TestRealize:
         ch = standard_channel("identity", 2)
         with pytest.raises(ValueError, match="residual"):
             realize(ch, SIGMA_X)
+
+    def test_range_refusal_names_the_range_residual(self):
+        ch = standard_channel("identity", 2)
+        with pytest.raises(ValueError) as info:
+            realize(ch, SIGMA_X / 2)
+        message = str(info.value)
+        assert "range residual 1.000e+00, above RANGE_TOL = 1e-08" in message
+        assert "quadratic form" not in message
+
+    def test_bound_refusal_names_the_quadratic_form(self):
+        ch = standard_channel("identity", 2)
+        with pytest.raises(ValueError) as info:
+            realize(ch, np.sqrt(1.0 + 5e-7) * np.eye(2))
+        message = str(info.value)
+        assert "quadratic form 1 + 5.000e-07, above 1 + BOUND_TOL = 1 + 1e-08" in message
+        assert "range residual" not in message
 
     @pytest.mark.parametrize("p", [1e-9, 1e-12, 1e-15])
     def test_tiny_weight_phase_flip_dilation(self, p):
@@ -310,8 +343,27 @@ def random_inputs(d):
         yield ch, random_admissible_t(ch, rng), rng
 
 
+def ill_conditioned_inputs():
+    """Kraus sets on both sides of the bound that lets V be factored by QR:
+    a phase flip at p = 1e-16, kappa(V) = 1e8, inside it; a phase flip at
+    p = 1e-32, kappa(V) = 1e16, beyond the lstsq cutoff itself; a partial
+    depolarising channel at q = 1 - 1e-30, which rounds to 1, so that its
+    Weyl columns are exact zeros.  Between kappa(V) ~ 1e9 and the cutoff,
+    lstsq is no reference at 1e-9 (see TestIllConditionedExact)."""
+    rng = np.random.default_rng(303)
+    for p in (1e-16, 1e-32):
+        for alpha, beta in ((0.0, 1.0), (0.6, 0.8j), (1.0, 0.0)):
+            impl = standard_implementation("phase_flip", p=p, alpha=alpha, beta=beta)
+            yield impl.channel, transformation_matrix(impl), rng
+    for d in (2, 4):
+        ch = standard_channel("partial_depolarising", d, 1.0 - 1e-30)
+        impl = ChannelImplementation(ch, random_env(len(ch.kraus), rng))
+        yield ch, transformation_matrix(impl), rng
+
+
 PARITY_FAMILIES = {
     "dependent": dependent_inputs,
+    "ill-conditioned": ill_conditioned_inputs,
     "tiny-weight": tiny_weight_inputs,
     "random-d8": lambda: random_inputs(8),
     "random-d16": lambda: random_inputs(16),
@@ -344,23 +396,79 @@ class TestLstsqParity:
         assert accepted > 0 and refused > 0
 
 
+def count_factorizations(monkeypatch):
+    """Record (name, shape) of every ``qr``, ``svd`` and ``eigh`` call."""
+    calls = []
+
+    def counting(name):
+        fn = getattr(np.linalg, name)
+
+        def counted(a, *args, **kwargs):
+            calls.append((name, a.shape))
+            return fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    for name in ("qr", "svd", "eigh"):
+        counting(name)
+    return calls
+
+
+def exact_quadratic_form(ch, t):
+    """||V^+ t||^2 in exact rational arithmetic, for a V whose columns are
+    exactly orthogonal, as those of a phase flip are: sum_j |<v_j|t>|^2 / ||v_j||^4."""
+    v = kraus_matrix(ch)
+    tvec = np.asarray(t, dtype=complex).reshape(-1)
+    total = Fraction(0)
+    for col in v.T:
+        norm_sq = sum(Fraction(x.real) ** 2 + Fraction(x.imag) ** 2 for x in col)
+        re = sum(Fraction(c.real) * Fraction(x.real) + Fraction(c.imag) * Fraction(x.imag)
+                 for c, x in zip(col, tvec))
+        im = sum(Fraction(c.real) * Fraction(x.imag) - Fraction(c.imag) * Fraction(x.real)
+                 for c, x in zip(col, tvec))
+        total += (re ** 2 + im ** 2) / norm_sq ** 2
+    return float(total)
+
+
+class TestIllConditionedExact:
+    """Phase flips at kappa(V) = 1e10 and 1e12, inside the QR bound.  Their
+    quadratic forms are checked against the exact one, not against lstsq:
+    lstsq misses it by up to about 4e-6 on the off-range inputs here."""
+
+    @pytest.mark.parametrize("p", [1e-20, 1e-24])
+    def test_quadratic_form_is_exact(self, p):
+        rng = np.random.default_rng(305)
+        for alpha, beta in ((0.0, 1.0), (0.6, 0.8j), (1.0, 0.0)):
+            impl = standard_implementation("phase_flip", p=p, alpha=alpha, beta=beta)
+            ch, t = impl.channel, transformation_matrix(impl)
+            for m in (t, 1.5 * t, off_range(ch, t, rng)):
+                rep = admissible(ch, m)
+                assert abs(rep.quadratic_form - exact_quadratic_form(ch, m)) <= 1e-12
+            assert rep.range_residual > 0.05 and not rep.admissible
+            rebuilt = transformation_matrix(realize(ch, t))
+            assert np.max(np.abs(rebuilt - t)) <= 1e-15
+
+    @pytest.mark.parametrize("q", [1.0 - 1e-12, 1.0 - 1e-14, 1.0 - 1e-16])
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_genuine_partial_depolarising_t_is_realized(self, q, d):
+        # the d^2 Weyl columns are orthogonal, with weights down to
+        # sqrt(1 - q) / d: V is square, of full rank, kappa(V) ~ 1e6 to 1e8
+        rng = np.random.default_rng(306)
+        ch = standard_channel("partial_depolarising", d, q)
+        for _ in range(3):
+            env = random_env(len(ch.kraus), rng)
+            t = transformation_matrix(ChannelImplementation(ch, env))
+            rep = admissible(ch, t)
+            assert rep.admissible
+            assert abs(rep.quadratic_form - float(np.vdot(env, env).real)) <= 1e-7
+            assert np.max(np.abs(transformation_matrix(realize(ch, t)) - t)) <= 1e-12
+
+
 class TestFactorization:
-    def test_one_svd_for_many_solves_on_one_channel(self, monkeypatch):
+    def test_one_factorization_for_many_solves_on_one_channel(self, monkeypatch):
         rng = np.random.default_rng(310)
         ch = random_channel(3, 4, rng)
-        calls = []
-
-        def counting(name):
-            fn = getattr(np.linalg, name)
-
-            def counted(a, *args, **kwargs):
-                calls.append((name, a.shape))
-                return fn(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
-
-        counting("svd")
-        counting("eigh")
+        calls = count_factorizations(monkeypatch)
         # draws and solves on one channel share its factorization
         ts = [random_admissible_t(ch, rng) for _ in range(5)]
         for t in ts:
@@ -369,7 +477,39 @@ class TestFactorization:
             # quadratic form 2.25: refused
             assert not admissible(ch, 1.5 * t / np.sqrt(rep.quadratic_form)).admissible
             realize(ch, t)
-        assert calls == [("svd", (9, 4))]
+        # a random V has full column rank, far inside the cutoff: QR alone
+        assert calls == [("qr", (9, 4))]
+
+    def test_dependent_set_takes_the_svd_route(self, monkeypatch):
+        rng = np.random.default_rng(312)
+        # six Kraus operators spanning four dimensions: R has zero diagonal
+        # entries up to rounding, so the QR is set aside for the SVD
+        ch = remix(random_channel(3, 4, rng), haar_isometry(6, 4, rng))
+        calls = count_factorizations(monkeypatch)
+        for _ in range(3):
+            t = random_admissible_t(ch, rng)
+            assert admissible(ch, t).admissible
+            assert np.max(np.abs(transformation_matrix(realize(ch, t)) - t)) <= 1e-10
+        assert calls == [("qr", (9, 6)), ("svd", (9, 6))]
+
+    def test_more_kraus_operators_than_d_squared_skip_the_qr(self, monkeypatch):
+        rng = np.random.default_rng(313)
+        ch = remix(random_channel(2, 4, rng), haar_isometry(6, 4, rng))
+        calls = count_factorizations(monkeypatch)
+        t = random_admissible_t(ch, rng)
+        assert admissible(ch, t).admissible
+        assert calls == [("svd", (4, 6))]
+
+    @pytest.mark.parametrize("p, names", [
+        (1e-20, ["qr"]),  # kappa(V) = 1e10: well inside the cutoff 1 / (4 eps)
+        (1e-30, ["qr", "svd"]),  # kappa(V) = 1e15: kept by the cutoff, but too close to it
+        (1e-32, ["qr", "svd"]),  # kappa(V) = 1e16: beyond the cutoff
+    ])
+    def test_condition_picks_the_route(self, monkeypatch, p, names):
+        impl = standard_implementation("phase_flip", p=p, alpha=0.0, beta=1.0)
+        calls = count_factorizations(monkeypatch)
+        admissible(impl.channel, transformation_matrix(impl))
+        assert [name for name, _ in calls] == names
 
     def test_second_channel_evicts_the_first(self):
         # one factorization is kept: the last channel solved on stays alive
@@ -419,8 +559,34 @@ class TestRandomAdmissibleT:
 class TestStandardImplementation:
     @pytest.mark.parametrize("kind", ["depolarising", "partial_depolarising"])
     def test_non_square_target_rejected(self, kind):
+        q = 0.5 if kind == "partial_depolarising" else None
         with pytest.raises(ValueError, match=r"shape \(2, 3\) does not match channel dimension 2"):
-            standard_implementation(kind, q=0.5, t=0.1 * np.ones((2, 3)))
+            standard_implementation(kind, q=q, t=0.1 * np.ones((2, 3)))
+
+    @pytest.mark.parametrize("kind, q", [("depolarising", None), ("partial_depolarising", 0.3)])
+    def test_d_must_match_the_side_of_t(self, kind, q):
+        t = np.eye(2) / 2
+        with pytest.raises(ValueError, match=r"^d = 5 does not match the side 2 of t$"):
+            standard_implementation(kind, d=5, q=q, t=t)
+        impl = standard_implementation(kind, d=2, q=q, t=t)
+        assert impl.dim == 2
+
+    @pytest.mark.parametrize("kind, kwargs, unused", [
+        ("depolarising", {"q": 0.3, "t": np.eye(2) / 2}, "q"),
+        ("depolarising", {"d": 5, "q": 0.3, "t": np.eye(2) / 2}, "q"),
+        ("identity", {"alpha": 1.0, "t": np.eye(2)}, "t"),
+        ("phase_flip", {"p": 0.5, "alpha": 1.0, "beta": 0.0, "q": 0.5}, "q"),
+        ("partial_depolarising", {"q": 0.3, "t": np.eye(2) / 2, "alpha": 1.0}, "alpha"),
+    ])
+    def test_unused_keywords_refused(self, kind, kwargs, unused):
+        with pytest.raises(ValueError, match=f"^{kind} implementation takes no {unused}$"):
+            standard_implementation(kind, **kwargs)
+
+    @pytest.mark.parametrize("kind", ["phase_flip", "bit_flip"])
+    def test_flip_families_are_qubit_only(self, kind):
+        with pytest.raises(ValueError, match="qubits only"):
+            standard_implementation(kind, d=3, p=0.5, alpha=1.0, beta=0.0)
+        assert standard_implementation(kind, d=2, p=0.5, alpha=1.0, beta=0.0).dim == 2
 
     def test_depolarising_spike_env_pattern(self):
         impl = standard_implementation("depolarising", t=spike(2))
