@@ -18,6 +18,7 @@ from .linalg import (
     SIGMA_X,
     SIGMA_Z,
     _checked_spectrum,
+    _finite,
     as_matrix,
     is_isometry,
     validate_density_matrix,
@@ -58,6 +59,7 @@ class Channel:
             )
         if ops.shape[1] != ops.shape[2]:
             raise ValueError(f"kraus[0] is not square: shape {ops.shape[1:]}")
+        _finite(ops, "kraus")
         d = ops.shape[1]
         flat = ops.reshape(-1, d)
         dev = float(np.max(np.abs(flat.conj().T @ flat - np.eye(d))))

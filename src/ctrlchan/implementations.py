@@ -18,10 +18,12 @@ range(V) and ||V^+ t||^2 <= 1, with V^+ the Moore-Penrose pseudoinverse.
 Because the Choi matrix is C = V V^dag, this is the same as the Choi form
 |T>> in range(C) and <<T|C^+|T>> <= 1, but a solve on V decides it and
 yields the environment amplitudes, and it is conditioned by sqrt(kappa(C))
-rather than kappa(C).  There is one SVD per channel, shared by consecutive
-solves and by random draws of admissible T, one entry kept: a factorization
-held for each channel's lifetime raised the peak RSS of the ``dilation-d8``
-benchmark, which keeps many channels alive, by 12 %.
+rather than kappa(C).  There is one factorization of V per channel, shared
+by consecutive solves and by random draws of admissible T, one entry kept: a
+factorization held for each channel's lifetime raised the peak RSS of the
+``dilation-d8`` benchmark, which keeps many channels alive, by 12 %.  It is a
+QR when a cheap bound proves that V has full column rank well inside the
+lstsq cutoff, where the minimum-norm solution is unique, and an SVD otherwise.
 """
 
 from __future__ import annotations
@@ -32,7 +34,16 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .channels import Channel, standard_channel
-from .linalg import BOUND_TOL, DEFAULT_TOL, RANGE_TOL, _one_plus, as_matrix, readonly
+from .linalg import (
+    BOUND_TOL,
+    DEFAULT_TOL,
+    QR_MARGIN,
+    RANGE_TOL,
+    _finite,
+    _one_plus,
+    as_matrix,
+    readonly,
+)
 
 # Kept importable here for bench/test_bench.py::test_tracer_skips_names_that_no_longer_exist.
 from .linalg import pseudoinverse  # noqa: F401
@@ -58,6 +69,7 @@ class ChannelImplementation:
                 f"environment vector of length {env.size} does not match "
                 f"{len(self.channel.kraus)} Kraus operators"
             )
+        _finite(env, "env")
         norm_sq = float(np.vdot(env, env).real)
         if norm_sq > 1.0 + BOUND_TOL:
             raise ValueError(
@@ -104,10 +116,18 @@ def _kraus_matrix(ch: Channel) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _factor(ch: Channel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (U_r^dag, 1/s_r, W_r) of the economy SVD V = U s W^dag, kept
-    to the singular values above the cutoff ``lstsq(rcond=None)`` uses,
-    eps * max(d^2, k) * s_max, so that V^+ = W_r diag(1/s_r) U_r^dag.
+def _factor(ch: Channel) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (B^dag, M) with B an orthonormal basis of range(V) and
+    V^+ = M B^dag, for V with every singular value above the cutoff
+    ``lstsq(rcond=None)`` uses, eps * max(d^2, k) * s_max, kept.
+
+    When k <= d^2, V = QR first.  If min |R_ii| lies above the cutoff times
+    max |R_ii|, and ||R||_F ||R^-1||_F, which bounds kappa(V) from above, lies
+    ``QR_MARGIN`` times below 1 / cutoff, the cutoff keeps every singular
+    value; V then has full column rank and (B, M) = (Q, R^-1).  Every other V
+    (k > d^2, dependent Kraus sets, very ill-conditioned V) takes the economy
+    SVD V = U s W^dag, kept to the singular values above the cutoff:
+    (B, M) = (U_r, W_r diag(1/s_r)).
 
     This is the one factorization of a channel's range: solves here and
     draws in :func:`ctrlchan.sampling.random_admissible_t` both use it.  One
@@ -115,19 +135,32 @@ def _factor(ch: Channel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     on a channel share it, and a call on another channel replaces it.
     """
     v = _kraus_matrix(ch)
+    rows, k = v.shape
+    cutoff = np.finfo(float).eps * max(rows, k)
+    if k <= rows:
+        q, r = np.linalg.qr(v)
+        diag = np.abs(np.diagonal(r))
+        if diag.min() > cutoff * diag.max():
+            r_inv = np.linalg.inv(r)
+            if np.linalg.norm(r) * np.linalg.norm(r_inv) < 1.0 / (QR_MARGIN * cutoff):
+                return _frozen(q.conj().T, r_inv)
     u, s, wh = np.linalg.svd(v, full_matrices=False)
-    keep = s > np.finfo(float).eps * max(v.shape) * s[0]
-    factors = (u[:, keep].conj().T, 1.0 / s[keep], wh[keep].conj().T)
-    for f in factors:
-        f.setflags(write=False)
-    return factors
+    keep = s > cutoff * s[0]
+    return _frozen(u[:, keep].conj().T, wh[keep].conj().T / s[keep])
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _solve(ch: Channel, t, range_tol: float, bound_tol: float):
-    """Minimum-norm coefficients c = V^+ t, and the admissibility report they
-    give.
+    """Minimum-norm coefficients c = V^+ t = M (B^dag t), and the
+    admissibility report they give.
 
-    V^+ comes from one SVD per channel, shared by consecutive solves, one
+    (B^dag, M) is the one factorization per channel, a QR when V provably has
+    full column rank and an SVD otherwise, shared by consecutive solves, one
     entry kept (see :func:`_factor`; one per channel for its lifetime raised
     peak RSS by 12 %), so a solve is two small products.  The range residual
     ||t - V c|| / ||t|| is computed from V itself, not from the factors.
@@ -137,13 +170,14 @@ def _solve(ch: Channel, t, range_tol: float, bound_tol: float):
         raise ValueError(
             f"matrix of shape {t.shape} does not match channel dimension {ch.dim}"
         )
+    _finite(t, "t")
     v = _kraus_matrix(ch)
     tvec = t.reshape(-1)
     tnorm = float(np.linalg.norm(tvec))
     if tnorm == 0.0:
         return AdmissibilityReport(True, 0.0, 0.0), np.zeros(v.shape[1], dtype=complex)
-    u_dag, inv_s, w = _factor(ch)
-    coeff = w @ (inv_s * (u_dag @ tvec))
+    basis_dag, m = _factor(ch)
+    coeff = m @ (basis_dag @ tvec)
     residual = float(np.linalg.norm(tvec - v @ coeff)) / tnorm
     qform = float(np.vdot(coeff, coeff).real)
     ok = residual <= range_tol and qform <= 1.0 + bound_tol
@@ -173,20 +207,34 @@ def realize(ch: Channel, t) -> ChannelImplementation:
     1 + ``BOUND_TOL``.
     """
     report, coeff = _solve(ch, t, RANGE_TOL, BOUND_TOL)
+    if report.range_residual > RANGE_TOL:
+        raise ValueError(
+            "matrix is not admissible for this channel: range residual "
+            f"{report.range_residual:.3e}, above RANGE_TOL = {RANGE_TOL:.0e}; "
+            "part of it lies outside the span of the Kraus operators"
+        )
     if not report.admissible:
         raise ValueError(
-            "matrix is not admissible for this channel "
-            f"(range residual {report.range_residual:.3e}, "
-            f"quadratic form {_one_plus(report.quadratic_form)}; no dilation "
-            f"holds a quadratic form above 1 + {BOUND_TOL:.0e})"
+            "matrix is not admissible for this channel: quadratic form "
+            f"{_one_plus(report.quadratic_form)}, above 1 + {BOUND_TOL:.0e} "
+            "= 1 + BOUND_TOL; no dilation holds it"
         )
     return ChannelImplementation(ch, coeff.conj())
+
+
+_KEYWORDS = {
+    "identity": ("d", "alpha"),
+    "depolarising": ("d", "t"),
+    "partial_depolarising": ("d", "q", "t"),
+    "phase_flip": ("d", "p", "alpha", "beta"),
+    "bit_flip": ("d", "p", "alpha", "beta"),
+}
 
 
 def standard_implementation(
     kind: str,
     *,
-    d: int = 2,
+    d: int | None = None,
     alpha: complex | None = None,
     beta: complex | None = None,
     p: float | None = None,
@@ -196,7 +244,8 @@ def standard_implementation(
     """Dilations for the worked channel families.
 
     kind:
-        ``identity``: transformation matrix alpha * 1 with |alpha| <= 1.
+        ``identity``: transformation matrix alpha * 1 with |alpha| <= 1, in
+        dimension ``d`` (default 2).
         ``depolarising``: target ``t``; ``partial_depolarising``: mixing
         weight ``q`` and target ``t``.  Both are :func:`realize` on
         ``standard_channel(kind, d, q)`` with d the side of ``t``, so they
@@ -207,14 +256,24 @@ def standard_implementation(
         square roots of the Kraus weights, (d^2 q + 1 - q) and (1 - q).
         ``phase_flip`` / ``bit_flip``: flip probability ``p`` and amplitudes
         (alpha, beta) on the (identity, Pauli) Kraus pair, giving
-        T = alpha sqrt(1-p) 1 + beta sqrt(p) sigma.
+        T = alpha sqrt(1-p) 1 + beta sqrt(p) sigma; qubits only.
+
+    A keyword the kind does not use is refused rather than ignored, and so is
+    a ``d`` other than the side of ``t``.
     """
+    if kind not in _KEYWORDS:
+        raise ValueError(f"unknown implementation kind '{kind}'")
+    given = {"d": d, "alpha": alpha, "beta": beta, "p": p, "q": q, "t": t}
+    unused = [k for k, v in given.items() if v is not None and k not in _KEYWORDS[kind]]
+    if unused:
+        raise ValueError(f"{kind} implementation takes no {' or '.join(unused)}")
+
     if kind == "identity":
         if alpha is None:
             raise ValueError("identity implementation needs alpha")
         if abs(alpha) > 1.0 + DEFAULT_TOL:
             raise ValueError(f"|alpha| = {_one_plus(abs(alpha))} exceeds 1")
-        ch = standard_channel("identity", d)
+        ch = standard_channel("identity", 2 if d is None else d)
         return ChannelImplementation(ch, np.array([np.conj(alpha)]))
 
     if kind in ("depolarising", "partial_depolarising"):
@@ -222,15 +281,14 @@ def standard_implementation(
             needs = "t" if kind == "depolarising" else "q and t"
             raise ValueError(f"{kind} implementation needs {needs}")
         t = as_matrix(t)
+        if d is not None and d != t.shape[0]:
+            raise ValueError(f"d = {d} does not match the side {t.shape[0]} of t")
         return realize(standard_channel(kind, t.shape[0], q), t)
 
-    if kind in ("phase_flip", "bit_flip"):
-        if p is None or alpha is None or beta is None:
-            raise ValueError(f"{kind} implementation needs p, alpha and beta")
-        weight = abs(alpha) ** 2 + abs(beta) ** 2
-        if weight > 1.0 + DEFAULT_TOL:
-            raise ValueError(f"|alpha|^2 + |beta|^2 = {_one_plus(weight)} exceeds 1")
-        ch = standard_channel(kind, 2, p)
-        return ChannelImplementation(ch, np.array([np.conj(alpha), np.conj(beta)]))
-
-    raise ValueError(f"unknown implementation kind '{kind}'")
+    if p is None or alpha is None or beta is None:
+        raise ValueError(f"{kind} implementation needs p, alpha and beta")
+    weight = abs(alpha) ** 2 + abs(beta) ** 2
+    if weight > 1.0 + DEFAULT_TOL:
+        raise ValueError(f"|alpha|^2 + |beta|^2 = {_one_plus(weight)} exceeds 1")
+    ch = standard_channel(kind, 2 if d is None else d, p)
+    return ChannelImplementation(ch, np.array([np.conj(alpha), np.conj(beta)]))

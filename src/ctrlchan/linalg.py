@@ -26,6 +26,13 @@ DEFAULT_TOL = 1e-9
 # admissible accepts.
 RANGE_TOL = 1e-8
 BOUND_TOL = 1e-8
+# implementations._factor keeps every singular value of V above the lstsq
+# cutoff eps * max(d^2, k) * s_max.  It factors V by QR instead only when
+# ||R||_F ||R^-1||_F, an upper bound on kappa(V), is QR_MARGIN times below
+# 1 / cutoff: the computed R and the computed singular values each move by a
+# few eps * s_max, a fraction of the cutoff well under 1 - 1 / QR_MARGIN, so
+# no singular value an SVD would keep can lie at the cutoff.
+QR_MARGIN = 10.0
 ENTROPY_CLAMP = 1e-12  # entropy: an eigenvalue in (-ENTROPY_CLAMP, 0) is rounding, set to 0
 ORACLE_SKIP = 1e-12  # stinespring_oracle: input eigenvectors of smaller weight are skipped
 CONSTANT_CUTOFF = 1e-14  # constant channel: no Kraus operators for smaller eigenvalues
@@ -161,6 +168,15 @@ def spectral_norm(m) -> float:
 def hs_norm(m) -> float:
     """Hilbert-Schmidt (Frobenius) norm."""
     return float(np.linalg.norm(as_matrix(m)))
+
+
+def _finite(arr: np.ndarray, name: str) -> None:
+    """Refuse a NaN or infinite entry, naming the field and the index of the
+    first one."""
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(f"{name} has a non-finite entry {arr[idx]} at index {idx}")
 
 
 def _one_plus(x) -> str:

@@ -3,9 +3,10 @@ vectors and admissible interference matrices.
 
 Used by the property-test suites and by the randomised reproduction cases of
 the CLI; every function takes an explicit ``numpy.random.Generator``.
-Admissible matrices are drawn on the SVD of the Kraus matrix that
-``admissible`` and ``realize`` solve against, so a draw and the solves that
-follow it on one channel share one factorization.
+Admissible matrices are drawn on the factorization of the Kraus matrix that
+``admissible`` and ``realize`` solve against (a QR when it provably has full
+column rank, an SVD otherwise), so a draw and the solves that follow it on
+one channel share one factorization.
 """
 
 from __future__ import annotations
@@ -79,20 +80,24 @@ def random_implementation(
 def random_admissible_t(ch: Channel, rng: np.random.Generator) -> np.ndarray:
     """Random interference matrix satisfying the dilation constraint.
 
-    Draws Gaussian coefficients c on the kept left singular vectors U_r of
-    the Kraus matrix V, scales them so that the quadratic form
-    ||V^+ |T>>||^2 = sum_r |c_r|^2 / s_r^2 lands uniformly in [0, 1), and
-    returns U_r c unvectorised row by row, as the columns of V are.  The SVD
-    is the one :func:`~ctrlchan.implementations.admissible` and
-    :func:`~ctrlchan.implementations.realize` solve against, so draws and
-    solves on one channel share it and agree on its range.
+    Draws Gaussian coefficients c on an orthonormal basis B of range(V), V
+    the Kraus matrix, scales them so that the quadratic form
+    ||V^+ |T>>||^2 = ||M c||^2 lands uniformly in [0, 1), and returns B c
+    unvectorised row by row, as the columns of V are.  (B^dag, M) is the
+    factorization :func:`~ctrlchan.implementations.admissible` and
+    :func:`~ctrlchan.implementations.realize` solve against, V^+ = M B^dag:
+    (Q, R^-1) of a QR when V provably has full column rank, (U_r,
+    W_r diag(1/s_r)) of the SVD otherwise.  So draws and solves on one
+    channel share it and agree on its range.  An isotropic complex Gaussian
+    on range(V) does not depend on the basis, so the draws have one
+    distribution on either route.
     """
-    u_dag, inv_s, _ = _factor(ch)
-    coeff = _complex_gaussian(inv_s.size, rng)
-    qform = float(np.sum(np.abs(coeff * inv_s) ** 2))
+    basis_dag, m = _factor(ch)
+    coeff = _complex_gaussian(basis_dag.shape[0], rng)
+    qform = float(np.sum(np.abs(m @ coeff) ** 2))
     target = rng.uniform(0.0, 1.0)
     coeff *= np.sqrt(target / qform)
-    return (u_dag.conj().T @ coeff).reshape(ch.dim, ch.dim)
+    return (basis_dag.conj().T @ coeff).reshape(ch.dim, ch.dim)
 
 
 def random_depolarising_t(
