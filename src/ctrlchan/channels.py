@@ -59,11 +59,14 @@ class Channel:
             )
         if ops.shape[1] != ops.shape[2]:
             raise ValueError(f"kraus[0] is not square: shape {ops.shape[1:]}")
-        _finite(ops, "kraus")
         d = ops.shape[1]
         flat = ops.reshape(-1, d)
-        dev = float(np.max(np.abs(flat.conj().T @ flat - np.eye(d))))
-        if dev > DEFAULT_TOL:
+        # A NaN or infinite entry makes its column of sum K^dag K, and so dev,
+        # non-finite; only then is the whole stack scanned, to name the entry.
+        with np.errstate(invalid="ignore", over="ignore"):
+            dev = float(np.max(np.abs(flat.conj().T @ flat - np.eye(d))))
+        if not dev <= DEFAULT_TOL:
+            _finite(ops, "kraus")
             raise ValueError(
                 f"kraus operators are not trace-preserving: "
                 f"max |sum K^dag K - 1| = {dev:.3e}"

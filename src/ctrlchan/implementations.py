@@ -69,9 +69,9 @@ class ChannelImplementation:
                 f"environment vector of length {env.size} does not match "
                 f"{len(self.channel.kraus)} Kraus operators"
             )
-        _finite(env, "env")
         norm_sq = float(np.vdot(env, env).real)
-        if norm_sq > 1.0 + BOUND_TOL:
+        if not norm_sq <= 1.0 + BOUND_TOL:
+            _finite(env, "env")
             raise ValueError(
                 f"environment vector has squared norm {_one_plus(norm_sq)}, "
                 f"above 1 + {BOUND_TOL:.0e}"
@@ -170,10 +170,11 @@ def _solve(ch: Channel, t, range_tol: float, bound_tol: float):
         raise ValueError(
             f"matrix of shape {t.shape} does not match channel dimension {ch.dim}"
         )
-    _finite(t, "t")
     v = _kraus_matrix(ch)
     tvec = t.reshape(-1)
     tnorm = float(np.linalg.norm(tvec))
+    if not np.isfinite(tnorm):
+        _finite(t, "t")
     if tnorm == 0.0:
         return AdmissibilityReport(True, 0.0, 0.0), np.zeros(v.shape[1], dtype=complex)
     basis_dag, m = _factor(ch)

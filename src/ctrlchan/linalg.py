@@ -172,7 +172,9 @@ def hs_norm(m) -> float:
 
 def _finite(arr: np.ndarray, name: str) -> None:
     """Refuse a NaN or infinite entry, naming the field and the index of the
-    first one."""
+    first one.  Callers scan only once a norm or deviation they compute
+    anyway has come out non-finite or out of bounds, which every such entry
+    forces."""
     bad = ~np.isfinite(arr)
     if bad.any():
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
