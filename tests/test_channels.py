@@ -299,6 +299,44 @@ class TestWeylBasis:
         with pytest.raises(ValueError):
             weyl_basis(1)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_bitwise_equal_to_matrix_powers(self, d):
+        basis = weyl_basis(d)
+        assert isinstance(basis, list)
+        assert all(np.array_equal(u, v) for u, v in zip(basis, _weyl_by_powers(d), strict=True))
+
+    @pytest.mark.parametrize("d", [4, 5, 8, 16])
+    def test_matches_matrix_powers(self, d):
+        basis = weyl_basis(d)
+        assert len(basis) == d * d
+        for u, v in zip(basis, _weyl_by_powers(d)):
+            assert np.max(np.abs(u - v)) <= 1e-13
+
+    def test_shift_and_phase_pattern_d16(self):
+        d = 16
+        rows, cols = np.indices((d, d))
+        for i, u in enumerate(weyl_basis(d)):
+            a, b = divmod(i, d)
+            on = rows == (cols + a) % d
+            assert np.all(u[~on] == 0.0)
+            # the exponent reduced mod d keeps the phase within rounding of exact
+            phase = np.exp(2j * np.pi * ((b * cols[on]) % d) / d)
+            assert np.max(np.abs(u[on] - phase)) <= 2e-15
+            assert np.max(np.abs(dagger(u) @ u - np.eye(d))) <= 1e-13
+
+
+def _weyl_by_powers(d):
+    """X^a Z^b as products of matrix powers of the shift and the clock."""
+    omega = np.exp(2j * np.pi / d)
+    x = np.zeros((d, d), dtype=complex)
+    x[(np.arange(d) + 1) % d, np.arange(d)] = 1.0
+    z = np.diag(omega ** np.arange(d))
+    return [
+        np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
+        for a in range(d)
+        for b in range(d)
+    ]
+
 
 class TestStandardChannel:
     def test_depolarising_kraus_choice(self):

@@ -64,6 +64,17 @@ class TestControlState:
         with pytest.raises(ValueError, match=r"squared norm 1 \+ 2\.000e-09"):
             ControlState(1.0, np.sqrt(2e-9))
 
+    @pytest.mark.parametrize(
+        "a, b, index",
+        [(np.nan, 1.0, 0), (1.0, np.inf, 1), (complex(0.0, np.nan), 0.0, 0), (np.inf, np.nan, 0)],
+        ids=["nan-a", "inf-b", "nan-imag", "both"],
+    )
+    def test_non_finite_amplitude_rejected(self, a, b, index):
+        with pytest.raises(
+            ValueError, match=rf"^control state \(a, b\) has a non-finite entry .* at index \({index},\)$"
+        ):
+            ControlState(a, b)
+
 
 class TestControlledOutputType:
     def test_blocks(self):
@@ -292,6 +303,18 @@ class TestClassicalControl:
         i0 = standard_implementation("identity", d=2, alpha=1.0)
         with pytest.raises(ValueError, match="weights"):
             classical_control(i0, i0, (0.5, 0.6), np.eye(2) / 2)
+
+    @pytest.mark.parametrize(
+        "weights, index",
+        [((np.nan, 1.0), 0), ((1.0, np.nan), 1), ((np.inf, 0.0), 0), ((0.5, -np.inf), 1)],
+        ids=["nan-w0", "nan-w1", "inf-w0", "-inf-w1"],
+    )
+    def test_non_finite_weights_rejected(self, weights, index):
+        i0 = standard_implementation("identity", d=2, alpha=1.0)
+        with pytest.raises(
+            ValueError, match=rf"^weight pair \(w0, w1\) has a non-finite entry .* at index \({index},\)$"
+        ):
+            classical_map(i0, i0, weights)
 
 
 def _random_block(d, rng):

@@ -236,6 +236,11 @@ class TestSuccessProbability:
         with pytest.raises(ValueError):
             success_probability(-0.2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="distance must lie in"):
+            success_probability(bad)
+
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=50, deadline=None)
     def test_monotone(self, d1, d2):

@@ -128,6 +128,11 @@ class TestEnsemble:
         with pytest.raises(ValueError, match=r"probabilities sum to 1 \+ 2\.000e-09, expected 1"):
             Ensemble(((0.5, np.eye(2) / 2), (0.5 + 2e-9, np.eye(2) / 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"^items\[1\] has non-finite probability"):
+            Ensemble(((1.0, np.eye(2) / 2), (bad, np.eye(2) / 2)))
+
 
 class TestHolevoLowerBound:
     def test_cc_depolarising_reference_value(self):
@@ -354,20 +359,37 @@ class TestSwitchGridSearch:
     def test_one_map_evaluation(self, monkeypatch):
         import ctrlchan.info
 
+        held = ctrlchan.info._QUBIT_SWITCH
         shapes = []
 
-        def counting_switch_map(*args):
-            out_map = switch_map(*args)
+        def counted(rho):
+            shapes.append(np.shape(rho))
+            return held(rho)
 
-            def counted(rho):
-                shapes.append(np.shape(rho))
-                return out_map(rho)
-
-            return counted
-
-        monkeypatch.setattr(ctrlchan.info, "switch_map", counting_switch_map)
+        monkeypatch.setattr(ctrlchan.info, "_QUBIT_SWITCH", counted)
         switch_holevo_qubit_gridsearch(np.pi / 6, 0.25)
         assert shapes == [(7, 2, 2)]
+
+    def test_map_is_built_once_per_process(self, monkeypatch):
+        import ctrlchan.info
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid search rebuilt its map")
+
+        monkeypatch.setattr(ctrlchan.info, "standard_channel", refuse)
+        monkeypatch.setattr(ctrlchan.info, "switch_map", refuse)
+        value, point = switch_holevo_qubit_gridsearch()
+        assert point == (0.0, np.pi, 0.5)
+        assert abs(value - switch_holevo_qubit()) <= 1e-9
+
+    def test_held_map_is_the_depolarising_qubit_switch(self):
+        import ctrlchan.info
+
+        depol = standard_channel("depolarising", 2)
+        fresh = switch_map(depol, depol, PLUS)
+        rng = np.random.default_rng(41)
+        rho = np.array([random_density_matrix(2, rng) for _ in range(5)])
+        assert np.array_equal(ctrlchan.info._QUBIT_SWITCH(rho), fresh(rho))
 
     def test_empty_probability_grid_rejected(self):
         with pytest.raises(ValueError, match="no probability"):

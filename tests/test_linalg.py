@@ -235,6 +235,24 @@ class TestValidateDensityMatrix:
         with pytest.raises(ValueError, match="Hermitian"):
             validate_density_matrix(m)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("index", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_non_finite_entry_named(self, bad, index):
+        rho = np.eye(2, dtype=complex) / 2
+        rho[index] = bad
+        with pytest.raises(
+            ValueError, match=rf"^density matrix has a non-finite entry .* at index \({index[0]}, {index[1]}\)$"
+        ):
+            validate_density_matrix(rho)
+
+    def test_non_finite_entry_in_a_stack_named(self):
+        from ctrlchan.info import entropy
+
+        stack = np.array([np.eye(2) / 2] * 3, dtype=complex)
+        stack[2, 1, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^density matrix has a non-finite entry .* at index \(2, 1, 0\)$"):
+            entropy(stack)
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="negative"):
             validate_density_matrix(np.diag([1.5, -0.5]))

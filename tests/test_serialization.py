@@ -1,5 +1,7 @@
 """Tests for the JSON document schemas."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,15 @@ class TestMatrixRoundtrip:
     def test_jagged_rows_rejected(self):
         doc = [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]]
         with pytest.raises(SchemaError, match=r"m\[1\]"):
+            matrix_from_json(doc, "m")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("part", [0, 1], ids=["re", "im"])
+    def test_non_finite_number_rejected(self, bad, part):
+        pair = [0.5, 0.0]
+        pair[part] = bad
+        doc = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], pair]]
+        with pytest.raises(SchemaError, match=r"^m\[1\]\[1\]: expected finite numbers"):
             matrix_from_json(doc, "m")
 
     def test_bad_pair_rejected(self):
@@ -118,6 +129,41 @@ class TestLoadJson:
         path.write_text('{"d": 2,\n  "kraus": [}')
         with pytest.raises(SchemaError, match="line 2"):
             load_json(path)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "kind, text, field",
+        [
+            ("channel", '{"d": 1, "kraus": [[[%s, 0.0]]]}', r"channel\.kraus\[0\]\[0\]\[0\]"),
+            (
+                "implementation",
+                '{"d": 1, "kraus": [[[[1.0, 0.0]]]], "env": [[0.0, %s]]}',
+                r"channel\.env\[0\]",
+            ),
+            ("t", '{"d": 1, "t": [[[%s, 0.0]]]}', r"t_matrix\.t\[0\]\[0\]"),
+            ("state", '{"d": 1, "rho": [[[1.0, %s]]]}', r"state\.rho\[0\]\[0\]"),
+            (
+                "ensemble",
+                '{"d": 1, "items": [{"p": 1.0, "rho": [[[%s, 0.0]]]}]}',
+                r"ensemble\.items\[0\]\.rho\[0\]\[0\]",
+            ),
+            ("ensemble", '{"d": 1, "items": [{"p": %s, "rho": [[[1.0, 0.0]]]}]}', r"ensemble\.items\[0\]\.p"),
+        ],
+        ids=["kraus", "env", "t", "rho", "ensemble-rho", "ensemble-p"],
+    )
+    def test_non_finite_constant_named(self, tmp_path, constant, kind, text, field):
+        parse = {
+            "channel": channel_from_json,
+            "implementation": implementation_from_json,
+            "t": tmatrix_from_json,
+            "state": state_from_json,
+            "ensemble": ensemble_from_json,
+        }[kind]
+        path = tmp_path / "doc.json"
+        path.write_text(text % constant)
+        with pytest.raises(SchemaError, match=rf"^{field}: expected finite") as err:
+            parse(load_json(path))
+        assert re.fullmatch(field, err.value.field)
 
     def test_roundtrip_via_file(self, tmp_path):
         import json
