@@ -146,20 +146,15 @@ def weyl_basis(d: int) -> list[np.ndarray]:
     """The d^2 unitaries U_(a,b) = X^a Z^b, ordered by index i = a*d + b.
 
     X|k> = |k+1 mod d> and Z|k> = w^k |k> with w = exp(2 pi i / d); these
-    satisfy Tr[U_i^dag U_j] = d delta_ij.
+    satisfy Tr[U_i^dag U_j] = d delta_ij.  All d^2 are one array expression,
+    (X^a Z^b)[r, c] = [r = c + a mod d] exp(2 pi i ((b c) mod d) / d), with
+    the exponent reduced mod d so that every phase is within rounding of exact.
     """
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    omega = np.exp(2j * np.pi / d)
-    x = np.zeros((d, d), dtype=complex)
-    x[(np.arange(d) + 1) % d, np.arange(d)] = 1.0
-    z = np.diag(omega ** np.arange(d))
-    basis = []
-    for a in range(d):
-        xa = np.linalg.matrix_power(x, a)
-        for b in range(d):
-            basis.append(xa @ np.linalg.matrix_power(z, b))
-    return basis
+    a, b, r, c = np.ogrid[:d, :d, :d, :d]
+    phase = np.exp(2j * np.pi * ((b * c) % d) / d)
+    return list(np.where(r == (c + a) % d, phase, 0.0).reshape(d * d, d, d))
 
 
 def _check_mixing_param(p, name: str) -> float:

@@ -37,6 +37,7 @@ from .linalg import (
     DEFAULT_TOL,
     ORACLE_SKIP,
     _checked_spectrum,
+    _finite,
     _one_plus,
     as_matrix,
     dagger,
@@ -56,7 +57,8 @@ class ControlState:
         a = complex(self.a)
         b = complex(self.b)
         norm_sq = abs(a) ** 2 + abs(b) ** 2
-        if abs(norm_sq - 1.0) > DEFAULT_TOL:
+        if not abs(norm_sq - 1.0) <= DEFAULT_TOL:  # also fails on NaN
+            _finite(np.array([a, b]), "control state (a, b)")
             raise ValueError(f"control amplitudes have squared norm {_one_plus(norm_sq)}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -235,7 +237,8 @@ def classical_map(
     :func:`controlled_map`, it takes one matrix or a ``(..., d, d)`` stack."""
     d = _common_dim(i0, i1)
     w0, w1 = float(weights[0]), float(weights[1])
-    if w0 < -DEFAULT_TOL or w1 < -DEFAULT_TOL or abs(w0 + w1 - 1.0) > DEFAULT_TOL:
+    if not (w0 >= -DEFAULT_TOL and w1 >= -DEFAULT_TOL and abs(w0 + w1 - 1.0) <= DEFAULT_TOL):
+        _finite(np.array([w0, w1]), "weight pair (w0, w1)")
         raise ValueError(f"weights must be nonnegative and sum to 1, got {weights}")
 
     def output(rho) -> np.ndarray:

@@ -128,7 +128,7 @@ def optimal_input(t1, t1p) -> np.ndarray:
 def success_probability(distance: float) -> float:
     """Best probability of telling two equiprobable outputs apart: (1 + D)/2."""
     distance = float(distance)
-    if distance < -DISTANCE_WINDOW or distance > 1.0 + DISTANCE_WINDOW:
+    if not -DISTANCE_WINDOW <= distance <= 1.0 + DISTANCE_WINDOW:  # also refuses NaN
         raise ValueError(f"distance must lie in [0, 1], got {distance}")
     return 0.5 * (1.0 + min(max(distance, 0.0), 1.0))
 

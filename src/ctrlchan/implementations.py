@@ -192,7 +192,15 @@ def admissible(
     range_tol: float = RANGE_TOL,
     bound_tol: float = BOUND_TOL,
 ) -> AdmissibilityReport:
-    """Decide whether ``t`` is the transformation matrix of some dilation of ``ch``."""
+    """Decide whether ``t`` is the transformation matrix of some dilation of ``ch``.
+
+    Rounding in ``t`` moves the quadratic form by about eps * kappa(V), with V
+    the matrix of vectorised Kraus operators, so a genuine T, one whose
+    dilation has ||env|| = 1, is refused at the default ``bound_tol`` once
+    eps * kappa(V) nears ``BOUND_TOL``.  For the phase flip at p = 1e-28
+    (kappa(V) = 1e14) the T of the dilation with env = (0.6, 0.8j) reads
+    quadratic form 1 + 1.5e-5, on the QR and the SVD route alike.
+    """
     return _solve(ch, t, range_tol, bound_tol)[0]
 
 

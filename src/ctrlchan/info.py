@@ -79,6 +79,8 @@ class Ensemble:
         dim = None
         for idx, (p, rho) in enumerate(self.items):
             p = float(p)
+            if not math.isfinite(p):
+                raise ValueError(f"items[{idx}] has non-finite probability {p}")
             if p < -DEFAULT_TOL:
                 raise ValueError(f"items[{idx}] has negative probability {p}")
             rho = validate_density_matrix(rho)
@@ -161,6 +163,12 @@ def cc_dephasing_bound(p: float) -> float:
     return p - binary_entropy(p) + binary_entropy((1.0 - p) / 2.0)
 
 
+# The depolarising qubit pair in the switch under a |+> control: a constant of
+# switch_holevo_qubit_gridsearch, built once per process, at import.
+_DEPOLARISING_QUBIT = standard_channel("depolarising", 2)
+_QUBIT_SWITCH = switch_map(_DEPOLARISING_QUBIT, _DEPOLARISING_QUBIT, ControlState.plus())
+
+
 def switch_holevo_qubit_gridsearch(
     angle_step: float = np.pi / 60.0,
     prob_step: float = 0.05,
@@ -175,18 +183,16 @@ def switch_holevo_qubit_gridsearch(
     joint rotation about y takes (theta0, theta1) to (0, theta1 - theta0)
     and keeps the value, and every difference of two grid angles is itself a
     grid angle, so the pairs (0, theta) already carry every value of the full
-    (theta0, theta1) grid.  The switch map is evaluated once, on the stack of
-    all grid states.  Returns (best value, (0.0, theta1, p0)).
+    (theta0, theta1) grid.  The switch map does not depend on the grid, so it
+    is built once per process, at import, and each call evaluates it once, on
+    the stack of all grid states.  Returns (best value, (0.0, theta1, p0)).
     """
     for name, step in (("angle_step", angle_step), ("prob_step", prob_step)):
         if not 0.0 < step < math.inf:
             raise ValueError(f"{name} must be finite and positive, got {step}")
-    ch = standard_channel("depolarising", 2)
-    out_map = switch_map(ch, ch, ControlState.plus())
-
     thetas = np.arange(0.0, np.pi + angle_step / 2.0, angle_step)
     states = np.stack((np.cos(thetas / 2.0), np.sin(thetas / 2.0)), axis=-1).astype(complex)
-    outputs = out_map(states[:, :, None] * states[:, None, :].conj())
+    outputs = _QUBIT_SWITCH(states[:, :, None] * states[:, None, :].conj())
     entropies = entropy(outputs)
     probs = np.arange(prob_step, 1.0, prob_step)
     if probs.size == 0:

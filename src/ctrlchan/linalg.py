@@ -214,7 +214,12 @@ def _checked_spectrum(rho) -> np.ndarray:
         raise ValueError(f"expected a matrix, got an array of ndim {rho.ndim}")
     if rho.shape[-2] != rho.shape[-1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    if not np.abs(rho - rho.swapaxes(-2, -1).conj()).max(initial=0.0) <= DEFAULT_TOL:
+    # A NaN or infinite entry makes the Hermitian deviation NaN or inf (inf - inf
+    # on a mirrored pair, quietly); only then is the input scanned, to name it.
+    with np.errstate(invalid="ignore", over="ignore"):
+        herm = np.abs(rho - rho.swapaxes(-2, -1).conj()).max(initial=0.0)
+    if not herm <= DEFAULT_TOL:
+        _finite(rho, "density matrix")
         raise ValueError("density matrix is not Hermitian within tolerance")
     tr = np.trace(rho, axis1=-2, axis2=-1)
     dev = abs(tr - 1.0)

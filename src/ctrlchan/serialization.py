@@ -18,6 +18,7 @@ with the JSON path of the offending field.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,8 @@ def complex_from_json(obj, field: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
     ):
         raise SchemaError(field, f"expected a [re, im] pair, got {obj!r}")
+    if not (math.isfinite(obj[0]) and math.isfinite(obj[1])):
+        raise SchemaError(field, f"expected finite numbers, got {obj!r}")
     return complex(obj[0], obj[1])
 
 
@@ -173,6 +176,8 @@ def ensemble_from_json(doc, field: str = "ensemble") -> Ensemble:
         p = item["p"]
         if not isinstance(p, (int, float)) or isinstance(p, bool):
             raise SchemaError(f"{field}.items[{i}].p", f"expected a number, got {p!r}")
+        if not math.isfinite(p):
+            raise SchemaError(f"{field}.items[{i}].p", f"expected a finite number, got {p!r}")
         rho = matrix_from_json(item["rho"], f"{field}.items[{i}].rho", shape=(d, d))
         items.append((float(p), rho))
     return Ensemble(tuple(items))
