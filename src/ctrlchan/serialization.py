@@ -51,6 +51,18 @@ def _dimension(doc, field: str) -> int:
     return d
 
 
+def _finite_number(x, field: str) -> float:
+    """A JSON number as a float, refusing the NaN and infinities that
+    ``json.loads`` reads and integers beyond the float range."""
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise SchemaError(field, f"expected a finite number, got {x!r}")
+    return value
+
+
 def complex_from_json(obj, field: str) -> complex:
     if (
         not isinstance(obj, (list, tuple))
@@ -58,9 +70,7 @@ def complex_from_json(obj, field: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
     ):
         raise SchemaError(field, f"expected a [re, im] pair, got {obj!r}")
-    if not (math.isfinite(obj[0]) and math.isfinite(obj[1])):
-        raise SchemaError(field, f"expected finite numbers, got {obj!r}")
-    return complex(obj[0], obj[1])
+    return complex(_finite_number(obj[0], field), _finite_number(obj[1], field))
 
 
 def vector_from_json(obj, field: str, length: int | None = None) -> np.ndarray:
@@ -176,10 +186,9 @@ def ensemble_from_json(doc, field: str = "ensemble") -> Ensemble:
         p = item["p"]
         if not isinstance(p, (int, float)) or isinstance(p, bool):
             raise SchemaError(f"{field}.items[{i}].p", f"expected a number, got {p!r}")
-        if not math.isfinite(p):
-            raise SchemaError(f"{field}.items[{i}].p", f"expected a finite number, got {p!r}")
+        p = _finite_number(p, f"{field}.items[{i}].p")
         rho = matrix_from_json(item["rho"], f"{field}.items[{i}].rho", shape=(d, d))
-        items.append((float(p), rho))
+        items.append((p, rho))
     return Ensemble(tuple(items))
 
 
