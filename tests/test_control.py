@@ -4,7 +4,7 @@ baseline and the order-superposing switch."""
 import numpy as np
 import pytest
 
-from ctrlchan.channels import remix, standard_channel
+from ctrlchan.channels import Channel, remix, standard_channel
 from ctrlchan.control import (
     ControlState,
     ControlledOutput,
@@ -63,6 +63,14 @@ class TestControlState:
     def test_excess_over_one_is_printed(self):
         with pytest.raises(ValueError, match=r"squared norm 1 \+ 2\.000e-09"):
             ControlState(1.0, np.sqrt(2e-9))
+
+    @pytest.mark.parametrize(
+        "a, b", [(1e200, 0.0), (0.0, 1e200j), (1e155, 1e155)], ids=["a", "b", "sum"]
+    )
+    def test_overflowing_amplitude_refused_by_name(self, a, b):
+        # a finite amplitude whose square overflows reads inf, not OverflowError
+        with pytest.raises(ValueError, match=r"^control amplitudes have squared norm 1 \+ inf$"):
+            ControlState(a, b)
 
     @pytest.mark.parametrize(
         "a, b, index",
@@ -442,6 +450,88 @@ class TestSwitch:
                 PLUS,
                 np.eye(2) / 2,
             )
+
+
+def _switch_reference(ch0, ch1, control, x):
+    c = np.array([control.a, control.b])
+    return _switch_double_sum(ch0, ch1, tensor(np.outer(c, c.conj()), x))
+
+
+def _with_faint_operator(ch, rng, weight=1e-8):
+    """``ch`` scaled by 1 - weight, plus one unitary Kraus operator of ``weight``."""
+    faint = np.sqrt(weight) * random_unitary(ch.dim, rng)
+    return Channel(np.concatenate((np.sqrt(1.0 - weight) * ch.kraus, faint[None])))
+
+
+class TestSwitchContraction:
+    # switch_map contracts its interference blocks in the Choi order when
+    # min(k0, k1) >= 2d and in the sandwich order otherwise; each case is
+    # checked against the literal double sum over Kraus pairs.
+    @pytest.mark.parametrize(
+        "d, k0, k1",
+        [(8, 15, 64), (8, 16, 64), (8, 64, 15), (16, 1, 256), (16, 256, 1), (16, 17, 16)],
+    )
+    def test_matches_double_sum_across_the_crossover(self, d, k0, k1):
+        rng = np.random.default_rng(1000 * d + k0 + k1)
+        ch0 = random_channel(d, k0, rng)
+        ch1 = random_channel(d, k1, rng)
+        amp = random_pure_state(2, rng)
+        control = ControlState(amp[0], amp[1])
+        out_map = switch_map(ch0, ch1, control)
+        for x in (random_density_matrix(d, rng), _random_block(d, rng)):
+            ref = _switch_reference(ch0, ch1, control, x)
+            assert np.max(np.abs(out_map(x) - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("k0, k1", [(2, 16), (16, 2), (8, 16), (16, 8)])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_basis_control_leaves_one_exact_diagonal_block(self, k0, k1, index):
+        d = 4
+        rng = np.random.default_rng(1100 + 10 * k0 + k1 + index)
+        ch0 = random_channel(d, k0, rng)
+        ch1 = random_channel(d, k1, rng)
+        control = ControlState.basis(index)
+        out_map = switch_map(ch0, ch1, control)
+        for x in (random_density_matrix(d, rng), _random_block(d, rng)):
+            got = out_map(x)
+            assert np.max(np.abs(got - _switch_reference(ch0, ch1, control, x))) <= 1e-12
+            keep = slice(index * d, (index + 1) * d)
+            zeroed = got.copy()
+            zeroed[keep, keep] = 0.0
+            assert np.all(zeroed == 0.0)
+
+    @pytest.mark.parametrize("k0, k1", [(3, 16), (16, 3), (8, 16), (16, 9)])
+    def test_stack_matches_each_member(self, k0, k1):
+        d = 4
+        rng = np.random.default_rng(1200 + 10 * k0 + k1)
+        amp = random_pure_state(2, rng)
+        out_map = switch_map(
+            random_channel(d, k0, rng), random_channel(d, k1, rng), ControlState(amp[0], amp[1])
+        )
+        stack = np.array(
+            [[random_density_matrix(d, rng), _random_block(d, rng), _random_block(d, rng)]
+             for _ in range(2)]
+        )
+        got = out_map(stack)
+        assert got.shape == (2, 3, 2 * d, 2 * d)
+        for idx in np.ndindex(2, 3):
+            assert np.max(np.abs(got[idx] - out_map(stack[idx]))) <= 1e-13
+
+    @pytest.mark.parametrize("k0, k1", [(2, 16), (16, 2), (9, 16), (16, 9)])
+    def test_faint_kraus_operator(self, k0, k1):
+        # one Kraus operator of weight 1e-8 in the channel with fewer of them,
+        # which the sandwich order puts outside
+        d = 4
+        rng = np.random.default_rng(1300 + 10 * k0 + k1)
+        ch0 = random_channel(d, k0, rng)
+        ch1 = random_channel(d, k1, rng)
+        if k0 < k1:
+            ch0 = _with_faint_operator(random_channel(d, k0 - 1, rng), rng)
+        else:
+            ch1 = _with_faint_operator(random_channel(d, k1 - 1, rng), rng)
+        out_map = switch_map(ch0, ch1, PLUS)
+        for x in (random_density_matrix(d, rng), _random_block(d, rng)):
+            ref = _switch_reference(ch0, ch1, PLUS, x)
+            assert np.max(np.abs(out_map(x) - ref)) <= 1e-12
 
 
 class TestControlMarginal:

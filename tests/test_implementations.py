@@ -696,6 +696,14 @@ class TestStandardImplementation:
         ):
             standard_implementation(kind, p=0.5, alpha=1.0, beta=np.sqrt(2e-9))
 
+    @pytest.mark.parametrize(
+        "alpha, beta", [(1e200, 0.0), (0.0, 1e200j), (1e155, 1e155)], ids=["alpha", "beta", "sum"]
+    )
+    def test_flip_weight_overflow_is_refused_by_name(self, alpha, beta):
+        # a finite amplitude whose square overflows reads inf, not OverflowError
+        with pytest.raises(ValueError, match=r"\|alpha\|\^2 \+ \|beta\|\^2 = 1 \+ inf exceeds 1"):
+            standard_implementation("phase_flip", p=0.1, alpha=alpha, beta=beta)
+
 
 class TestProperties:
     def test_forward_completeness(self):

@@ -20,7 +20,7 @@ from ctrlchan.info import (
     switch_holevo_qubit,
     switch_holevo_qubit_gridsearch,
 )
-from ctrlchan.linalg import ket, maximally_entangled, partial_trace, projector
+from ctrlchan.linalg import ket, maximally_entangled, partial_trace, projector, tensor
 from ctrlchan.sampling import random_density_matrix, random_env, random_pure_state
 
 PLUS = ControlState.plus()
@@ -390,6 +390,38 @@ class TestSwitchGridSearch:
         rng = np.random.default_rng(41)
         rho = np.array([random_density_matrix(2, rng) for _ in range(5)])
         assert np.array_equal(ctrlchan.info._QUBIT_SWITCH(rho), fresh(rho))
+
+    def test_bench_grids_match_the_kraus_pair_sum(self, monkeypatch):
+        # Every (n, m) grid of the holevo-grid-qubit workload, angle step
+        # pi / n and probability step 1 / (2m), searched through the held map
+        # and through the literal sum over the 16 switch Kraus operators
+        # W_ij = |0><0| (x) L_j K_i + |1><1| (x) K_i L_j.  That sum reads
+        # bitwise the values of the superoperator route the Choi order
+        # replaced; the held map moves them by rounding and moves no point.
+        import ctrlchan.info
+
+        depol = standard_channel("depolarising", 2)
+        switch_kraus = np.array([
+            tensor(projector(ket(0, 2)), l @ k) + tensor(projector(ket(1, 2)), k @ l)
+            for k in depol.kraus
+            for l in depol.kraus
+        ])
+        control = np.full((2, 2), 0.5)
+
+        def kraus_pair_sum(rho):
+            joint = np.einsum("ab,...cd->...acbd", control, rho).reshape(rho.shape[:-2] + (4, 4))
+            out = np.zeros_like(joint)
+            for w in switch_kraus:
+                out += w @ joint @ w.conj().T
+            return out
+
+        grids = [(n, m) for n in range(6, 31) for m in range(2, 12)]
+        held = [switch_holevo_qubit_gridsearch(np.pi / n, 1.0 / (2 * m)) for n, m in grids]
+        monkeypatch.setattr(ctrlchan.info, "_QUBIT_SWITCH", kraus_pair_sum)
+        for (n, m), (value, point) in zip(grids, held):
+            ref_value, ref_point = switch_holevo_qubit_gridsearch(np.pi / n, 1.0 / (2 * m))
+            assert point == ref_point, (n, m)
+            assert abs(value - ref_value) <= 1e-15, (n, m)
 
     def test_empty_probability_grid_rejected(self):
         with pytest.raises(ValueError, match="no probability"):
