@@ -139,7 +139,9 @@ def remix(ch: Channel, u) -> Channel:
             f"{len(ch.kraus)} Kraus operators"
         )
     # Columns past the Kraus count would multiply zero padding operators.
-    return Channel(np.tensordot(u[:, : len(ch.kraus)], ch.kraus, 1))
+    # K' = u K is one product of u with the k x d^2 matrix of flattened K_r.
+    k, d, _ = ch.kraus.shape
+    return Channel((u[:, :k] @ ch.kraus.reshape(k, d * d)).reshape(-1, d, d))
 
 
 def weyl_basis(d: int) -> list[np.ndarray]:

@@ -17,7 +17,12 @@ matrix and wraps the output:
   of the two arms, with no interference blocks.
 * :func:`switch_output` applies the two channels in an order entangled with
   the control.  Its output depends only on the CPTP maps; remixing the Kraus
-  lists leaves it invariant.
+  lists leaves it invariant.  So :func:`switch_map` reads each channel through
+  its Choi tensor, made once per map, and contracts each interference block
+  in the cheaper of two orders, chosen once per map from (d, k0, k1): the two
+  Choi tensors with the input, 2 d^5 multiply-adds per input matrix, when
+  min(k0, k1) >= 2d, and otherwise the channel with fewer Kraus operators
+  around the other's transfer matrix, min(k0, k1) (d^4 + 2 d^3).
 
 :func:`stinespring_oracle` recomputes the controlled output by brute force,
 evolving an explicit control x target x environments pure state and tracing
@@ -56,7 +61,8 @@ class ControlState:
     def __post_init__(self):
         a = complex(self.a)
         b = complex(self.b)
-        norm_sq = abs(a) ** 2 + abs(b) ** 2
+        # a product, not a float power, so that an overflow reads inf
+        norm_sq = abs(a) * abs(a) + abs(b) * abs(b)
         if not abs(norm_sq - 1.0) <= DEFAULT_TOL:  # also fails on NaN
             _finite(np.array([a, b]), "control state (a, b)")
             raise ValueError(f"control amplitudes have squared norm {_one_plus(norm_sq)}")
@@ -266,13 +272,60 @@ def classical_control(
     return ControlledOutput(classical_map(i0, i1, weights)(rho))
 
 
-def _transfer_matrix(ch: Channel) -> np.ndarray:
-    """R = sum_i K_i^T (x) K_i^dag, so that vec(C(X)) = vec(X) R with vec the
-    row-major flattening; R is the transpose of the superoperator."""
+def _choi_tensor(ch: Channel) -> np.ndarray:
+    """G[a, b, c, e] = sum_i K_i[a, b] conj(K_i[c, e]), one Gram product of the
+    flattened Kraus operators: the Choi matrix C[(b, a), (e, c)] of
+    :func:`~ctrlchan.channels.choi_of` with its indices in Kraus order."""
     k, d, _ = ch.kraus.shape
     flat = ch.kraus.reshape(k, d * d)
-    r = (flat.T @ flat.conj()).reshape(d, d, d, d)
-    return r.transpose(1, 3, 0, 2).reshape(d * d, d * d)
+    return (flat.T @ flat.conj()).reshape(d, d, d, d)
+
+
+def _transfer_matrix(g: np.ndarray) -> np.ndarray:
+    """R = sum_i K_i^T (x) K_i^dag from the Choi tensor, so that vec(C(X)) =
+    vec(X) R with vec the row-major flattening; R is the transpose of the
+    superoperator."""
+    d = g.shape[0]
+    return g.transpose(1, 3, 0, 2).reshape(d * d, d * d)
+
+
+def _interference(g_inner, r_inner, outer: np.ndarray, g_outer):
+    """The block X -> sum_ij M_j K_i X M_j^dag K_i^dag for one matrix or a
+    ``(..., d, d)`` stack, with {K_i} the Kraus operators of the channel
+    applied first (Choi tensor g_inner, transfer matrix r_inner) and {M_j},
+    ``outer``, those of the channel applied second (Choi tensor g_outer),
+    which has no more Kraus operators than the first:
+
+        [x, y] = sum_pqrs g_outer[x, p, s, r] X[q, r] g_inner[p, q, y, s]
+
+    Choi order, when M has at least 2d operators: the sum over r, then the
+    one over (p, s, q), each one matrix product of d^5 multiply-adds, so
+    2 d^5 whatever the Kraus counts.  Sandwich order otherwise:
+    sum_j M_j C_inner(X M_j^dag) through the transfer matrix, k_M (d^4 + 2 d^3).
+    """
+    k, d, _ = outer.shape
+    if k >= 2 * d:
+        rows = g_outer.reshape(d**3, d)
+        cols = g_inner.transpose(0, 3, 1, 2).reshape(d**3, d)
+
+        def block(x):
+            partial = rows @ np.swapaxes(x, -1, -2)
+            return partial.reshape(x.shape[:-2] + (d, d**3)) @ cols
+
+        return block
+
+    # sum_j M_j X_j = [M_1 ... M_k] [X_1; ...; X_k], and
+    # X [M_1^dag ... M_k^dag] holds every X M_j^dag side by side
+    row = outer.transpose(1, 0, 2).reshape(d, -1)
+    side = outer.conj().transpose(2, 0, 1).reshape(d, -1)
+
+    def block(x):
+        lead = x.shape[:-2]
+        blocks = (x @ side).reshape(lead + (d, -1, d))
+        vecs = np.swapaxes(blocks, -3, -2).reshape(lead + (-1, d * d))
+        return row @ (vecs @ r_inner).reshape(lead + (-1, d))
+
+    return block
 
 
 def switch_map(
@@ -288,18 +341,31 @@ def switch_map(
         offdiag:   a b* sum_ij L_j K_i rho L_j^dag K_i^dag    (and h.c.)
 
     The off-diagonal sums are invariant under remixing either Kraus list, so
-    the map depends only on the two CPTP maps.  They are evaluated through
-    the superoperators S0 = sum_i K_i (x) conj(K_i) and S1 = sum_j L_j (x)
-    conj(L_j), built once per map, using
+    the map depends only on the two CPTP maps, that is on their Choi
+    matrices.  Each channel's Choi tensor is one Gram product, made once per
+    map; the diagonal blocks are S1 S0 vec(rho) and S0 S1 vec(rho), with the
+    transfer matrices a rearrangement of it.  The block 10 at rho is the
+    adjoint of the block 01 at rho^dag,
 
-        sum_ij L_j K_i rho L_j^dag K_i^dag = sum_j L_j C0(rho L_j^dag)
-        sum_ij K_i L_j rho K_i^dag L_j^dag = sum_i K_i C1(rho K_i^dag)
+        sum_ij K_i L_j rho K_i^dag L_j^dag
+            = (sum_ij L_j K_i rho^dag L_j^dag K_i^dag)^dag,
 
-    with the inner channel applied to all k operators in one matrix product;
-    the diagonal blocks are S1 S0 vec(rho) and S0 S1 vec(rho).  Building the
-    map costs O((k0 + k1) d^4) and so does each evaluation, against
-    O(k0 k1 d^3) for the double sum over Kraus pairs.  Like the other maps,
-    it takes one matrix or a stack ``(..., d, d)``, mapped matrix by matrix.
+    so one contraction, of rho and rho^dag together, gives both.
+
+    Cost per input matrix, in multiply-adds, with k_min = min(k0, k1); the
+    contraction order is chosen once per map from (d, k0, k1):
+
+    * Choi order, when k_min >= 2d: the two Choi tensors contracted with rho
+      in two matrix products, 2 d^5 per interference block;
+    * sandwich order, otherwise: the channel with fewer Kraus operators
+      around the other's transfer matrix, k_min (d^4 + 2 d^3) per block.
+
+    Either is at most the (k0 + k1)(d^4 + 2 d^3) of a sandwich around each
+    channel in turn, and the crossover 2d sits a little above the flop
+    balance 2 d^2 / (d + 2).  The diagonal blocks add 4 d^4, and building the
+    map (k0 + k1) d^4 for the two Choi tensors, against k0 k1 d^3 per input
+    for the double sum over Kraus pairs.  Like the other maps, it takes one
+    matrix or a stack ``(..., d, d)``, mapped matrix by matrix.
     """
     if ch0.dim != ch1.dim:
         raise ValueError(f"channels act on different dimensions: {ch0.dim} vs {ch1.dim}")
@@ -308,26 +374,25 @@ def switch_map(
     w0 = abs(a) ** 2
     w1 = abs(b) ** 2
     cross = a * np.conj(b)
-    r0 = _transfer_matrix(ch0)
-    r1 = _transfer_matrix(ch1)
-    # sum_j M_j X_j = [M_1 ... M_k] [X_1; ...; X_k] for the interference sums,
-    # and rho [M_1^dag ... M_k^dag] holds every rho M_j^dag side by side
-    row0 = ch0.kraus.transpose(1, 0, 2).reshape(d, -1)
-    row1 = ch1.kraus.transpose(1, 0, 2).reshape(d, -1)
-    side0 = ch0.kraus.conj().transpose(2, 0, 1).reshape(d, -1)
-    side1 = ch1.kraus.conj().transpose(2, 0, 1).reshape(d, -1)
-
-    def rows(rho, side, lead):
-        """vec(rho M_j^dag) as one row per Kraus operator."""
-        blocks = (rho @ side).reshape(lead + (d, -1, d))
-        return np.swapaxes(blocks, -3, -2).reshape(lead + (-1, d * d))
+    g0 = _choi_tensor(ch0)
+    g1 = _choi_tensor(ch1)
+    r0 = _transfer_matrix(g0)
+    r1 = _transfer_matrix(g1)
+    # The channel with fewer Kraus operators goes outside: the block is 01
+    # (ch0 first, then ch1), or 10 when ch0 has fewer.
+    swap = len(ch0.kraus) < len(ch1.kraus)
+    if swap:
+        block = _interference(g1, r1, ch0.kraus, g0)
+    else:
+        block = _interference(g0, r0, ch1.kraus, g1)
 
     def output(rho) -> np.ndarray:
         rho = _map_input(rho, d)
         lead = rho.shape[:-2]
         vec = rho.reshape(lead + (d * d,))
-        off01 = row1 @ (rows(rho, side1, lead) @ r0).reshape(lead + (-1, d))
-        off10 = row0 @ (rows(rho, side0, lead) @ r1).reshape(lead + (-1, d))
+        both = block(np.array((rho, rho.conj().swapaxes(-1, -2))))
+        direct, mirrored = both[0], both[1].conj().swapaxes(-1, -2)
+        off01, off10 = (mirrored, direct) if swap else (direct, mirrored)
         out = np.empty(lead + (2 * d, 2 * d), dtype=complex)
         out[..., :d, :d] = w0 * (vec @ r0 @ r1).reshape(lead + (d, d))
         out[..., d:, d:] = w1 * (vec @ r1 @ r0).reshape(lead + (d, d))

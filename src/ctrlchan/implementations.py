@@ -296,7 +296,8 @@ def standard_implementation(
 
     if p is None or alpha is None or beta is None:
         raise ValueError(f"{kind} implementation needs p, alpha and beta")
-    weight = abs(alpha) ** 2 + abs(beta) ** 2
+    # a product, not a float power, so that an overflow reads inf
+    weight = abs(alpha) * abs(alpha) + abs(beta) * abs(beta)
     if weight > 1.0 + DEFAULT_TOL:
         raise ValueError(f"|alpha|^2 + |beta|^2 = {_one_plus(weight)} exceeds 1")
     ch = standard_channel(kind, 2 if d is None else d, p)
