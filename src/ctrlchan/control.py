@@ -289,31 +289,32 @@ def _transfer_matrix(g: np.ndarray) -> np.ndarray:
     return g.transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
 
-def _interference(g_inner, r_inner, outer: np.ndarray, g_outer):
-    """The block X -> sum_ij M_j K_i X M_j^dag K_i^dag for one matrix or a
-    ``(..., d, d)`` stack, with {K_i} the Kraus operators of the channel
-    applied first (Choi tensor g_inner, transfer matrix r_inner) and {M_j},
-    ``outer``, those of the channel applied second (Choi tensor g_outer),
-    which has no more Kraus operators than the first:
+def _choi_order(g_inner: np.ndarray, g_outer: np.ndarray):
+    """The block X -> sum_ij M_j K_i X M_j^dag K_i^dag from the Choi tensors of
+    the channel applied first ({K_i}) and second ({M_j}), for one matrix or a
+    ``(..., d, d)`` stack:
 
         [x, y] = sum_pqrs g_outer[x, p, s, r] X[q, r] g_inner[p, q, y, s]
 
-    Choi order, when M has at least 2d operators: the sum over r, then the
-    one over (p, s, q), each one matrix product of d^5 multiply-adds, so
-    2 d^5 whatever the Kraus counts.  Sandwich order otherwise:
-    sum_j M_j C_inner(X M_j^dag) through the transfer matrix, k_M (d^4 + 2 d^3).
+    The sum over r, then the one over (p, s, q), are one matrix product of
+    d^5 multiply-adds each, whatever the Kraus counts.
     """
-    k, d, _ = outer.shape
-    if k >= 2 * d:
-        rows = g_outer.reshape(d**3, d)
-        cols = g_inner.transpose(0, 3, 1, 2).reshape(d**3, d)
+    d = g_inner.shape[0]
+    rows = g_outer.reshape(d**3, d)
+    cols = g_inner.transpose(0, 3, 1, 2).reshape(d**3, d)
 
-        def block(x):
-            partial = rows @ np.swapaxes(x, -1, -2)
-            return partial.reshape(x.shape[:-2] + (d, d**3)) @ cols
+    def block(x):
+        partial = rows @ np.swapaxes(x, -1, -2)
+        return partial.reshape(x.shape[:-2] + (d, d**3)) @ cols
 
-        return block
+    return block
 
+
+def _sandwich_order(outer: np.ndarray, r_inner: np.ndarray):
+    """The same block as sum_j M_j C_inner(X M_j^dag), with the Kraus operators
+    {M_j} of the channel applied second around the transfer matrix of the
+    one applied first: k (d^4 + 2 d^3) multiply-adds for k operators M_j."""
+    d = outer.shape[1]
     # sum_j M_j X_j = [M_1 ... M_k] [X_1; ...; X_k], and
     # X [M_1^dag ... M_k^dag] holds every X M_j^dag side by side
     row = outer.transpose(1, 0, 2).reshape(d, -1)
@@ -374,17 +375,23 @@ def switch_map(
     w0 = abs(a) ** 2
     w1 = abs(b) ** 2
     cross = a * np.conj(b)
-    g0 = _choi_tensor(ch0)
-    g1 = _choi_tensor(ch1)
-    r0 = _transfer_matrix(g0)
-    r1 = _transfer_matrix(g1)
-    # The channel with fewer Kraus operators goes outside: the block is 01
-    # (ch0 first, then ch1), or 10 when ch0 has fewer.
-    swap = len(ch0.kraus) < len(ch1.kraus)
-    if swap:
-        block = _interference(g1, r1, ch0.kraus, g0)
+    k0, k1 = len(ch0.kraus), len(ch1.kraus)
+    # block gives the block 01 (ch0 first, then ch1), or the block 10 when
+    # the sandwich order puts ch0 outside because it has fewer Kraus operators
+    if min(k0, k1) >= 2 * d:
+        swap = False
+        g0 = _choi_tensor(ch0)
+        g1 = _choi_tensor(ch1)
+        block = _choi_order(g0, g1)
+        r0 = _transfer_matrix(g0)
+        r1 = _transfer_matrix(g1)
     else:
-        block = _interference(g0, r0, ch1.kraus, g1)
+        swap = k0 < k1
+        # no Choi tensor outlives its transfer matrix, as the d^4 temporaries
+        # set the build time at d = 16
+        r0 = _transfer_matrix(_choi_tensor(ch0))
+        r1 = _transfer_matrix(_choi_tensor(ch1))
+        block = _sandwich_order(ch0.kraus, r1) if swap else _sandwich_order(ch1.kraus, r0)
 
     def output(rho) -> np.ndarray:
         rho = _map_input(rho, d)

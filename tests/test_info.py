@@ -395,9 +395,9 @@ class TestSwitchGridSearch:
         # Every (n, m) grid of the holevo-grid-qubit workload, angle step
         # pi / n and probability step 1 / (2m), searched through the held map
         # and through the literal sum over the 16 switch Kraus operators
-        # W_ij = |0><0| (x) L_j K_i + |1><1| (x) K_i L_j.  That sum reads
-        # bitwise the values of the superoperator route the Choi order
-        # replaced; the held map moves them by rounding and moves no point.
+        # W_ij = |0><0| (x) L_j K_i + |1><1| (x) K_i L_j, which shares no
+        # code with switch_map.  The held map, contracted in the Choi order,
+        # must find the same point on every grid, at a value within rounding.
         import ctrlchan.info
 
         depol = standard_channel("depolarising", 2)
