@@ -533,12 +533,9 @@ class TestSwitchContraction:
         # which the sandwich order puts outside
         d = 4
         rng = np.random.default_rng(1300 + 10 * k0 + k1)
-        ch0 = random_channel(d, k0, rng)
-        ch1 = random_channel(d, k1, rng)
-        if k0 < k1:
-            ch0 = _with_faint_operator(random_channel(d, k0 - 1, rng), rng)
-        else:
-            ch1 = _with_faint_operator(random_channel(d, k1 - 1, rng), rng)
+        faint0 = k0 < k1
+        ch0 = _with_faint_operator(random_channel(d, k0 - 1, rng), rng) if faint0 else random_channel(d, k0, rng)
+        ch1 = random_channel(d, k1, rng) if faint0 else _with_faint_operator(random_channel(d, k1 - 1, rng), rng)
         out_map = switch_map(ch0, ch1, PLUS)
         for x in (random_density_matrix(d, rng), _random_block(d, rng)):
             ref = _switch_reference(ch0, ch1, PLUS, x)
