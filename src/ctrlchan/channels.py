@@ -97,20 +97,23 @@ def apply(ch: Channel, rho, *, validate: bool = True) -> np.ndarray:
     """Send a state through the channel: rho -> sum_i K_i rho K_i^dag.
 
     ``rho`` is one matrix ``(d, d)`` or a stack ``(..., d, d)``, mapped
-    matrix by matrix.  The sum is one product of the row [K_1 ... K_k] with
-    the column of the k blocks rho K_i^dag.  With ``validate=False`` the
-    input is used as-is, which extends the map linearly to arbitrary
-    matrices (useful when acting on operator blocks).
+    matrix by matrix in two products.  The first, rho times the side-by-side
+    adjoints [K_1^dag ... K_k^dag] (d x kd), makes every rho K_i^dag at once.
+    Read as a column of kd rows, its result holds row s of rho K_i^dag at row
+    s k + i, so the second product takes it as it is, with the Kraus row
+    ordered to match: entry (x, s k + i) is K_i[x, s].  With
+    ``validate=False`` the input is used as-is, which extends the map
+    linearly to arbitrary matrices (useful when acting on operator blocks).
     """
     rho = np.asarray(rho, dtype=complex)
-    d = ch.dim
+    k, d, _ = ch.kraus.shape
     if rho.ndim < 2 or rho.shape[-2:] != (d, d):
         raise ValueError(f"state of shape {rho.shape} does not match dimension {d}")
     if validate:
         _checked_spectrum(rho)
-    row = ch.kraus.transpose(1, 0, 2).reshape(d, -1)
-    column = rho[..., None, :, :] @ ch.kraus.conj().transpose(0, 2, 1)
-    return row @ column.reshape(rho.shape[:-2] + (-1, d))
+    sides = rho @ ch.kraus.reshape(k * d, d).conj().T
+    row = ch.kraus.transpose(1, 2, 0).reshape(d, d * k)
+    return row @ sides.reshape(rho.shape[:-2] + (d * k, d))
 
 
 def choi_of(ch: Channel) -> np.ndarray:

@@ -205,9 +205,10 @@ def stinespring_oracle(
     For each eigenvector of ``rho``, the joint pure state over
     control x target x env0 x env1 is built directly: the |0> branch applies
     the Kraus operators of the first channel while the second environment
-    stays in its initial state, and vice versa.  Each branch is one array
-    expression over all Kraus operators at once.  Both environments are then
-    traced out and the results mixed with the eigenvalues of ``rho``.
+    stays in its initial state, and vice versa.  Each branch is one product
+    over all Kraus operators at once, written straight into the joint state.
+    Both environments are then traced out and the results mixed with the
+    eigenvalues of ``rho``.
     """
     d = _common_dim(i0, i1)
     rho = validate_density_matrix(rho)
@@ -220,15 +221,17 @@ def stinespring_oracle(
     w, vecs = np.linalg.eigh(rho)
     out = np.zeros((2 * d, 2 * d), dtype=complex)
     # amp[c, x, m, n]: control c, target x, env0 slot m, env1 slot n; the
-    # slots a branch never writes stay zero for every eigenvector
+    # slots a branch never writes stay zero for every eigenvector, and each
+    # branch is multiplied into its slots in place, with no joint-sized
+    # temporary per eigenvector
     amp = np.zeros((2, d, e0.size, e1.size), dtype=complex)
     for lam, psi in zip(w, vecs.T):
         if lam < ORACLE_SKIP:
             continue
         # |0> branch: K_i psi with env0 in slot i + 1 and env1 untouched
-        amp[0, :, 1:, :] = control.a * (kraus0 @ psi).T[:, :, None] * e1
+        np.multiply(control.a * (kraus0 @ psi).T[:, :, None], e1, out=amp[0, :, 1:, :])
         # |1> branch: L_j psi with env1 in slot j + 1 and env0 untouched
-        amp[1, :, :, 1:] = control.b * (kraus1 @ psi).T[:, None, :] * e0[:, None]
+        np.multiply(control.b * (kraus1 @ psi).T[:, None, :], e0[:, None], out=amp[1, :, :, 1:])
         joint = amp.reshape(2 * d, -1)
         out += lam * (joint @ joint.conj().T)
     return ControlledOutput(out)

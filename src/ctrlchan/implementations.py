@@ -86,7 +86,8 @@ class ChannelImplementation:
     def t(self) -> np.ndarray:
         """Transformation matrix T = sum_i <env|i> K_i, computed on first use
         and kept read-only; note <env|i> is the conjugate of env[i]."""
-        t = np.tensordot(self.env.conj(), self.channel.kraus, 1)
+        k, d, _ = self.channel.kraus.shape
+        t = (self.env.conj() @ self.channel.kraus.reshape(k, d * d)).reshape(d, d)
         t.setflags(write=False)
         return t
 

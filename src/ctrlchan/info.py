@@ -113,7 +113,7 @@ def holevo_lower_bound(output_map: Callable[[np.ndarray], np.ndarray], ensemble:
     """
     probs = np.array([p for p, _ in ensemble.items])
     outputs = output_map(np.stack([rho for _, rho in ensemble.items]))
-    average = np.tensordot(probs, outputs, 1)
+    average = (probs @ outputs.reshape(probs.size, -1)).reshape(outputs.shape[1:])
     used = probs > 0.0
     # one entropy call: the outputs of positive weight, then the average
     entropies = entropy(np.concatenate((outputs[used], average[None])))

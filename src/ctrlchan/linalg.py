@@ -156,13 +156,14 @@ def pseudoinverse(m, rank_tol: float = PINV_RANK_TOL, tol: float = DEFAULT_TOL) 
 
 
 def trace_norm(m) -> float:
-    """Sum of singular values."""
-    return float(np.linalg.norm(as_matrix(m), "nuc"))
+    """Sum of singular values, bitwise ``np.linalg.norm(m, "nuc")`` without
+    its axis handling around the same SVD."""
+    return float(np.linalg.svd(as_matrix(m), compute_uv=False).sum())
 
 
 def spectral_norm(m) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(as_matrix(m), 2))
+    """Largest singular value, bitwise ``np.linalg.norm(m, 2)``."""
+    return float(np.linalg.svd(as_matrix(m), compute_uv=False)[0])
 
 
 def hs_norm(m) -> float:

@@ -139,10 +139,11 @@ class TestApply:
         with pytest.raises(ValueError, match="dimension"):
             apply(standard_channel("identity", 2), np.eye(3) / 3)
 
-    def test_stack_matches_literal_sum(self):
+    @pytest.mark.parametrize("d, k", [(3, 4), (8, 1), (8, 8), (8, 64), (8, 65)])
+    def test_stack_matches_literal_sum(self, d, k):
         rng = np.random.default_rng(2)
-        ch = random_channel(3, 4, rng)
-        blocks = rng.standard_normal((2, 3, 3, 3)) + 1j * rng.standard_normal((2, 3, 3, 3))
+        ch = random_channel(d, k, rng)
+        blocks = rng.standard_normal((2, 3, d, d)) + 1j * rng.standard_normal((2, 3, d, d))
         got = apply(ch, blocks, validate=False)
         assert got.shape == blocks.shape
         for idx in np.ndindex(blocks.shape[:-2]):

@@ -243,6 +243,21 @@ class TestStinespringOracle:
         oracle = stinespring_oracle(i0, i1, PLUS, rho)
         assert np.max(np.abs(closed.matrix - oracle.matrix)) <= 1e-10
 
+    @pytest.mark.parametrize("k0, k1", [(1, 64), (64, 1), (64, 64)])
+    def test_matches_closed_form_d8(self, k0, k1):
+        # a full-rank input, so no eigenvector is skipped: the branches are
+        # written into the same joint state 8 times, with unequal Kraus counts
+        rng = np.random.default_rng(300 + k0 + k1)
+        i0 = random_implementation(8, k0, rng)
+        i1 = random_implementation(8, k1, rng)
+        amps = random_pure_state(2, rng)
+        c = ControlState(amps[0], amps[1])
+        rho = random_density_matrix(8, rng)
+        assert np.linalg.eigvalsh(rho)[0] > 1e-6
+        closed = controlled_output(i0, i1, c, rho)
+        oracle = stinespring_oracle(i0, i1, c, rho)
+        assert np.max(np.abs(closed.matrix - oracle.matrix)) <= 1e-10
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_matches_per_kraus_loop(self, d):
         rng = np.random.default_rng(200 + d)

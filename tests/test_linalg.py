@@ -204,6 +204,16 @@ class TestNorms:
             assert abs(spectral_norm(m) - s[0]) < 1e-10
             assert abs(hs_norm(m) - np.sqrt((s ** 2).sum())) < 1e-10
 
+    @pytest.mark.parametrize("rows", [1, 2, 5, 8, 16])
+    @pytest.mark.parametrize("cols", [1, 3, 8, 16])
+    def test_bitwise_equal_to_numpy_norm(self, rows, cols):
+        # square, wide and tall: the values are those of np.linalg.norm exactly
+        rng = np.random.default_rng(100 * rows + cols)
+        for _ in range(5):
+            m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+            assert trace_norm(m) == np.linalg.norm(m, "nuc")
+            assert spectral_norm(m) == np.linalg.norm(m, 2)
+
     def test_unitary_invariance(self):
         rng = np.random.default_rng(19)
         for _ in range(10):
