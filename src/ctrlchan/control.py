@@ -221,9 +221,8 @@ def stinespring_oracle(
     w, vecs = np.linalg.eigh(rho)
     out = np.zeros((2 * d, 2 * d), dtype=complex)
     # amp[c, x, m, n]: control c, target x, env0 slot m, env1 slot n; the
-    # slots a branch never writes stay zero for every eigenvector, and each
-    # branch is multiplied into its slots in place, with no joint-sized
-    # temporary per eigenvector
+    # slots a branch never writes stay zero for every eigenvector; a branch
+    # is multiplied into its slots, with no joint-sized temporary
     amp = np.zeros((2, d, e0.size, e1.size), dtype=complex)
     for lam, psi in zip(w, vecs.T):
         if lam < ORACLE_SKIP:
