@@ -41,7 +41,7 @@ from .implementations import ChannelImplementation, transformation_matrix
 from .linalg import (
     DEFAULT_TOL,
     ORACLE_SKIP,
-    _checked_spectrum,
+    _check_density,
     _finite,
     _one_plus,
     as_matrix,
@@ -82,7 +82,13 @@ class ControlState:
 
 @dataclass(frozen=True, eq=False)
 class ControlledOutput:
-    """Joint control-target density matrix with named d x d block views."""
+    """Joint control-target density matrix with named d x d block views.
+
+    The matrix is checked once, on construction, as a density matrix: one
+    shifted Cholesky decides positivity, and only a matrix it fails on pays
+    for a spectrum, which refuses it or accepts it as the spectrum check
+    would (:func:`ctrlchan.linalg._check_density`).
+    """
 
     matrix: np.ndarray
 
@@ -90,7 +96,7 @@ class ControlledOutput:
         m = as_matrix(self.matrix)
         if m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
             raise ValueError(f"joint output must be square with even side, got {m.shape}")
-        _checked_spectrum(m)
+        _check_density(m)
         object.__setattr__(self, "matrix", readonly(m))
 
     @property

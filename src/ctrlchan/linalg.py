@@ -16,6 +16,10 @@ import numpy as np
 # states each reproduction case's own.
 #
 # Matrix comparisons: states, sum K^dag K = 1, isometries, normalisations.
+# A state check shifts rho by DEFAULT_TOL / 2 before its Cholesky: the shift
+# must stay below DEFAULT_TOL, so that success proves lambda_min > -DEFAULT_TOL,
+# and far above the rounding of the factorization (a few n * eps), so that a
+# singular state, such as a pure one, factors without a spectrum.
 DEFAULT_TOL = 1e-9
 # Rounding in t alone moves the least-squares coefficients by about
 # eps * kappa(V) relative, so the quadratic form of a T with ||env|| = 1 reads
@@ -194,20 +198,55 @@ def _one_plus(x) -> str:
 
 
 def validate_density_matrix(rho) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; return the coerced array."""
+    """Check Hermiticity, unit trace and positivity; return the coerced array.
+
+    The verdict and every message are those of :func:`_checked_spectrum`, but
+    positivity is decided by one shifted Cholesky (:func:`_check_density`),
+    so a valid state costs no eigendecomposition.
+    """
     rho = as_matrix(rho)
-    _checked_spectrum(rho)
+    _check_density(rho)
     return rho
+
+
+def _check_density(rho) -> None:
+    """Refuse one matrix that is not a density matrix, as
+    :func:`_checked_spectrum` would, without its spectrum when it is one.
+
+    A Cholesky factor of ``rho + (DEFAULT_TOL / 2) 1`` exists only if no
+    eigenvalue lies at or below ``-DEFAULT_TOL / 2``, up to rounding far
+    below ``DEFAULT_TOL / 2``, so success accepts what the spectrum would.
+    Only when it fails is the spectrum taken, to refuse with its lowest
+    eigenvalue or to accept one in ``[-DEFAULT_TOL, -DEFAULT_TOL / 2]``.
+    The Cholesky reads the lower triangle, as ``eigvalsh`` does, so both
+    judge the same matrix.
+    """
+    rho = _density_rules(rho)
+    try:
+        np.linalg.cholesky(rho + (DEFAULT_TOL / 2) * np.eye(rho.shape[-1]))
+    except np.linalg.LinAlgError:
+        _refuse_negative(np.linalg.eigvalsh(rho))
 
 
 def _checked_spectrum(rho) -> np.ndarray:
     """Ascending eigenvalues of a density matrix or of each matrix in a stack
     ``(..., n, n)``, from one ``eigvalsh`` over the whole input.
 
-    Every matrix is checked first to be square, Hermitian and of unit trace
-    within ``DEFAULT_TOL``, and then to have no eigenvalue below
-    ``-DEFAULT_TOL``; an error quotes the value of the first matrix that
-    fails.  Each check is one reduction over the whole stack, so a single
+    Every matrix is checked first by :func:`_density_rules` and then by
+    :func:`_refuse_negative`.  This is the reference check: the one-matrix
+    :func:`_check_density` gives its verdicts and messages.
+    """
+    rho = _density_rules(rho)
+    w = np.linalg.eigvalsh(rho)
+    _refuse_negative(w)
+    return w
+
+
+def _density_rules(rho) -> np.ndarray:
+    """Refuse a matrix, or a stack ``(..., n, n)`` holding one, that is not
+    square, Hermitian and of unit trace within ``DEFAULT_TOL``; return the
+    input as a complex array.  An error quotes the value of the first matrix
+    that fails.  Each rule is one reduction over the whole stack, so a single
     matrix costs no more than a matrix-only check would.
     """
     rho = np.asarray(rho, dtype=complex)
@@ -227,9 +266,13 @@ def _checked_spectrum(rho) -> np.ndarray:
     if dev.max(initial=0.0) > DEFAULT_TOL:
         bad = np.extract(dev > DEFAULT_TOL, tr)[0]
         raise ValueError(f"density matrix has trace {_one_plus(bad)}, expected 1")
-    w = np.linalg.eigvalsh(rho)
+    return rho
+
+
+def _refuse_negative(w: np.ndarray) -> None:
+    """Refuse ascending spectra ``(..., n)`` whose lowest eigenvalue lies
+    below ``-DEFAULT_TOL``, quoting the first such value."""
     w0 = w[..., 0]
     if w0.min(initial=0.0) < -DEFAULT_TOL:
         low = np.extract(w0 < -DEFAULT_TOL, w0)[0]
         raise ValueError(f"density matrix has a negative eigenvalue {low:.3e}")
-    return w

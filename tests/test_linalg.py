@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctrlchan.control import ControlledOutput
 from ctrlchan.linalg import (
+    DEFAULT_TOL,
     SIGMA_X,
     SIGMA_Y,
+    _checked_spectrum,
     choi_vec,
     dagger,
     hs_norm,
@@ -270,6 +273,123 @@ class TestValidateDensityMatrix:
     def test_is_hermitian_predicate(self):
         assert is_hermitian(SIGMA_Y)
         assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def rotated_spectrum(w, rng):
+    """A density-matrix candidate with spectrum ``w`` in a Haar-random basis."""
+    u = random_unitary(len(w), rng)
+    return (u * np.asarray(w)) @ u.conj().T
+
+
+def lowest_at(f, n, rng):
+    """Side-n matrix of unit trace whose lowest eigenvalue is -f DEFAULT_TOL."""
+    low = -f * DEFAULT_TOL
+    rest = rng.uniform(0.5, 1.5, n - 1)
+    return rotated_spectrum(np.concatenate([[low], rest * (1.0 - low) / rest.sum()]), rng)
+
+
+def reference_error(m):
+    """The message ``_checked_spectrum`` refuses ``m`` with, or None."""
+    try:
+        _checked_spectrum(m)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def verdict(check, m):
+    try:
+        check(m)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+ONE_MATRIX_CHECKS = {"validate_density_matrix": validate_density_matrix, "ControlledOutput": ControlledOutput}
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+class TestShiftedCholeskyCheck:
+    """One-matrix state checks decide positivity by a Cholesky of rho shifted
+    by DEFAULT_TOL / 2, and take a spectrum only when that fails."""
+
+    @pytest.mark.parametrize("check", ONE_MATRIX_CHECKS.values(), ids=ONE_MATRIX_CHECKS)
+    @pytest.mark.parametrize("n", [2, 8, 16, 32])
+    def test_no_spectrum_for_a_valid_state(self, eigvalsh_calls, check, n):
+        rng = np.random.default_rng(n)
+        states = {
+            "maximally mixed": np.eye(n) / n,
+            "rank 1": projector(rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+            "full rank": random_density_matrix(n, rng),
+        }
+        states["rank 1"] /= np.trace(states["rank 1"])
+        for name, rho in states.items():
+            check(rho)
+            assert eigvalsh_calls == [], name
+
+    @pytest.mark.parametrize("check", ONE_MATRIX_CHECKS.values(), ids=ONE_MATRIX_CHECKS)
+    @pytest.mark.parametrize("n", [2, 8, 16, 32])
+    def test_one_spectrum_for_a_refused_state(self, eigvalsh_calls, check, n):
+        rng = np.random.default_rng(n)
+        rho = rotated_spectrum(np.concatenate([[1.5, -0.5], np.zeros(n - 2)]), rng)
+        with pytest.raises(ValueError, match=r"negative eigenvalue -5\.000e-01"):
+            check(rho)
+        assert eigvalsh_calls == [(n, n)]
+
+    @pytest.mark.parametrize("check", ONE_MATRIX_CHECKS.values(), ids=ONE_MATRIX_CHECKS)
+    @pytest.mark.parametrize("d", [2, 8, 16])
+    @pytest.mark.parametrize("f", [0.0, 0.5, 0.99, 1.01, 2.0])
+    def test_lowest_eigenvalue_verdict_matches_the_spectrum(self, check, d, f):
+        # 1 % of DEFAULT_TOL from the boundary is far above the rounding of
+        # either factorization at these sides.
+        rng = np.random.default_rng(int(100 * f) + d)
+        n = 2 * d if check is ControlledOutput else d
+        rho = lowest_at(f, n, rng)
+        expected = reference_error(rho)
+        if f < 1.0:
+            assert expected is None
+        else:
+            assert expected.startswith("density matrix has a negative eigenvalue -")
+        assert verdict(check, rho) == expected
+
+    @pytest.mark.parametrize("check", ONE_MATRIX_CHECKS.values(), ids=ONE_MATRIX_CHECKS)
+    @pytest.mark.parametrize("d", [2, 8, 16])
+    def test_refusals_match_the_spectrum(self, check, d):
+        n = 2 * d if check is ControlledOutput else d
+        mixed = np.eye(n, dtype=complex) / n
+        nan, inf, skew = mixed.copy(), mixed.copy(), mixed.copy()
+        nan[0, 1] = np.nan
+        inf[n - 1, n - 1] = np.inf
+        skew[1, 0] += 0.1
+        bad = {
+            "empty": (np.zeros((0, 0)), "trace 1 - 1.000e+00"),
+            "nan": (nan, "non-finite entry (nan+0j) at index (0, 1)"),
+            "inf": (inf, f"non-finite entry (inf+0j) at index ({n - 1}, {n - 1})"),
+            "non-hermitian": (skew, "not Hermitian"),
+            "trace": (mixed * (1.0 + 2e-9), "trace 1 + 2.000e-09"),
+        }
+        for name, (m, text) in bad.items():
+            expected = reference_error(m)
+            assert text in expected, name
+            assert verdict(check, m) == expected, name
+        non_square = np.zeros((n, n + 1))
+        expected = reference_error(non_square)
+        assert expected.startswith("density matrix must be square")
+        if check is ControlledOutput:
+            expected = f"joint output must be square with even side, got {(n, n + 1)}"
+        assert verdict(check, non_square) == expected
 
 
 class TestToleranceTable:
