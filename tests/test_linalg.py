@@ -288,16 +288,8 @@ def lowest_at(f, n, rng):
     return rotated_spectrum(np.concatenate([[low], rest * (1.0 - low) / rest.sum()]), rng)
 
 
-def reference_error(m):
-    """The message ``_checked_spectrum`` refuses ``m`` with, or None."""
-    try:
-        _checked_spectrum(m)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
 def verdict(check, m):
+    """The message ``check`` refuses ``m`` with, or None."""
     try:
         check(m)
     except ValueError as exc:
@@ -357,11 +349,11 @@ class TestShiftedCholeskyCheck:
         rng = np.random.default_rng(int(100 * f) + d)
         n = 2 * d if check is ControlledOutput else d
         rho = lowest_at(f, n, rng)
-        expected = reference_error(rho)
+        expected = verdict(_checked_spectrum, rho)
         if f < 1.0:
             assert expected is None
         else:
-            assert expected.startswith("density matrix has a negative eigenvalue -")
+            assert expected == f"density matrix has a negative eigenvalue {-f * DEFAULT_TOL:.3e}"
         assert verdict(check, rho) == expected
 
     @pytest.mark.parametrize("check", ONE_MATRIX_CHECKS.values(), ids=ONE_MATRIX_CHECKS)
@@ -381,11 +373,11 @@ class TestShiftedCholeskyCheck:
             "trace": (mixed * (1.0 + 2e-9), "trace 1 + 2.000e-09"),
         }
         for name, (m, text) in bad.items():
-            expected = reference_error(m)
+            expected = verdict(_checked_spectrum, m)
             assert text in expected, name
             assert verdict(check, m) == expected, name
         non_square = np.zeros((n, n + 1))
-        expected = reference_error(non_square)
+        expected = verdict(_checked_spectrum, non_square)
         assert expected.startswith("density matrix must be square")
         if check is ControlledOutput:
             expected = f"joint output must be square with even side, got {(n, n + 1)}"
