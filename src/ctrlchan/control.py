@@ -18,11 +18,13 @@ matrix and wraps the output:
 * :func:`switch_output` applies the two channels in an order entangled with
   the control.  Its output depends only on the CPTP maps; remixing the Kraus
   lists leaves it invariant.  So :func:`switch_map` reads each channel through
-  its Choi tensor, made once per map, and contracts each interference block
+  its Choi tensor, made once per map, and contracts the interference blocks
   in the cheaper of two orders, chosen once per map from (d, k0, k1): the two
-  Choi tensors with the input, 2 d^5 multiply-adds per input matrix, when
+  Choi tensors with the input, 2 d^5 multiply-adds per contraction, when
   min(k0, k1) >= 2d, and otherwise the channel with fewer Kraus operators
-  around the other's transfer matrix, min(k0, k1) (d^4 + 2 d^3).
+  around the other's transfer matrix, min(k0, k1) (d^4 + 2 d^3).  An input
+  that equals its adjoint exactly, as a density matrix does, takes one
+  contraction for both interference blocks; any other input takes two.
 
 :func:`stinespring_oracle` recomputes the controlled output by brute force,
 evolving an explicit control x target x environments pure state and tracing
@@ -359,15 +361,21 @@ def switch_map(
         sum_ij K_i L_j rho K_i^dag L_j^dag
             = (sum_ij L_j K_i rho^dag L_j^dag K_i^dag)^dag,
 
-    so one contraction, of rho and rho^dag together, gives both.
+    so one contraction, of rho and rho^dag together, gives both, and when
+    rho equals rho^dag bit for bit, as a density matrix does, the contraction
+    of rho alone does.
 
     Cost per input matrix, in multiply-adds, with k_min = min(k0, k1); the
     contraction order is chosen once per map from (d, k0, k1):
 
     * Choi order, when k_min >= 2d: the two Choi tensors contracted with rho
-      in two matrix products, 2 d^5 per interference block;
+      in two matrix products, 2 d^5 per block contraction;
     * sandwich order, otherwise: the channel with fewer Kraus operators
-      around the other's transfer matrix, k_min (d^4 + 2 d^3) per block.
+      around the other's transfer matrix, k_min (d^4 + 2 d^3) per block
+      contraction.
+
+    An exactly Hermitian input, or a stack of them, costs one block
+    contraction per matrix; any other input costs two.
 
     Either is at most the (k0 + k1)(d^4 + 2 d^3) of a sandwich around each
     channel in turn, and the crossover 2d sits a little above the flop
@@ -405,8 +413,14 @@ def switch_map(
         rho = _map_input(rho, d)
         lead = rho.shape[:-2]
         vec = rho.reshape(lead + (d * d,))
-        both = block(np.array((rho, rho.conj().swapaxes(-1, -2))))
-        direct, mirrored = both[0], both[1].conj().swapaxes(-1, -2)
+        adjoint = rho.conj().swapaxes(-1, -2)
+        if np.array_equal(rho, adjoint):
+            # block(rho^dag) would repeat block(rho) on the same numbers
+            direct = block(rho)
+            mirrored = direct.conj().swapaxes(-1, -2)
+        else:
+            both = block(np.array((rho, adjoint)))
+            direct, mirrored = both[0], both[1].conj().swapaxes(-1, -2)
         off01, off10 = (mirrored, direct) if swap else (direct, mirrored)
         out = np.empty(lead + (2 * d, 2 * d), dtype=complex)
         out[..., :d, :d] = w0 * (vec @ r0 @ r1).reshape(lead + (d, d))

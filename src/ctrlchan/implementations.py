@@ -173,9 +173,12 @@ def _solve(ch: Channel, t, range_tol: float, bound_tol: float):
         )
     v = _kraus_matrix(ch)
     tvec = t.reshape(-1)
-    tnorm = float(np.linalg.norm(tvec))
+    # a finite t whose norm overflows is refused by name, as a non-finite one is
+    with np.errstate(over="ignore"):
+        tnorm = float(np.linalg.norm(tvec))
     if not np.isfinite(tnorm):
         _finite(t, "t")
+        raise ValueError("t has a norm that overflows, though every entry is finite")
     if tnorm == 0.0:
         return AdmissibilityReport(True, 0.0, 0.0), np.zeros(v.shape[1], dtype=complex)
     basis_dag, m = _factor(ch)

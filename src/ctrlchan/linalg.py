@@ -10,6 +10,8 @@ fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 # Every tolerance of the package, each named once with its reason; cases.py
@@ -219,12 +221,16 @@ def _check_density(rho) -> None:
     Only when it fails is the spectrum taken, to refuse with its lowest
     eigenvalue or to accept one in ``[-DEFAULT_TOL, -DEFAULT_TOL / 2]``.
     The Cholesky reads the lower triangle, as ``eigvalsh`` does, so both
-    judge the same matrix.
+    judge the same matrix.  Entries that overflow when squared give a NaN
+    pivot without a failure, and a NaN pivot makes every later one NaN, so
+    a factor counts as success only with a finite last pivot.
     """
     rho = _density_rules(rho)
     try:
-        np.linalg.cholesky(rho + (DEFAULT_TOL / 2) * np.eye(rho.shape[-1]))
+        factor = np.linalg.cholesky(rho + (DEFAULT_TOL / 2) * np.eye(rho.shape[-1]))
     except np.linalg.LinAlgError:
+        factor = None
+    if factor is None or not cmath.isfinite(factor[-1, -1]):
         _refuse_negative(np.linalg.eigvalsh(rho))
 
 
@@ -256,12 +262,13 @@ def _density_rules(rho) -> np.ndarray:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     # A NaN or infinite entry makes the Hermitian deviation NaN or inf (inf - inf
     # on a mirrored pair, quietly); only then is the input scanned, to name it.
+    # A finite matrix whose trace overflows reads trace 1 + inf, quietly too.
     with np.errstate(invalid="ignore", over="ignore"):
         herm = np.abs(rho - rho.swapaxes(-2, -1).conj()).max(initial=0.0)
+        tr = np.trace(rho, axis1=-2, axis2=-1)
     if not herm <= DEFAULT_TOL:
         _finite(rho, "density matrix")
         raise ValueError("density matrix is not Hermitian within tolerance")
-    tr = np.trace(rho, axis1=-2, axis2=-1)
     dev = abs(tr - 1.0)
     if dev.max(initial=0.0) > DEFAULT_TOL:
         bad = np.extract(dev > DEFAULT_TOL, tr)[0]

@@ -151,6 +151,28 @@ class TestSimulate:
         off = np.array([[complex(re, im) for re, im in row] for row in doc["blocks"]["offdiag01"]])
         assert np.max(np.abs(off)) == 0.0
 
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            ([[0.5, 1e200 * (1 + 1j)], [1e200 * (1 - 1j), 0.5]], "negative eigenvalue -1.414e+200"),
+            ([[1e308, 0.0], [0.0, 1e308]], "trace 1 + inf"),
+        ],
+        ids=["squares-overflow", "trace-overflows"],
+    )
+    def test_switch_refuses_an_input_that_overflows(self, files, tmp_path, capsys, rho, message):
+        state = tmp_path / "rho_huge.json"
+        state.write_text(json.dumps(state_to_json(np.array(rho, dtype=complex))))
+        code = main([
+            "simulate", "--mode", "switch",
+            "--channel0", files["depol.json"], "--channel1", files["depol.json"],
+            "--input", str(state),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: density matrix has ")
+        assert message in captured.err
+
     def test_malformed_file_reports_error(self, files, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -221,6 +243,15 @@ class TestValidateT:
         doc = json.loads(captured.out)
         assert doc["admissible"] is True
         assert doc["env"] is None and doc["roundtrip_error"] is None
+
+    def test_t_whose_norm_overflows_exits_with_one_error_line(self, files, tmp_path, capsys):
+        t = tmp_path / "t_huge.json"
+        t.write_text(json.dumps(tmatrix_to_json(np.array([[1e200, 0.0], [0.0, 0.0]]))))
+        code = main(["validate-t", "--channel", files["depol.json"], "--t", str(t), "--realize"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: t has a norm that overflows, though every entry is finite\n"
 
     @pytest.mark.parametrize("fmt", ["json", "pretty"])
     def test_realize_beyond_the_dilation_cap_reports_then_fails(self, tmp_path, capsys, fmt):

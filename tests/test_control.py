@@ -533,14 +533,63 @@ class TestSwitchContraction:
         out_map = switch_map(
             random_channel(d, k0, rng), random_channel(d, k1, rng), ControlState(amp[0], amp[1])
         )
-        stack = np.array(
+        mixed = np.array(
             [[random_density_matrix(d, rng), _random_block(d, rng), _random_block(d, rng)]
              for _ in range(2)]
         )
-        got = out_map(stack)
-        assert got.shape == (2, 3, 2 * d, 2 * d)
-        for idx in np.ndindex(2, 3):
-            assert np.max(np.abs(got[idx] - out_map(stack[idx]))) <= 1e-13
+        states = np.array([[random_density_matrix(d, rng) for _ in range(3)] for _ in range(2)])
+        for stack in (mixed, states):
+            got = out_map(stack)
+            assert got.shape == (2, 3, 2 * d, 2 * d)
+            for idx in np.ndindex(2, 3):
+                assert np.max(np.abs(got[idx] - out_map(stack[idx]))) <= 1e-13
+
+    @pytest.fixture
+    def contractions(self, monkeypatch):
+        """Shapes of the arguments the switch map's block closure receives."""
+        import ctrlchan.control as control
+
+        shapes = []
+
+        def recording(order):
+            def make(*args):
+                block = order(*args)
+
+                def counted(x):
+                    shapes.append(np.shape(x))
+                    return block(x)
+
+                return counted
+
+            return make
+
+        for name in ("_choi_order", "_sandwich_order"):
+            monkeypatch.setattr(control, name, recording(getattr(control, name)))
+        return shapes
+
+    @pytest.mark.parametrize("k0, k1", [(8, 16), (3, 16), (16, 3)], ids=["choi", "sandwich-swap", "sandwich"])
+    def test_exactly_hermitian_input_is_contracted_once(self, contractions, k0, k1):
+        d = 4
+        rng = np.random.default_rng(1250 + 10 * k0 + k1)
+        ch0, ch1 = random_channel(d, k0, rng), random_channel(d, k1, rng)
+        out_map = switch_map(ch0, ch1, PLUS)
+        state = random_density_matrix(d, rng)
+        states = np.array([random_density_matrix(d, rng) for _ in range(3)])
+        block = _random_block(d, rng)
+        mixed = np.array([state, block, state])
+        cases = [
+            (state, (d, d)),
+            (states, (3, d, d)),
+            (block, (2, d, d)),
+            (mixed, (2, 3, d, d)),
+        ]
+        for x, shape in cases:
+            contractions.clear()
+            got = out_map(x)
+            assert contractions == [shape]
+            for idx in np.ndindex(x.shape[:-2]):
+                ref = _switch_reference(ch0, ch1, PLUS, x[idx])
+                assert np.max(np.abs(got[idx] - ref)) <= 1e-12
 
     @pytest.mark.parametrize("k0, k1", [(2, 16), (16, 2), (9, 16), (16, 9)])
     def test_faint_kraus_operator(self, k0, k1):

@@ -160,6 +160,15 @@ class TestAdmissible:
         with pytest.raises(ValueError, match=r"^t has a non-finite entry"):
             realize(ch, t)
 
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e308])
+    def test_finite_t_whose_norm_overflows_rejected(self, scale):
+        # every entry is finite; the sum of squares in the norm overflows
+        ch = standard_channel("depolarising", 2)
+        t = np.array([[scale, 0.0], [0.0, 0.0]])
+        for solve in (admissible, realize):
+            with pytest.raises(ValueError, match=r"^t has a norm that overflows"):
+                solve(ch, t)
+
 
 class TestRealize:
     def test_identity_half(self):

@@ -297,6 +297,22 @@ def verdict(check, m):
     return None
 
 
+def overflowing_coherence(n):
+    """Side-n matrix of unit trace with eigenvalues 1/n -+ 1.414e200, whose
+    coherence overflows when squared: a Cholesky leaves a NaN pivot."""
+    m = np.eye(n, dtype=complex) / n
+    m[0, 1] = 1e200 * (1 + 1j)
+    m[1, 0] = 1e200 * (1 - 1j)
+    return m
+
+
+def overflowing_trace(n):
+    """Side-n finite Hermitian matrix whose trace overflows."""
+    m = np.eye(n, dtype=complex) / n
+    m[0, 0] = m[1, 1] = 1e308
+    return m
+
+
 ONE_MATRIX_CHECKS = {"validate_density_matrix": validate_density_matrix, "ControlledOutput": ControlledOutput}
 
 
@@ -371,6 +387,8 @@ class TestShiftedCholeskyCheck:
             "inf": (inf, f"non-finite entry (inf+0j) at index ({n - 1}, {n - 1})"),
             "non-hermitian": (skew, "not Hermitian"),
             "trace": (mixed * (1.0 + 2e-9), "trace 1 + 2.000e-09"),
+            "squares overflow": (overflowing_coherence(n), "negative eigenvalue -1.414e+200"),
+            "trace overflows": (overflowing_trace(n), "trace 1 + inf"),
         }
         for name, (m, text) in bad.items():
             expected = verdict(_checked_spectrum, m)
@@ -382,6 +400,16 @@ class TestShiftedCholeskyCheck:
         if check is ControlledOutput:
             expected = f"joint output must be square with even side, got {(n, n + 1)}"
         assert verdict(check, non_square) == expected
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_overflow_in_a_stack_refused_by_name(self, d):
+        mixed = np.eye(d, dtype=complex) / d
+        for m, text in (
+            (overflowing_coherence(d), r"negative eigenvalue -1\.414e\+200"),
+            (overflowing_trace(d), r"trace 1 \+ inf"),
+        ):
+            with pytest.raises(ValueError, match=text):
+                _checked_spectrum(np.array([mixed, m, mixed]))
 
 
 class TestToleranceTable:
