@@ -86,10 +86,11 @@ class ControlState:
 class ControlledOutput:
     """Joint control-target density matrix with named d x d block views.
 
-    The matrix is checked once, on construction, as a density matrix: one
-    shifted Cholesky decides positivity, and only a matrix it fails on pays
-    for a spectrum, which refuses it or accepts it as the spectrum check
-    would (:func:`ctrlchan.linalg._check_density`).
+    The matrix is checked once, on construction, as a density matrix
+    (:func:`ctrlchan.linalg._check_density`): a valid one is accepted by its
+    Hermitian deviation, its trace and one shifted Cholesky, without the
+    stack rules, and only a matrix the Cholesky fails on pays for a
+    spectrum, which refuses it or accepts it as the spectrum check would.
     """
 
     matrix: np.ndarray
@@ -161,23 +162,37 @@ def controlled_map(
     d = _common_dim(i0, i1)
     t0 = transformation_matrix(i0)
     t1 = transformation_matrix(i1)
-    t1_dag = dagger(t1)
-    t0_dag = dagger(t0)
-    a, b = control.a, control.b
-    w0 = abs(a) ** 2
-    w1 = abs(b) ** 2
-    cross = a * np.conj(b)
+    w0, w1, cross = _weights(control)
 
     def output(rho) -> np.ndarray:
         rho = _map_input(rho, d)
-        out = np.empty(rho.shape[:-2] + (2 * d, 2 * d), dtype=complex)
-        out[..., :d, :d] = w0 * apply(i0.channel, rho, validate=False)
-        out[..., :d, d:] = cross * (t0 @ rho @ t1_dag)
-        out[..., d:, :d] = np.conj(cross) * (t1 @ rho @ t0_dag)
-        out[..., d:, d:] = w1 * apply(i1.channel, rho, validate=False)
-        return out
+        return _joint(_diagonal(i0, w0, rho), _diagonal(i1, w1, rho), cross, t0, t1, rho)
 
     return output
+
+
+def _weights(control: ControlState) -> tuple[float, float, complex]:
+    """The weights |a|^2 and |b|^2 of the diagonal blocks and the factor a b*
+    of the block 01."""
+    a, b = control.a, control.b
+    return abs(a) ** 2, abs(b) ** 2, a * np.conj(b)
+
+
+def _diagonal(impl: ChannelImplementation, weight: float, rho: np.ndarray) -> np.ndarray:
+    """The diagonal block weight * C(rho) of one arm, for one matrix or a stack."""
+    return weight * apply(impl.channel, rho, validate=False)
+
+
+def _joint(diag0, diag1, cross: complex, t0, t1, rho: np.ndarray) -> np.ndarray:
+    """Joint outputs with the given diagonal blocks and the interference blocks
+    cross T0 rho T1^dag and cross* T1 rho T0^dag, for one matrix or a stack."""
+    d = rho.shape[-1]
+    out = np.empty(rho.shape[:-2] + (2 * d, 2 * d), dtype=complex)
+    out[..., :d, :d] = diag0
+    out[..., :d, d:] = cross * (t0 @ rho @ dagger(t1))
+    out[..., d:, :d] = np.conj(cross) * (t1 @ rho @ dagger(t0))
+    out[..., d:, d:] = diag1
+    return out
 
 
 def controlled_output(
@@ -260,8 +275,8 @@ def classical_map(
     def output(rho) -> np.ndarray:
         rho = _map_input(rho, d)
         out = np.zeros(rho.shape[:-2] + (2 * d, 2 * d), dtype=complex)
-        out[..., :d, :d] = w0 * apply(i0.channel, rho, validate=False)
-        out[..., d:, d:] = w1 * apply(i1.channel, rho, validate=False)
+        out[..., :d, :d] = _diagonal(i0, w0, rho)
+        out[..., d:, d:] = _diagonal(i1, w1, rho)
         return out
 
     return output

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import choi_of
-from .control import ControlledOutput, ControlState, controlled_map
+from .control import ControlledOutput, ControlState, _diagonal, _joint, _map_input, _weights
 from .implementations import ChannelImplementation, transformation_matrix
 from .linalg import (
     AGREE_TOL,
@@ -70,14 +70,29 @@ def output_distance(inst: DiscriminationInstance, control: ControlState, rho) ->
     candidate transformation matrices.  The two routes must agree within
     ``AGREE_TOL``; the direct value is returned.  ``rho`` is validated once,
     and each joint output is checked as a :class:`ControlledOutput`.
+
+    The two outputs share the block 00, the fixed arm's channel output, which
+    is computed once.  They share the block 11 too when both candidates hold
+    one ``Channel`` object, and then it is computed once; otherwise each
+    candidate's is computed.  Each output has its own interference blocks,
+    from its own T, so the direct route does not rest on tau.
     """
-    rho = validate_density_matrix(rho)
-    out_a = ControlledOutput(controlled_map(inst.fixed, inst.candidate_a, control)(rho))
-    out_b = ControlledOutput(controlled_map(inst.fixed, inst.candidate_b, control)(rho))
+    rho = _map_input(validate_density_matrix(rho), inst.fixed.dim)
+    w0, w1, cross = _weights(control)
+    t0 = transformation_matrix(inst.fixed)
+    ta = transformation_matrix(inst.candidate_a)
+    tb = transformation_matrix(inst.candidate_b)
+    diag0 = _diagonal(inst.fixed, w0, rho)
+    diag_a = _diagonal(inst.candidate_a, w1, rho)
+    if inst.candidate_a.channel is inst.candidate_b.channel:
+        diag_b = diag_a
+    else:
+        diag_b = _diagonal(inst.candidate_b, w1, rho)
+    out_a = ControlledOutput(_joint(diag0, diag_a, cross, t0, ta, rho))
+    out_b = ControlledOutput(_joint(diag0, diag_b, cross, t0, tb, rho))
     direct = 0.5 * trace_norm(out_a.matrix - out_b.matrix)
 
-    t0 = transformation_matrix(inst.fixed)
-    tau = transformation_matrix(inst.candidate_a) - transformation_matrix(inst.candidate_b)
+    tau = ta - tb
     closed = abs(control.a * np.conj(control.b)) * trace_norm(tau @ rho @ dagger(t0))
     if abs(direct - closed) > AGREE_TOL:
         raise ValueError(

@@ -203,17 +203,22 @@ def validate_density_matrix(rho) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return the coerced array.
 
     The verdict and every message are those of :func:`_checked_spectrum`, but
-    positivity is decided by one shifted Cholesky (:func:`_check_density`),
-    so a valid state costs no eigendecomposition.
+    a valid state is accepted by :func:`_check_density` without the stack
+    rules and without an eigendecomposition.
     """
     rho = as_matrix(rho)
     _check_density(rho)
     return rho
 
 
-def _check_density(rho) -> None:
-    """Refuse one matrix that is not a density matrix, as
+def _check_density(rho: np.ndarray) -> None:
+    """Refuse one complex matrix that is not a density matrix, as
     :func:`_checked_spectrum` would, without its spectrum when it is one.
+
+    A square matrix of nonzero side has its Hermitian deviation and trace
+    compared here as :func:`_density_rules` compares them; only a matrix
+    that fails a rule, or is not such a matrix, goes through those rules,
+    which refuse it by name.  So a valid state is accepted without them.
 
     A Cholesky factor of ``rho + (DEFAULT_TOL / 2) 1`` exists only if no
     eigenvalue lies at or below ``-DEFAULT_TOL / 2``, up to rounding far
@@ -225,9 +230,23 @@ def _check_density(rho) -> None:
     pivot without a failure, and a NaN pivot makes every later one NaN, so
     a factor counts as success only with a finite last pivot.
     """
-    rho = _density_rules(rho)
+    n = rho.shape[0]
+    fits = False
+    if n and rho.shape == (n, n):
+        with np.errstate(invalid="ignore", over="ignore"):
+            herm = np.abs(rho - rho.T.conj()).max()
+            tr = rho.trace()
+        fits = herm <= DEFAULT_TOL and abs(tr - 1.0) <= DEFAULT_TOL
+    if fits:
+        # the shift added in place on the diagonal of a copy; unlike rho + shift * 1
+        # it keeps each -0.0 off the diagonal, a sign no pivot depends on
+        shifted = rho.copy()
+        shifted.reshape(-1)[:: n + 1] += DEFAULT_TOL / 2
+    else:
+        rho = _density_rules(rho)
+        shifted = rho + (DEFAULT_TOL / 2) * np.eye(rho.shape[-1])
     try:
-        factor = np.linalg.cholesky(rho + (DEFAULT_TOL / 2) * np.eye(rho.shape[-1]))
+        factor = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         factor = None
     if factor is None or not cmath.isfinite(factor[-1, -1]):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctrlchan import control, discrimination, linalg
-from ctrlchan.channels import choi_of, remix, standard_channel
+from ctrlchan.channels import Channel, choi_of, remix, standard_channel
 from ctrlchan.control import ControlledOutput, ControlState, controlled_output
 from ctrlchan.discrimination import (
     DiscriminationInstance,
@@ -18,7 +18,7 @@ from ctrlchan.discrimination import (
     trace_distance,
 )
 from ctrlchan.implementations import realize, standard_implementation
-from ctrlchan.linalg import SIGMA_X, ket, projector
+from ctrlchan.linalg import SIGMA_X, ket, projector, trace_norm
 from ctrlchan.sampling import (
     haar_isometry,
     random_admissible_t,
@@ -160,6 +160,40 @@ class TestOutputDistance:
         assert abs(value - 1.0 / np.sqrt(2.0)) <= 1e-10
         assert len(validations) == 1
         assert len(outputs) == 2
+
+    @pytest.mark.parametrize("d", [2, 8])
+    @pytest.mark.parametrize("amplitudes", [None, (0.6, 0.8j)], ids=["plus", "0.6,0.8i"])
+    @pytest.mark.parametrize("reference", ["transparent", "random"])
+    def test_each_shared_arm_applied_once(self, monkeypatch, d, amplitudes, reference):
+        # the fixed arm's block is shared by both outputs, and the candidates'
+        # when they hold one Channel object; the distance is still the
+        # trace distance of two full controlled outputs, bit for bit
+        rng = np.random.default_rng(40 + d)
+        ctrl = PLUS if amplitudes is None else ControlState(*amplitudes)
+        if reference == "transparent":
+            fixed = standard_implementation("identity", d=d, alpha=1.0)
+        else:
+            fixed = random_implementation(d, 3, rng)
+        ch = random_channel(d, 5, rng)
+        twin = Channel(ch.kraus)
+        t1, t1p = random_admissible_t(ch, rng), random_admissible_t(ch, rng)
+        rho = projector(random_pure_state(d, rng))
+        calls = []
+        apply = control.apply
+
+        def counting(channel, *args, **kwargs):
+            calls.append(channel)
+            return apply(channel, *args, **kwargs)
+
+        monkeypatch.setattr(control, "apply", counting)
+        for other, expected_calls in ((ch, 2), (twin, 3)):
+            inst = DiscriminationInstance(fixed, realize(ch, t1), realize(other, t1p))
+            a = controlled_output(inst.fixed, inst.candidate_a, ctrl, rho).matrix
+            b = controlled_output(inst.fixed, inst.candidate_b, ctrl, rho).matrix
+            calls.clear()
+            value = output_distance(inst, ctrl, rho)
+            assert len(calls) == expected_calls
+            assert value == 0.5 * trace_norm(a - b)
 
     @pytest.mark.parametrize(
         "rho, message",

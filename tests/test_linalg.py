@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctrlchan import linalg
 from ctrlchan.control import ControlledOutput
 from ctrlchan.linalg import (
     DEFAULT_TOL,
     SIGMA_X,
     SIGMA_Y,
     _checked_spectrum,
+    _density_rules,
     choi_vec,
     dagger,
     hs_norm,
@@ -329,6 +331,50 @@ def eigvalsh_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def rules_calls(monkeypatch):
+    calls = []
+    rules = linalg._density_rules
+
+    def counted(rho):
+        calls.append(np.shape(rho))
+        return rules(rho)
+
+    monkeypatch.setattr(linalg, "_density_rules", counted)
+    return calls
+
+
+def negative_zero_state(n, rng):
+    """Side-n diagonal state, singular in its last entry, whose zero entries
+    off the diagonal are all -0.0 in both parts."""
+    m = np.full((n, n), complex(-0.0, -0.0))
+    w = rng.uniform(0.5, 1.5, n)
+    w[-1] = 0.0
+    m[np.diag_indices(n)] = w / w.sum()
+    return m
+
+
+def refused_states(n):
+    """Side-n matrices each refused by one check, with a part of its message."""
+    mixed = np.eye(n, dtype=complex) / n
+    nan, inf, skew, near = mixed.copy(), mixed.copy(), mixed.copy(), mixed.copy()
+    nan[0, 1] = np.nan
+    inf[n - 1, n - 1] = np.inf
+    skew[1, 0] += 0.1
+    near[1, 0] += 1.01 * DEFAULT_TOL
+    return {
+        "empty": (np.zeros((0, 0)), "trace 1 - 1.000e+00"),
+        "nan": (nan, "non-finite entry (nan+0j) at index (0, 1)"),
+        "inf": (inf, f"non-finite entry (inf+0j) at index ({n - 1}, {n - 1})"),
+        "non-hermitian": (skew, "not Hermitian"),
+        "hermitian deviation 1.01 tol": (near, "not Hermitian"),
+        "trace": (mixed * (1.0 + 2e-9), "trace 1 + 2.000e-09"),
+        "trace below": (mixed * (1.0 - 2e-9), "trace 1 - 2.000e-09"),
+        "squares overflow": (overflowing_coherence(n), "negative eigenvalue -1.414e+200"),
+        "trace overflows": (overflowing_trace(n), "trace 1 + inf"),
+    }
+
+
 class TestShiftedCholeskyCheck:
     """One-matrix state checks decide positivity by a Cholesky of rho shifted
     by DEFAULT_TOL / 2, and take a spectrum only when that fails."""
@@ -374,22 +420,54 @@ class TestShiftedCholeskyCheck:
 
     @pytest.mark.parametrize("check", ONE_MATRIX_CHECKS.values(), ids=ONE_MATRIX_CHECKS)
     @pytest.mark.parametrize("d", [2, 8, 16])
+    def test_accepted_edge_states_match_the_spectrum(self, rules_calls, check, d):
+        rng = np.random.default_rng(d)
+        n = 2 * d if check is ControlledOutput else d
+        near = np.eye(n, dtype=complex) / n
+        near[1, 0] += 0.99 * DEFAULT_TOL
+        zeros = negative_zero_state(n, rng)
+        assert np.signbit(zeros[0, 1].real) and np.signbit(zeros[0, 1].imag)
+        for name, m in {"hermitian deviation 0.99 tol": near, "-0.0 off the diagonal": zeros}.items():
+            assert verdict(_checked_spectrum, m) is None, name
+            rules_calls.clear()
+            assert verdict(check, m) is None, name
+            assert rules_calls == [], name
+
+    @pytest.mark.parametrize("check", ONE_MATRIX_CHECKS.values(), ids=ONE_MATRIX_CHECKS)
+    @pytest.mark.parametrize("n", [2, 8, 16, 32])
+    def test_no_stack_rules_for_a_valid_state(self, rules_calls, check, n):
+        rng = np.random.default_rng(n)
+        states = {
+            "maximally mixed": np.eye(n) / n,
+            "rank 1": projector(rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+            "full rank": random_density_matrix(n, rng),
+        }
+        states["rank 1"] /= np.trace(states["rank 1"])
+        for name, rho in states.items():
+            check(rho)
+            assert rules_calls == [], name
+
+    @pytest.mark.parametrize("check", ONE_MATRIX_CHECKS.values(), ids=ONE_MATRIX_CHECKS)
+    @pytest.mark.parametrize("d", [2, 8, 16])
+    def test_stack_rules_once_for_a_refused_state(self, rules_calls, check, d):
+        # a state refused by a rule goes through the rules once; one refused
+        # by its spectrum passes the rules as written in the check itself
+        n = 2 * d if check is ControlledOutput else d
+        for name, (m, _) in refused_states(n).items():
+            rules_calls.clear()
+            assert verdict(check, m) is not None, name
+            by_spectrum = verdict(_density_rules, m) is None
+            assert rules_calls == ([] if by_spectrum else [m.shape]), name
+        negative = rotated_spectrum(np.concatenate([[1.5, -0.5], np.zeros(n - 2)]), np.random.default_rng(d))
+        rules_calls.clear()
+        assert "negative eigenvalue -5.000e-01" in verdict(check, negative)
+        assert rules_calls == []
+
+    @pytest.mark.parametrize("check", ONE_MATRIX_CHECKS.values(), ids=ONE_MATRIX_CHECKS)
+    @pytest.mark.parametrize("d", [2, 8, 16])
     def test_refusals_match_the_spectrum(self, check, d):
         n = 2 * d if check is ControlledOutput else d
-        mixed = np.eye(n, dtype=complex) / n
-        nan, inf, skew = mixed.copy(), mixed.copy(), mixed.copy()
-        nan[0, 1] = np.nan
-        inf[n - 1, n - 1] = np.inf
-        skew[1, 0] += 0.1
-        bad = {
-            "empty": (np.zeros((0, 0)), "trace 1 - 1.000e+00"),
-            "nan": (nan, "non-finite entry (nan+0j) at index (0, 1)"),
-            "inf": (inf, f"non-finite entry (inf+0j) at index ({n - 1}, {n - 1})"),
-            "non-hermitian": (skew, "not Hermitian"),
-            "trace": (mixed * (1.0 + 2e-9), "trace 1 + 2.000e-09"),
-            "squares overflow": (overflowing_coherence(n), "negative eigenvalue -1.414e+200"),
-            "trace overflows": (overflowing_trace(n), "trace 1 + inf"),
-        }
+        bad = refused_states(n)
         for name, (m, text) in bad.items():
             expected = verdict(_checked_spectrum, m)
             assert text in expected, name

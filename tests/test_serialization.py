@@ -1,13 +1,18 @@
 """Tests for the JSON document schemas."""
 
+import json
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctrlchan.channels import standard_channel
 from ctrlchan.implementations import ChannelImplementation
-from ctrlchan.sampling import random_channel, random_env
+from ctrlchan.linalg import validate_density_matrix
+from ctrlchan.sampling import random_channel, random_density_matrix, random_env
 from ctrlchan.serialization import (
     SchemaError,
     channel_from_json,
@@ -123,6 +128,77 @@ class TestOtherSchemas:
     def test_dimension_field_validation(self):
         with pytest.raises(SchemaError, match=r"\.d"):
             tmatrix_from_json({"d": -1, "t": matrix_to_json(np.eye(2))})
+
+
+# Entries of fuzzed matrices: zero, or a sign times a magnitude in [1e-300, 1e308].
+ENTRY = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, x: sign * x, st.sampled_from((-1.0, 1.0)), st.floats(1e-300, 1e308)),
+)
+# A refusal names the document field, or the density matrix it checks.
+NAMED = re.compile(r"^(state\.rho|ensemble\.items|items\[\d+\] |probabilities )|density matrix")
+
+
+@st.composite
+def density_candidates(draw, d):
+    """A side-d matrix of fuzzed entries, Hermitian or not, added to a random
+    density matrix or standing alone."""
+    flat = np.array(draw(st.lists(ENTRY, min_size=2 * d * d, max_size=2 * d * d)))
+    m = flat.view(complex).reshape(d, d)
+    if draw(st.booleans()):
+        m = np.triu(m, 1) + np.triu(m, 1).conj().T + np.diag(m.diagonal().real)
+    if draw(st.booleans()):
+        m = m + random_density_matrix(d, np.random.default_rng(draw(st.integers(0, 99))))
+    return m
+
+
+@st.composite
+def state_documents(draw):
+    d = draw(st.integers(1, 4))
+    return {"d": d, "rho": matrix_to_json(draw(density_candidates(d)))}
+
+
+@st.composite
+def ensemble_documents(draw):
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
+    probs = draw(st.lists(st.floats(-1e-3, 1.0), min_size=n, max_size=n))
+    if draw(st.booleans()) and sum(probs) > 0.0:
+        probs = [p / sum(probs) for p in probs]
+    rhos = [draw(density_candidates(d)) for _ in range(n)]
+    return {"d": d, "items": [{"p": p, "rho": matrix_to_json(r)} for p, r in zip(probs, rhos)]}
+
+
+def refusal(parse, doc):
+    """The message ``parse`` refuses the JSON text of ``doc`` with, or None;
+    a numpy warning fails the test as an error."""
+    doc = json.loads(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            parse(doc)
+        except ValueError as exc:
+            assert not isinstance(exc, np.linalg.LinAlgError), repr(exc)
+            return str(exc)
+    return None
+
+
+class TestDensityDocumentFuzz:
+    """State and ensemble documents of sides 1-4 with entries from 1e-300 to
+    1e308 are accepted, or refused by a ValueError naming the field or the
+    density matrix, never by a LinAlgError or a numpy warning."""
+
+    @given(state_documents())
+    @settings(max_examples=50, deadline=None)
+    def test_state_documents(self, doc):
+        message = refusal(lambda doc: validate_density_matrix(state_from_json(doc)), doc)
+        assert message is None or NAMED.search(message), message
+
+    @given(ensemble_documents())
+    @settings(max_examples=50, deadline=None)
+    def test_ensemble_documents(self, doc):
+        message = refusal(ensemble_from_json, doc)
+        assert message is None or NAMED.search(message), message
 
 
 class TestLoadJson:
