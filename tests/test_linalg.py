@@ -450,15 +450,16 @@ class TestShiftedCholeskyCheck:
     @pytest.mark.parametrize("check", ONE_MATRIX_CHECKS.values(), ids=ONE_MATRIX_CHECKS)
     @pytest.mark.parametrize("d", [2, 8, 16])
     def test_stack_rules_once_for_a_refused_state(self, rules_calls, check, d):
-        # a state refused by a rule goes through the rules once; one refused
-        # by its spectrum passes the rules as written in the check itself
+        # a state refused by a rule goes through the stack rules once; one
+        # refused by its spectrum passes the check's own rules and makes none
         n = 2 * d if check is ControlledOutput else d
         for name, (m, _) in refused_states(n).items():
             rules_calls.clear()
             assert verdict(check, m) is not None, name
             by_spectrum = verdict(_density_rules, m) is None
             assert rules_calls == ([] if by_spectrum else [m.shape]), name
-        negative = rotated_spectrum(np.concatenate([[1.5, -0.5], np.zeros(n - 2)]), np.random.default_rng(d))
+        spectrum = np.concatenate([[1.5, -0.5], np.zeros(n - 2)])
+        negative = rotated_spectrum(spectrum, np.random.default_rng(d))
         rules_calls.clear()
         assert "negative eigenvalue -5.000e-01" in verdict(check, negative)
         assert rules_calls == []
