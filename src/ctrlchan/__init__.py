@@ -29,7 +29,6 @@ from .control import (
 from .discrimination import (
     DiscriminationInstance,
     diamond_bound,
-    max_depolarising_distance,
     optimal_input,
     output_distance,
     success_probability,
@@ -56,17 +55,13 @@ from .info import (
 from .linalg import (
     DEFAULT_TOL,
     SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
-    choi_vec,
     dagger,
-    hs_norm,
     ket,
     partial_trace,
     projector,
     pseudoinverse,
     spectral_norm,
-    tensor,
     trace_norm,
     validate_density_matrix,
 )

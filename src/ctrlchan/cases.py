@@ -37,7 +37,6 @@ from .implementations import (
     admissible,
     realize,
     standard_implementation,
-    transformation_matrix,
 )
 from .info import (
     Ensemble,
@@ -318,13 +317,13 @@ def _tmat_membership_sweep(options: CaseOptions) -> _Result:
     def forward(trial: int) -> bool:
         rng = _trial_rng(options, trial)
         impl = sampling.random_implementation(d, int(rng.integers(1, d * d + 1)), rng)
-        return admissible(impl.channel, transformation_matrix(impl)).admissible
+        return admissible(impl.channel, impl.t).admissible
 
     def roundtrip(trial: int) -> float:
         rng = _trial_rng(options, 10_000 + trial)
         ch = sampling.random_channel(d, int(rng.integers(1, d * d + 1)), rng)
         t = sampling.random_admissible_t(ch, rng)
-        rebuilt = transformation_matrix(realize(ch, t))
+        rebuilt = realize(ch, t).t
         return float(np.max(np.abs(rebuilt - t)))
 
     def membership(trial: int) -> bool:

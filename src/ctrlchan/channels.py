@@ -18,7 +18,7 @@ from .linalg import (
     SIGMA_X,
     SIGMA_Z,
     _checked_spectrum,
-    _finite,
+    _overflows,
     as_matrix,
     is_isometry,
     validate_density_matrix,
@@ -66,7 +66,8 @@ class Channel:
         with np.errstate(invalid="ignore", over="ignore"):
             dev = float(np.max(np.abs(flat.conj().T @ flat - np.eye(d))))
         if not dev <= DEFAULT_TOL:
-            _finite(ops, "kraus")
+            if not np.isfinite(dev):
+                _overflows(ops, "kraus", "a sum K^dag K")
             raise ValueError(
                 f"kraus operators are not trace-preserving: "
                 f"max |sum K^dag K - 1| = {dev:.3e}"

@@ -21,6 +21,7 @@ import numpy as np
 
 from .cases import CaseOptions, case_ids, run_cases
 from .control import (
+    ControlledOutput,
     ControlState,
     classical_control,
     controlled_map,
@@ -39,7 +40,6 @@ from .implementations import (
     admissible,
     realize,
     standard_implementation,
-    transformation_matrix,
 )
 from .info import Ensemble, coherent_info_bound, holevo_lower_bound
 from .linalg import SATURATION_TOL, ket, maximally_entangled, projector
@@ -81,16 +81,16 @@ def _parse_control(text: str) -> ControlState:
     return ControlState(complex(values[0], values[1]), complex(values[2], values[3]))
 
 
-def _matrix_report(matrix: np.ndarray) -> dict:
-    d = matrix.shape[0] // 2
+def _matrix_report(out: ControlledOutput) -> dict:
+    matrix = out.matrix
     w = np.linalg.eigvalsh(matrix)
     return {
         "matrix": matrix_to_json(matrix),
         "blocks": {
-            "diag0": matrix_to_json(matrix[:d, :d]),
-            "diag1": matrix_to_json(matrix[d:, d:]),
-            "offdiag01": matrix_to_json(matrix[:d, d:]),
-            "offdiag10": matrix_to_json(matrix[d:, :d]),
+            "diag0": matrix_to_json(out.diag0),
+            "diag1": matrix_to_json(out.diag1),
+            "offdiag01": matrix_to_json(out.offdiag01),
+            "offdiag10": matrix_to_json(out.offdiag10),
         },
         "diagnostics": {
             "trace": float(np.real(np.trace(matrix))),
@@ -153,7 +153,7 @@ def _cmd_simulate(args) -> int:
             out = classical_control(i0, i1, (w[0], w[1]), rho)
         else:
             out = controlled_output(i0, i1, control, rho)
-    doc = {"mode": args.mode, **_matrix_report(out.matrix)}
+    doc = {"mode": args.mode, **_matrix_report(out)}
     if args.format == "json":
         print(_json_dumps(doc))
     else:
@@ -191,7 +191,7 @@ def _cmd_validate_t(args) -> int:
                 failure = exc
             else:
                 doc["env"] = vector_to_json(impl.env)
-                doc["roundtrip_error"] = float(np.max(np.abs(transformation_matrix(impl) - t)))
+                doc["roundtrip_error"] = float(np.max(np.abs(impl.t - t)))
     if args.format == "json":
         print(_json_dumps(doc))
     else:

@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .channels import Channel, apply
-from .implementations import ChannelImplementation, transformation_matrix
+from .implementations import ChannelImplementation
 from .linalg import (
     DEFAULT_TOL,
     ORACLE_SKIP,
@@ -160,8 +160,7 @@ def controlled_map(
     ``(..., d, d)`` is mapped matrix by matrix into ``(..., 2d, 2d)``.
     """
     d = _common_dim(i0, i1)
-    t0 = transformation_matrix(i0)
-    t1 = transformation_matrix(i1)
+    t0, t1 = i0.t, i1.t
     w0, w1, cross = _weights(control)
 
     def output(rho) -> np.ndarray:
@@ -186,12 +185,21 @@ def _diagonal(impl: ChannelImplementation, weight: float, rho: np.ndarray) -> np
 def _joint(diag0, diag1, cross: complex, t0, t1, rho: np.ndarray) -> np.ndarray:
     """Joint outputs with the given diagonal blocks and the interference blocks
     cross T0 rho T1^dag and cross* T1 rho T0^dag, for one matrix or a stack."""
-    d = rho.shape[-1]
-    out = np.empty(rho.shape[:-2] + (2 * d, 2 * d), dtype=complex)
-    out[..., :d, :d] = diag0
-    out[..., :d, d:] = cross * (t0 @ rho @ dagger(t1))
-    out[..., d:, :d] = np.conj(cross) * (t1 @ rho @ dagger(t0))
-    out[..., d:, d:] = diag1
+    off01 = cross * (t0 @ rho @ dagger(t1))
+    off10 = np.conj(cross) * (t1 @ rho @ dagger(t0))
+    return _blocks(diag0, off01, off10, diag1)
+
+
+def _blocks(b00, b01, b10, b11) -> np.ndarray:
+    """The joint matrix [[b00, b01], [b10, b11]], control on the slow index,
+    from four d x d blocks or four ``(..., d, d)`` stacks.  ``b00`` sets the
+    shape; any other block may be a scalar, written into every entry."""
+    d = b00.shape[-1]
+    out = np.empty(b00.shape[:-2] + (2 * d, 2 * d), dtype=complex)
+    out[..., :d, :d] = b00
+    out[..., :d, d:] = b01
+    out[..., d:, :d] = b10
+    out[..., d:, d:] = b11
     return out
 
 
@@ -274,10 +282,7 @@ def classical_map(
 
     def output(rho) -> np.ndarray:
         rho = _map_input(rho, d)
-        out = np.zeros(rho.shape[:-2] + (2 * d, 2 * d), dtype=complex)
-        out[..., :d, :d] = _diagonal(i0, w0, rho)
-        out[..., d:, d:] = _diagonal(i1, w1, rho)
-        return out
+        return _blocks(_diagonal(i0, w0, rho), 0.0, 0.0, _diagonal(i1, w1, rho))
 
     return output
 
@@ -402,10 +407,7 @@ def switch_map(
     if ch0.dim != ch1.dim:
         raise ValueError(f"channels act on different dimensions: {ch0.dim} vs {ch1.dim}")
     d = ch0.dim
-    a, b = control.a, control.b
-    w0 = abs(a) ** 2
-    w1 = abs(b) ** 2
-    cross = a * np.conj(b)
+    w0, w1, cross = _weights(control)
     k0, k1 = len(ch0.kraus), len(ch1.kraus)
     # block gives the block 01 (ch0 first, then ch1), or the block 10 when
     # the sandwich order puts ch0 outside because it has fewer Kraus operators
@@ -437,12 +439,12 @@ def switch_map(
             both = block(np.array((rho, adjoint)))
             direct, mirrored = both[0], both[1].conj().swapaxes(-1, -2)
         off01, off10 = (mirrored, direct) if swap else (direct, mirrored)
-        out = np.empty(lead + (2 * d, 2 * d), dtype=complex)
-        out[..., :d, :d] = w0 * (vec @ r0 @ r1).reshape(lead + (d, d))
-        out[..., d:, d:] = w1 * (vec @ r1 @ r0).reshape(lead + (d, d))
-        out[..., :d, d:] = cross * off01
-        out[..., d:, :d] = np.conj(cross) * off10
-        return out
+        return _blocks(
+            w0 * (vec @ r0 @ r1).reshape(lead + (d, d)),
+            cross * off01,
+            np.conj(cross) * off10,
+            w1 * (vec @ r1 @ r0).reshape(lead + (d, d)),
+        )
 
     return output
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channels import choi_of
 from .control import ControlledOutput, ControlState, _diagonal, _joint, _map_input, _weights
-from .implementations import ChannelImplementation, transformation_matrix
+from .implementations import ChannelImplementation
 from .linalg import (
     AGREE_TOL,
     COLUMN_WEIGHT,
@@ -79,9 +79,7 @@ def output_distance(inst: DiscriminationInstance, control: ControlState, rho) ->
     """
     rho = _map_input(validate_density_matrix(rho), inst.fixed.dim)
     w0, w1, cross = _weights(control)
-    t0 = transformation_matrix(inst.fixed)
-    ta = transformation_matrix(inst.candidate_a)
-    tb = transformation_matrix(inst.candidate_b)
+    t0, ta, tb = inst.fixed.t, inst.candidate_a.t, inst.candidate_b.t
     diag0 = _diagonal(inst.fixed, w0, rho)
     diag_a = _diagonal(inst.candidate_a, w1, rho)
     if inst.candidate_a.channel is inst.candidate_b.channel:
@@ -146,16 +144,3 @@ def success_probability(distance: float) -> float:
     if not -DISTANCE_WINDOW <= distance <= 1.0 + DISTANCE_WINDOW:  # also refuses NaN
         raise ValueError(f"distance must lie in [0, 1], got {distance}")
     return 0.5 * (1.0 + min(max(distance, 0.0), 1.0))
-
-
-def max_depolarising_distance(d: int) -> float:
-    """Largest reachable diamond bound for two dilations of the maximally
-    noisy channel in dimension d: 1/sqrt(d).
-
-    Both transformation matrices satisfy Tr[T^dag T] <= 1/d, and the
-    Hilbert-Schmidt norm dominates the spectral norm, so no admissible pair
-    exceeds this value; the pair +/- (1/sqrt(d)) |0><0| attains it.
-    """
-    if int(d) != d or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d}")
-    return 1.0 / np.sqrt(float(d))

@@ -13,10 +13,12 @@ carries (channel, environment) pairs, decides which matrices T a given
 channel can produce, and constructs an explicit dilation for any admissible T.
 
 The admissibility criterion is stated on the d^2 x k matrix V whose columns
-are the vectorised Kraus operators: T is reachable iff t = |T>> lies in
-range(V) and ||V^+ t||^2 <= 1, with V^+ the Moore-Penrose pseudoinverse.
-Because the Choi matrix is C = V V^dag, this is the same as the Choi form
-|T>> in range(C) and <<T|C^+|T>> <= 1, but a solve on V decides it and
+are the Kraus operators flattened row-major (output index slow): T, flattened
+the same way to t, is reachable iff t lies in range(V) and ||V^+ t||^2 <= 1,
+with V^+ the Moore-Penrose pseudoinverse.  ``choi_of`` puts the input index
+slow; that permutes the d^2 coordinates of t and of every column of V alike,
+leaving both tests unchanged.  So, with C the Choi matrix, this is the same
+as |T>> in range(C) and <<T|C^+|T>> <= 1, but a solve on V decides it and
 yields the environment amplitudes, and it is conditioned by sqrt(kappa(C))
 rather than kappa(C).  There is one factorization of V per channel, shared
 by consecutive solves and by random draws of admissible T, one entry kept: a
@@ -39,8 +41,8 @@ from .linalg import (
     DEFAULT_TOL,
     QR_MARGIN,
     RANGE_TOL,
-    _finite,
     _one_plus,
+    _overflows,
     as_matrix,
     readonly,
 )
@@ -71,7 +73,8 @@ class ChannelImplementation:
             )
         norm_sq = float(np.vdot(env, env).real)
         if not norm_sq <= 1.0 + BOUND_TOL:
-            _finite(env, "env")
+            if not np.isfinite(norm_sq):
+                _overflows(env, "env", "a squared norm")
             raise ValueError(
                 f"environment vector has squared norm {_one_plus(norm_sq)}, "
                 f"above 1 + {BOUND_TOL:.0e}"
@@ -106,8 +109,9 @@ class AdmissibilityReport:
 
 
 def transformation_matrix(impl: ChannelImplementation) -> np.ndarray:
-    """T = sum_i <env|i> K_i, the read-only ``impl.t`` computed once per
-    implementation."""
+    """``impl.t``, T = sum_i <env|i> K_i.  The package reads ``impl.t``
+    itself; this function is kept for ``bench/`` only."""
+    # Kept for bench/workloads.py; it goes with the bench-side change of ROADMAP item 1.
     return impl.t
 
 
@@ -177,8 +181,7 @@ def _solve(ch: Channel, t, range_tol: float, bound_tol: float):
     with np.errstate(over="ignore"):
         tnorm = float(np.linalg.norm(tvec))
     if not np.isfinite(tnorm):
-        _finite(t, "t")
-        raise ValueError("t has a norm that overflows, though every entry is finite")
+        _overflows(t, "t", "a norm")
     if tnorm == 0.0:
         return AdmissibilityReport(True, 0.0, 0.0), np.zeros(v.shape[1], dtype=complex)
     basis_dag, m = _factor(ch)

@@ -50,7 +50,6 @@ SATURATION_TOL = 1e-10  # distinguish: distance this close to the diamond bound 
 PINV_RANK_TOL = 1e-12  # pseudoinverse: eigenvalues this small relative to the top are 0
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
@@ -93,11 +92,6 @@ def dagger(m) -> np.ndarray:
     return as_matrix(m).conj().T
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product; the first factor indexes the blocks."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def partial_trace(m, dim_first: int, dim_second: int, keep: str = "first") -> np.ndarray:
     """Trace out one factor of a bipartite operator.
 
@@ -117,11 +111,6 @@ def partial_trace(m, dim_first: int, dim_second: int, keep: str = "first") -> np
     if keep == "second":
         return np.einsum("abad->bd", blocks)
     raise ValueError("keep must be 'first' or 'second'")
-
-
-def choi_vec(t) -> np.ndarray:
-    """Vectorize an operator as sum_m |m> (x) T|m>, input index slowest."""
-    return as_matrix(t).T.flatten()
 
 
 def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
@@ -172,11 +161,6 @@ def spectral_norm(m) -> float:
     return float(np.linalg.svd(as_matrix(m), compute_uv=False)[0])
 
 
-def hs_norm(m) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(as_matrix(m)))
-
-
 def _finite(arr: np.ndarray, name: str) -> None:
     """Refuse a NaN or infinite entry, naming the field and the index of the
     first one.  Callers scan only once a norm or deviation they compute
@@ -186,6 +170,13 @@ def _finite(arr: np.ndarray, name: str) -> None:
     if bad.any():
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         raise ValueError(f"{name} has a non-finite entry {arr[idx]} at index {idx}")
+
+
+def _overflows(arr: np.ndarray, name: str, what: str) -> None:
+    """Refuse ``arr`` whose ``what``, computed from it, came out non-finite:
+    by its first non-finite entry, or else as an overflow of finite entries."""
+    _finite(arr, name)
+    raise ValueError(f"{name} has {what} that overflows, though every entry is finite")
 
 
 def _one_plus(x) -> str:

@@ -32,10 +32,6 @@ def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases.conj()
 
 
-def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    return haar_isometry(d, d, rng)
-
-
 def random_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:
     v = _complex_gaussian(d, rng)
     return v / np.linalg.norm(v)

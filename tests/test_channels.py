@@ -15,19 +15,16 @@ from ctrlchan.channels import (
 from ctrlchan.linalg import (
     SIGMA_X,
     SIGMA_Z,
-    choi_vec,
     dagger,
     ket,
     partial_trace,
     projector,
     pseudoinverse,
-    tensor,
 )
 from ctrlchan.sampling import (
     haar_isometry,
     random_channel,
     random_density_matrix,
-    random_unitary,
 )
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -181,7 +178,7 @@ class TestApply:
 class TestChoi:
     def test_identity_choi(self):
         for d in (2, 3):
-            expected = projector(choi_vec(np.eye(d)))
+            expected = projector(np.eye(d).T.reshape(-1))
             assert np.allclose(choi_of(standard_channel("identity", d)), expected, atol=1e-14)
 
     def test_depolarising_choi(self):
@@ -192,7 +189,7 @@ class TestChoi:
     def test_phase_flip_choi(self):
         p = 0.3
         c = choi_of(standard_channel("phase_flip", 2, p))
-        expected = (1 - p) * projector(choi_vec(np.eye(2))) + p * projector(choi_vec(SIGMA_Z))
+        expected = (1 - p) * projector(np.eye(2).T.reshape(-1)) + p * projector(SIGMA_Z.T.reshape(-1))
         assert np.allclose(c, expected, atol=1e-14)
 
     def test_apply_matches_choi_reconstruction(self):
@@ -201,7 +198,7 @@ class TestChoi:
             ch = random_channel(d, k, rng)
             c = choi_of(ch)
             rho = random_density_matrix(d, rng)
-            reconstructed = partial_trace(c @ tensor(rho.T, np.eye(d)), d, d, keep="second")
+            reconstructed = partial_trace(c @ np.kron(rho.T, np.eye(d)), d, d, keep="second")
             assert np.max(np.abs(apply(ch, rho) - reconstructed)) <= 1e-10
 
     def test_kraus_vectors_in_choi_range(self):
@@ -210,7 +207,7 @@ class TestChoi:
         c = choi_of(ch)
         proj = c @ pseudoinverse(c)
         for k in ch.kraus:
-            v = choi_vec(k)
+            v = k.T.reshape(-1)
             assert np.max(np.abs(proj @ v - v)) <= 1e-10
 
 
@@ -244,7 +241,7 @@ class TestRemix:
 
     def test_padding_with_zero_operators(self):
         ch = standard_channel("identity", 2)
-        u = random_unitary(3, np.random.default_rng(6))
+        u = haar_isometry(3, 3, np.random.default_rng(6))
         out = remix(ch, u)  # pads the single Kraus operator with two zeros
         assert len(out.kraus) == 3
         assert np.max(np.abs(choi_of(out) - choi_of(ch))) <= 1e-10
@@ -268,7 +265,7 @@ class TestRemix:
         rng = np.random.default_rng(7)
         for _ in range(10):
             ch = random_channel(2, 3, rng)
-            u = random_unitary(3, rng)
+            u = haar_isometry(3, 3, rng)
             assert np.max(np.abs(choi_of(remix(ch, u)) - choi_of(ch))) <= 1e-10
 
 
@@ -384,7 +381,7 @@ class TestStandardChannel:
 
     def test_unitary_channel(self):
         rng = np.random.default_rng(10)
-        u = random_unitary(2, rng)
+        u = haar_isometry(2, 2, rng)
         ch = standard_channel("unitary", 2, u)
         rho = random_density_matrix(2, rng)
         assert np.allclose(apply(ch, rho), u @ rho @ dagger(u), atol=1e-12)

@@ -23,7 +23,6 @@ from ctrlchan.linalg import (
     ket,
     partial_trace,
     projector,
-    tensor,
 )
 from ctrlchan.sampling import (
     haar_isometry,
@@ -33,7 +32,6 @@ from ctrlchan.sampling import (
     random_env,
     random_implementation,
     random_pure_state,
-    random_unitary,
 )
 
 PLUS = ControlState.plus()
@@ -123,7 +121,7 @@ class TestControlledOutput:
         i0 = standard_implementation("identity", d=2, alpha=1.0)
         rho = projector(random_pure_state(2, np.random.default_rng(0)))
         out = controlled_output(i0, i0, PLUS, rho)
-        expected = tensor(projector(plus_state()), rho)
+        expected = np.kron(projector(plus_state()), rho)
         assert np.max(np.abs(out.matrix - expected)) <= 1e-12
 
     def test_depolarising_pair_block_form(self):
@@ -132,7 +130,7 @@ class TestControlledOutput:
         impl = standard_implementation("depolarising", t=t)
         rho = random_density_matrix(2, rng)
         out = controlled_output(impl, impl, PLUS, rho)
-        expected = tensor(np.eye(2) / 2, np.eye(2) / 2) + 0.5 * tensor(
+        expected = np.kron(np.eye(2) / 2, np.eye(2) / 2) + 0.5 * np.kron(
             SIGMA_X, t @ rho @ dagger(t)
         )
         assert np.max(np.abs(out.matrix - expected)) <= 1e-12
@@ -276,7 +274,7 @@ class TestStinespringOracle:
         amp = random_pure_state(2, rng)
         controls = [ControlState.basis(0), ControlState.basis(1), ControlState(amp[0], amp[1])]
         # rank d - 1 (pure for a qubit) with d - 1 equal nonzero eigenvalues
-        frame = random_unitary(d, rng)[:, : max(d - 1, 1)]
+        frame = haar_isometry(d, d, rng)[:, : max(d - 1, 1)]
         degenerate = frame @ frame.conj().T / frame.shape[1]
         states = [random_density_matrix(d, rng), projector(random_pure_state(d, rng)), degenerate]
         for i0, i1 in zip(impls, impls[1:] + impls[:1]):
@@ -322,6 +320,17 @@ class TestClassicalControl:
         mixed = classical_control(i0, i1, (w0, 1 - w0), rho)
         assert np.max(np.abs(mixed.matrix - coherent)) <= 1e-12
 
+    def test_interference_blocks_are_positive_zeros(self):
+        # every entry off the diagonal blocks is +0.0 + 0.0j, for one matrix and a stack
+        rng = np.random.default_rng(12)
+        d = 3
+        i0, i1 = random_implementation(d, 2, rng), random_implementation(d, 4, rng)
+        out_map = classical_map(i0, i1, (0.4, 0.6))
+        for rho in (_random_block(d, rng), np.stack([_random_block(d, rng) for _ in range(2)])):
+            out = out_map(rho)
+            off = np.stack([out[..., :d, d:], out[..., d:, :d]]).view(float)
+            assert not off.any() and not np.signbit(off).any()
+
     def test_invalid_weights(self):
         i0 = standard_implementation("identity", d=2, alpha=1.0)
         with pytest.raises(ValueError, match="weights"):
@@ -351,7 +360,7 @@ def _switch_double_sum(ch0, ch1, joint_in):
     out = np.zeros_like(joint_in)
     for k in ch0.kraus:
         for l in ch1.kraus:
-            w = tensor(p0, l @ k) + tensor(p1, k @ l)
+            w = np.kron(p0, l @ k) + np.kron(p1, k @ l)
             out += w @ joint_in @ dagger(w)
     return out
 
@@ -363,9 +372,9 @@ def _switch_dilation(ch0, ch1, joint_in):
     v = np.zeros((2 * d * k0 * k1, 2 * d), dtype=complex)
     for i, k in enumerate(ch0.kraus):
         for j, l in enumerate(ch1.kraus):
-            env = tensor(ket(i, k0)[:, None], ket(j, k1)[:, None])
-            v += tensor(tensor(projector(ket(0, 2)), l @ k), env)
-            v += tensor(tensor(projector(ket(1, 2)), k @ l), env)
+            env = np.kron(ket(i, k0)[:, None], ket(j, k1)[:, None])
+            v += np.kron(np.kron(projector(ket(0, 2)), l @ k), env)
+            v += np.kron(np.kron(projector(ket(1, 2)), k @ l), env)
     # trace out both environments without forming the full joint matrix
     blocks = v.reshape(2 * d, k0 * k1, 2 * d)
     return np.einsum("aeb,bc,dec->ad", blocks, joint_in, blocks.conj())
@@ -378,14 +387,14 @@ class TestSwitch:
         depol = standard_channel("depolarising", 2)
         rho = random_density_matrix(2, rng)
         out = switch_output(depol, depol, PLUS, rho)
-        expected = tensor(np.eye(2) / 2, np.eye(2) / 2) + 0.5 * tensor(SIGMA_X, rho / 4)
+        expected = np.kron(np.eye(2) / 2, np.eye(2) / 2) + 0.5 * np.kron(SIGMA_X, rho / 4)
         assert np.max(np.abs(out.matrix - expected)) <= 1e-12
 
     def test_identity_arms(self):
         rho = projector(random_pure_state(2, np.random.default_rng(13)))
         ident = standard_channel("identity", 2)
         out = switch_output(ident, ident, PLUS, rho)
-        assert np.max(np.abs(out.matrix - tensor(projector(plus_state()), rho))) <= 1e-12
+        assert np.max(np.abs(out.matrix - np.kron(projector(plus_state()), rho))) <= 1e-12
 
     def test_one_identity_arm_composes(self):
         rng = np.random.default_rng(14)
@@ -452,7 +461,7 @@ class TestSwitch:
             out_map = switch_map(ch0, ch1, control)
             c = np.array([control.a, control.b])
             for x in (random_density_matrix(d, rng), _random_block(d, rng)):
-                joint_in = tensor(np.outer(c, c.conj()), x)
+                joint_in = np.kron(np.outer(c, c.conj()), x)
                 got = out_map(x)
                 assert np.max(np.abs(got - _switch_double_sum(ch0, ch1, joint_in))) <= 1e-12
                 assert np.max(np.abs(got - _switch_dilation(ch0, ch1, joint_in))) <= 1e-12
@@ -469,12 +478,12 @@ class TestSwitch:
 
 def _switch_reference(ch0, ch1, control, x):
     c = np.array([control.a, control.b])
-    return _switch_double_sum(ch0, ch1, tensor(np.outer(c, c.conj()), x))
+    return _switch_double_sum(ch0, ch1, np.kron(np.outer(c, c.conj()), x))
 
 
 def _with_faint_operator(ch, rng, weight=1e-8):
     """``ch`` scaled by 1 - weight, plus one unitary Kraus operator of ``weight``."""
-    faint = np.sqrt(weight) * random_unitary(ch.dim, rng)
+    faint = np.sqrt(weight) * haar_isometry(ch.dim, ch.dim, rng)
     return Channel(np.concatenate((np.sqrt(1.0 - weight) * ch.kraus, faint[None])))
 
 

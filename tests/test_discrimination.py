@@ -11,7 +11,6 @@ from ctrlchan.control import ControlledOutput, ControlState, controlled_output
 from ctrlchan.discrimination import (
     DiscriminationInstance,
     diamond_bound,
-    max_depolarising_distance,
     optimal_input,
     output_distance,
     success_probability,
@@ -283,18 +282,14 @@ class TestSuccessProbability:
 
 
 class TestMaxDepolarisingDistance:
-    def test_reference_values(self):
-        assert abs(max_depolarising_distance(2) - 1.0 / np.sqrt(2.0)) <= 1e-15
-        assert abs(max_depolarising_distance(4) - 0.5) <= 1e-15
-
-    def test_small_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            max_depolarising_distance(1)
+    """Both T satisfy Tr[T^dag T] <= 1/d and the Hilbert-Schmidt norm dominates
+    the spectral norm, so no admissible pair exceeds 1/sqrt(d); the pair
+    +/- (1/sqrt(d)) |0><0| attains it."""
 
     def test_random_pairs_never_exceed(self):
         rng = np.random.default_rng(5)
         for d in (2, 3):
-            ceiling = max_depolarising_distance(d)
+            ceiling = 1.0 / np.sqrt(d)
             for _ in range(250):
                 t1 = random_depolarising_t(d, rng)
                 t1p = random_depolarising_t(d, rng)
@@ -302,4 +297,4 @@ class TestMaxDepolarisingDistance:
 
     def test_spike_pair_attains_maximum(self):
         for d in (2, 3):
-            assert abs(diamond_bound(spike(d), -spike(d)) - max_depolarising_distance(d)) <= 1e-12
+            assert abs(diamond_bound(spike(d), -spike(d)) - 1.0 / np.sqrt(d)) <= 1e-12

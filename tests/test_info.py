@@ -20,7 +20,7 @@ from ctrlchan.info import (
     switch_holevo_qubit,
     switch_holevo_qubit_gridsearch,
 )
-from ctrlchan.linalg import ket, maximally_entangled, partial_trace, projector, tensor
+from ctrlchan.linalg import ket, maximally_entangled, partial_trace, projector
 from ctrlchan.sampling import random_density_matrix, random_env, random_pure_state
 
 PLUS = ControlState.plus()
@@ -402,7 +402,7 @@ class TestSwitchGridSearch:
 
         depol = standard_channel("depolarising", 2)
         switch_kraus = np.array([
-            tensor(projector(ket(0, 2)), l @ k) + tensor(projector(ket(1, 2)), k @ l)
+            np.kron(projector(ket(0, 2)), l @ k) + np.kron(projector(ket(1, 2)), k @ l)
             for k in depol.kraus
             for l in depol.kraus
         ])

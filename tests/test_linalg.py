@@ -15,12 +15,9 @@ from ctrlchan.control import ControlledOutput
 from ctrlchan.linalg import (
     DEFAULT_TOL,
     SIGMA_X,
-    SIGMA_Y,
     _checked_spectrum,
     _density_rules,
-    choi_vec,
     dagger,
-    hs_norm,
     is_hermitian,
     ket,
     maximally_entangled,
@@ -28,63 +25,10 @@ from ctrlchan.linalg import (
     projector,
     pseudoinverse,
     spectral_norm,
-    tensor,
     trace_norm,
     validate_density_matrix,
 )
-from ctrlchan.sampling import random_density_matrix, random_unitary
-
-
-def kron_by_index(a, b):
-    """Independent Kronecker oracle: direct index placement."""
-    ar, ac = a.shape
-    br, bc = b.shape
-    out = np.zeros((ar * br, ac * bc), dtype=complex)
-    for i in range(ar):
-        for j in range(ac):
-            for k in range(br):
-                for l in range(bc):
-                    out[i * br + k, j * bc + l] = a[i, j] * b[k, l]
-    return out
-
-
-def choi_vec_by_sum(t):
-    """Independent vectorization oracle: sum_m |m> (x) T|m>."""
-    d_out, d_in = t.shape
-    v = np.zeros(d_in * d_out, dtype=complex)
-    for m in range(d_in):
-        v += np.kron(ket(m, d_in), t @ ket(m, d_in))
-    return v
-
-
-class TestTensor:
-    def test_identity_case(self):
-        assert np.array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_sigma_x_with_projector(self):
-        # Expected matrix from direct index expansion: ones at (2, 0) and (0, 2).
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[2, 0] = 1.0
-        expected[0, 2] = 1.0
-        got = tensor(SIGMA_X, projector(ket(0, 2)))
-        assert np.array_equal(got, expected)
-        assert np.array_equal(got, kron_by_index(SIGMA_X, projector(ket(0, 2))))
-
-    def test_dimension_law(self):
-        a = np.ones((2, 3))
-        b = np.ones((5, 1))
-        assert tensor(a, b).shape == (10, 3)
-
-    @given(
-        st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
-        st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_matches_index_oracle(self, ar, ac, br, bc, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((ar, ac)) + 1j * rng.standard_normal((ar, ac))
-        b = rng.standard_normal((br, bc)) + 1j * rng.standard_normal((br, bc))
-        assert np.allclose(tensor(a, b), kron_by_index(a, b), atol=1e-14)
+from ctrlchan.sampling import haar_isometry, random_density_matrix
 
 
 class TestPartialTrace:
@@ -92,7 +36,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(7)
         rho = random_density_matrix(2, rng)
         sigma = random_density_matrix(3, rng)
-        joint = tensor(rho, sigma)
+        joint = np.kron(rho, sigma)
         assert np.allclose(partial_trace(joint, 2, 3, keep="first"), rho, atol=1e-12)
         assert np.allclose(partial_trace(joint, 2, 3, keep="second"), sigma, atol=1e-12)
 
@@ -118,35 +62,6 @@ class TestPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             partial_trace(np.eye(5), 2, 2)
-
-
-class TestChoiVec:
-    def test_identity(self):
-        assert np.array_equal(choi_vec(np.eye(2)), np.array([1, 0, 0, 1], dtype=complex))
-
-    def test_sigma_x(self):
-        # Derived by expanding sum_m |m> (x) sigma_x |m>.
-        expected = np.array([0, 1, 1, 0], dtype=complex)
-        assert np.array_equal(choi_vec(SIGMA_X), expected)
-        assert np.array_equal(choi_vec(SIGMA_X), choi_vec_by_sum(SIGMA_X))
-
-    def test_roundtrip_exact(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            t = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            assert np.array_equal(choi_vec(t).reshape(3, 3).T, t)
-
-    @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_roundtrip_all_dims(self, d, seed):
-        rng = np.random.default_rng(seed)
-        t = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        assert np.array_equal(choi_vec(t).reshape(d, d).T, t)
-        assert np.allclose(choi_vec(t), choi_vec_by_sum(t), atol=1e-14)
-
-    def test_rectangular(self):
-        t = np.arange(6.0).reshape(3, 2)
-        assert np.array_equal(choi_vec(t).reshape(2, 3).T, t)
 
 
 class TestPseudoinverse:
@@ -195,19 +110,19 @@ class TestNorms:
 
     def test_standard_values(self):
         assert abs(spectral_norm(SIGMA_X) - 1.0) < 1e-14
-        assert abs(hs_norm(np.eye(5)) - np.sqrt(5)) < 1e-14
+        assert abs(np.linalg.norm(np.eye(5)) - np.sqrt(5)) < 1e-14
 
     def test_norm_ordering(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             s = np.linalg.svd(m, compute_uv=False)
-            assert spectral_norm(m) <= hs_norm(m) + 1e-12
-            assert hs_norm(m) <= trace_norm(m) + 1e-12
+            assert spectral_norm(m) <= np.linalg.norm(m) + 1e-12
+            assert np.linalg.norm(m) <= trace_norm(m) + 1e-12
             # cross-check against singular values directly
             assert abs(trace_norm(m) - s.sum()) < 1e-10
             assert abs(spectral_norm(m) - s[0]) < 1e-10
-            assert abs(hs_norm(m) - np.sqrt((s ** 2).sum())) < 1e-10
+            assert abs(np.linalg.norm(m) - np.sqrt((s ** 2).sum())) < 1e-10
 
     @pytest.mark.parametrize("rows", [1, 2, 5, 8, 16])
     @pytest.mark.parametrize("cols", [1, 3, 8, 16])
@@ -223,9 +138,9 @@ class TestNorms:
         rng = np.random.default_rng(19)
         for _ in range(10):
             m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            u = random_unitary(3, rng)
-            v = random_unitary(3, rng)
-            for norm in (trace_norm, spectral_norm, hs_norm):
+            u = haar_isometry(3, 3, rng)
+            v = haar_isometry(3, 3, rng)
+            for norm in (trace_norm, spectral_norm, np.linalg.norm):
                 assert abs(norm(u @ m @ v) - norm(m)) <= 1e-10
 
 
@@ -273,13 +188,13 @@ class TestValidateDensityMatrix:
             validate_density_matrix(np.diag([1.5, -0.5]))
 
     def test_is_hermitian_predicate(self):
-        assert is_hermitian(SIGMA_Y)
+        assert is_hermitian(np.array([[0.0, -1.0j], [1.0j, 0.0]]))
         assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def rotated_spectrum(w, rng):
     """A density-matrix candidate with spectrum ``w`` in a Haar-random basis."""
-    u = random_unitary(len(w), rng)
+    u = haar_isometry(len(w), len(w), rng)
     return (u * np.asarray(w)) @ u.conj().T
 
 

@@ -10,9 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctrlchan.channels import standard_channel
-from ctrlchan.implementations import ChannelImplementation
+from ctrlchan.implementations import ChannelImplementation, admissible, realize
 from ctrlchan.linalg import validate_density_matrix
-from ctrlchan.sampling import random_channel, random_density_matrix, random_env
+from ctrlchan.sampling import (
+    random_admissible_t,
+    random_channel,
+    random_density_matrix,
+    random_env,
+    random_implementation,
+)
 from ctrlchan.serialization import (
     SchemaError,
     channel_from_json,
@@ -99,6 +105,20 @@ class TestChannelSchema:
         with pytest.raises(ValueError, match="trace-preserving"):
             channel_from_json(doc)
 
+    @pytest.mark.parametrize("entry", [[1e155, 1e155], [1e155, 0.0], [-1e200, 1e-300]])
+    def test_env_whose_norm_overflows_refused_by_name(self, entry):
+        # every entry is finite; the squared norm overflows to inf or NaN
+        doc = {"d": 2, "kraus": [matrix_to_json(np.eye(2))], "env": [entry]}
+        message = refusal(implementation_from_json, doc)
+        assert message == "env has a squared norm that overflows, though every entry is finite"
+
+    @pytest.mark.parametrize("entry", [[1e155, 1e155], [1e155, 0.0], [-1e200, 1e-300]])
+    def test_kraus_whose_gram_overflows_refused_by_name(self, entry):
+        kraus = matrix_to_json(np.eye(2))
+        kraus[0][0] = entry
+        message = refusal(channel_from_json, {"d": 2, "kraus": [kraus]})
+        assert message == "kraus has a sum K^dag K that overflows, though every entry is finite"
+
 
 class TestOtherSchemas:
     def test_tmatrix_roundtrip(self):
@@ -172,15 +192,20 @@ def ensemble_documents(draw):
 def refusal(parse, doc):
     """The message ``parse`` refuses the JSON text of ``doc`` with, or None;
     a numpy warning fails the test as an error."""
-    doc = json.loads(json.dumps(doc))
+    return outcome(parse, json.loads(json.dumps(doc)))[1]
+
+
+def outcome(call, *args):
+    """``(call(*args), None)``, or ``(None, message)`` when it raises a
+    ValueError other than LinAlgError; a numpy warning fails the test as an
+    error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            parse(doc)
+            return call(*args), None
         except ValueError as exc:
             assert not isinstance(exc, np.linalg.LinAlgError), repr(exc)
-            return str(exc)
-    return None
+            return None, str(exc)
 
 
 class TestDensityDocumentFuzz:
@@ -199,6 +224,54 @@ class TestDensityDocumentFuzz:
     def test_ensemble_documents(self, doc):
         message = refusal(ensemble_from_json, doc)
         assert message is None or NAMED.search(message), message
+
+
+@st.composite
+def dilation_documents(draw):
+    """An implementation document of side 1-3 with 1-4 Kraus operators, and a
+    t document of the same side: the implementation's T or a random admissible
+    T of its channel, optionally scaled, then up to four numbers of either
+    document replaced by fuzzed entries."""
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    impl = random_implementation(d, draw(st.integers(1, 4)), rng)
+    t = impl.t if draw(st.booleans()) else random_admissible_t(impl.channel, rng)
+    if draw(st.booleans()):
+        t = t * draw(ENTRY)  # |T_ij| <= 1, so every entry stays finite
+    impl_doc = implementation_to_json(impl)
+    t_doc = tmatrix_to_json(t)
+    matrices = impl_doc["kraus"] + [[impl_doc["env"]], t_doc["t"]]
+    pairs = [pair for m in matrices for row in m for pair in row]
+    for _ in range(draw(st.integers(0, 4))):
+        draw(st.sampled_from(pairs))[draw(st.integers(0, 1))] = draw(ENTRY)
+    return impl_doc, t_doc
+
+
+class TestDilationDocumentFuzz:
+    """Channel, implementation and t documents built from the entries of
+    ``ENTRY`` are accepted, or refused by a ValueError that names the field,
+    never by a LinAlgError, a numpy warning or a message with a NaN; so are
+    ``admissible`` and ``realize`` on a parsed channel and t of one side."""
+
+    @given(dilation_documents())
+    @settings(max_examples=60, deadline=None)
+    def test_channel_implementation_and_t_documents(self, docs):
+        impl_doc, t_doc = json.loads(json.dumps(docs))
+        chan_doc = {"d": impl_doc["d"], "kraus": impl_doc["kraus"]}
+        ch, ch_message = outcome(channel_from_json, chan_doc)
+        _, impl_message = outcome(implementation_from_json, impl_doc)
+        t, t_message = outcome(tmatrix_from_json, t_doc)
+        messages = [
+            (ch_message, r"^(channel\.|kraus )"),
+            (impl_message, r"^(channel\.|kraus |env |environment vector )"),
+            (t_message, r"^t_matrix\."),
+        ]
+        if ch is not None and t is not None:
+            messages.append((outcome(admissible, ch, t)[1], r"^t "))
+            messages.append((outcome(realize, ch, t)[1], r"^(t |matrix is not admissible )"))
+        for message, named in messages:
+            assert message is None or re.search(named, message), message
+            assert message is None or not re.search(r"\bnan\b", message, re.I), message
 
 
 class TestLoadJson:
