@@ -8,6 +8,7 @@ from ctrlchan.channels import Channel, remix, standard_channel
 from ctrlchan.control import (
     ControlState,
     ControlledOutput,
+    _blocks,
     classical_control,
     classical_map,
     controlled_map,
@@ -637,6 +638,39 @@ class TestControlMarginal:
         out = controlled_output(impl, impl, PLUS, rho)
         target = partial_trace(out.matrix, 2, 2, keep="second")
         assert np.max(np.abs(target - np.eye(2) / 2)) <= 1e-12
+
+
+class TestBlockLayout:
+    """control._blocks places [[b00, b01], [b10, b11]] with the control on the
+    slow index; the ControlledOutput views read the same blocks back."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_index_oracle(self, d):
+        rng = np.random.default_rng(400 + d)
+        blocks = [[_random_block(d, rng) for _ in range(2)] for _ in range(2)]
+        got = _blocks(blocks[0][0], blocks[0][1], blocks[1][0], blocks[1][1])
+        assert got.shape == (2 * d, 2 * d)
+        for c in range(2):
+            for k in range(2):
+                for i in range(d):
+                    for j in range(d):
+                        assert got[c * d + i, k * d + j] == blocks[c][k][i, j]
+
+    def test_stack_matches_each_member(self):
+        rng = np.random.default_rng(410)
+        d = 3
+        stacks = [np.stack([_random_block(d, rng) for _ in range(6)]).reshape(2, 3, d, d) for _ in range(4)]
+        got = _blocks(*stacks)
+        assert got.shape == (2, 3, 2 * d, 2 * d)
+        for lead in np.ndindex(2, 3):
+            assert np.array_equal(got[lead], _blocks(*(s[lead] for s in stacks)))
+
+    def test_views_read_back_the_layout(self):
+        rng = np.random.default_rng(420)
+        i0, i1 = random_implementation(3, 2, rng), random_implementation(3, 4, rng)
+        out = controlled_output(i0, i1, PLUS, random_density_matrix(3, rng))
+        rebuilt = _blocks(out.diag0, out.offdiag01, out.offdiag10, out.diag1)
+        assert np.array_equal(rebuilt, out.matrix)
 
 
 class TestMapStacks:
