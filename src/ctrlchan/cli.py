@@ -35,12 +35,7 @@ from .discrimination import (
     output_distance,
     success_probability,
 )
-from .implementations import (
-    BOUND_TOL,
-    admissible,
-    realize,
-    standard_implementation,
-)
+from .implementations import admissible, realize, standard_implementation
 from .info import Ensemble, coherent_info_bound, holevo_lower_bound
 from .linalg import SATURATION_TOL, ket, maximally_entangled, projector
 from .serialization import (
@@ -147,10 +142,13 @@ def _cmd_simulate(args) -> int:
         if rho is None:
             rho = projector(ket(0, i0.dim))
         if args.mode == "classical":
-            w = [float(x) for x in args.weights.split(",")]
-            if len(w) != 2:
-                raise SchemaError("weights", f"expected two comma-separated floats, got {args.weights!r}")
-            out = classical_control(i0, i1, (w[0], w[1]), rho)
+            try:
+                w0, w1 = (float(x) for x in args.weights.split(","))
+            except ValueError as exc:
+                raise SchemaError(
+                    "weights", f"expected two comma-separated floats, got {args.weights!r}"
+                ) from exc
+            out = classical_control(i0, i1, (w0, w1), rho)
         else:
             out = controlled_output(i0, i1, control, rho)
     doc = {"mode": args.mode, **_matrix_report(out)}
@@ -172,26 +170,19 @@ def _cmd_simulate(args) -> int:
 def _cmd_validate_t(args) -> int:
     ch = channel_from_json(load_json(args.channel))
     t = tmatrix_from_json(load_json(args.t))
-    report = admissible(ch, t, range_tol=args.tol, bound_tol=args.tol)
+    report = admissible(ch, t)
     doc = {
         "admissible": report.admissible,
         "range_residual": report.range_residual,
         "quadratic_form": report.quadratic_form,
     }
-    exit_code = 0 if report.admissible else 1
-    impl = failure = None
+    impl = None
     if args.realize:
         doc["env"] = doc["roundtrip_error"] = None
         if report.admissible:
-            # The report is printed even when realize, which keeps RANGE_TOL
-            # and BOUND_TOL, refuses a T that a wider --tol let through.
-            try:
-                impl = realize(ch, t)
-            except ValueError as exc:
-                failure = exc
-            else:
-                doc["env"] = vector_to_json(impl.env)
-                doc["roundtrip_error"] = float(np.max(np.abs(impl.t - t)))
+            impl = realize(ch, t)
+            doc["env"] = vector_to_json(impl.env)
+            doc["roundtrip_error"] = float(np.max(np.abs(impl.t - t)))
     if args.format == "json":
         print(_json_dumps(doc))
     else:
@@ -203,9 +194,7 @@ def _cmd_validate_t(args) -> int:
         if impl is not None:
             print(f"environment amplitudes: {np.asarray(impl.env)}")
             print(f"roundtrip error: {doc['roundtrip_error']:.3e}")
-    if failure is not None:
-        raise failure
-    return exit_code
+    return 0 if report.admissible else 1
 
 
 def _default_ensemble(d: int) -> Ensemble:
@@ -238,6 +227,14 @@ def _cmd_info(args) -> int:
     return 0
 
 
+def _realize(ch, t, field: str):
+    """:func:`realize`, with a refusal prefixed by the field of ``t``."""
+    try:
+        return realize(ch, t)
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from exc
+
+
 def _cmd_distinguish(args) -> int:
     ch = channel_from_json(load_json(args.channel))
     t_a = tmatrix_from_json(load_json(args.t_a), "t_a")
@@ -246,7 +243,7 @@ def _cmd_distinguish(args) -> int:
         fixed = implementation_from_json(load_json(args.fixed), "fixed")
     else:
         fixed = standard_implementation("identity", d=ch.dim, alpha=1.0)
-    inst = DiscriminationInstance(fixed, realize(ch, t_a), realize(ch, t_b))
+    inst = DiscriminationInstance(fixed, _realize(ch, t_a, "t_a"), _realize(ch, t_b, "t_b"))
     best_input = optimal_input(t_a, t_b)
     if args.input:
         rho = state_from_json(load_json(args.input))
@@ -282,14 +279,6 @@ def _int_at_least(low: int):
     return integer
 
 
-def _tolerance(text: str) -> float:
-    """Argparse type: a finite, non-negative float."""
-    value = float(text)
-    if not (np.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctrlchan",
@@ -322,10 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--t", required=True, help="transformation-matrix JSON")
     val.add_argument("--realize", action="store_true",
                      help="also construct the dilation and report the roundtrip error")
-    val.add_argument("--tol", type=_tolerance, default=BOUND_TOL,
-                     help="range and bound tolerance of the admissibility report; "
-                          "--realize always uses RANGE_TOL and BOUND_TOL "
-                          "(default: %(default)g, BOUND_TOL)")
     val.add_argument("--format", choices=("pretty", "json"), default="pretty")
     val.set_defaults(func=_cmd_validate_t)
 

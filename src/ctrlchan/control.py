@@ -242,9 +242,7 @@ def stinespring_oracle(
     eigenvalues of ``rho``.
     """
     d = _common_dim(i0, i1)
-    rho = validate_density_matrix(rho)
-    if rho.shape != (d, d):
-        raise ValueError(f"input of shape {rho.shape} does not match dimension {d}")
+    rho = _map_input(validate_density_matrix(rho), d)
     kraus0 = i0.channel.kraus
     kraus1 = i1.channel.kraus
     e0 = _embedded_env(i0.env)

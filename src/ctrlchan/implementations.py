@@ -160,7 +160,7 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _solve(ch: Channel, t, range_tol: float, bound_tol: float):
+def _solve(ch: Channel, t):
     """Minimum-norm coefficients c = V^+ t = M (B^dag t), and the
     admissibility report they give.
 
@@ -188,27 +188,23 @@ def _solve(ch: Channel, t, range_tol: float, bound_tol: float):
     coeff = m @ (basis_dag @ tvec)
     residual = float(np.linalg.norm(tvec - v @ coeff)) / tnorm
     qform = float(np.vdot(coeff, coeff).real)
-    ok = residual <= range_tol and qform <= 1.0 + bound_tol
+    ok = residual <= RANGE_TOL and qform <= 1.0 + BOUND_TOL
     return AdmissibilityReport(ok, residual, qform), coeff
 
 
-def admissible(
-    ch: Channel,
-    t,
-    *,
-    range_tol: float = RANGE_TOL,
-    bound_tol: float = BOUND_TOL,
-) -> AdmissibilityReport:
-    """Decide whether ``t`` is the transformation matrix of some dilation of ``ch``.
+def admissible(ch: Channel, t) -> AdmissibilityReport:
+    """Decide whether ``t`` is the transformation matrix of some dilation of ``ch``:
+    range residual at most ``RANGE_TOL`` and quadratic form at most
+    1 + ``BOUND_TOL``, the verdict :func:`realize` acts on.
 
     Rounding in ``t`` moves the quadratic form by about eps * kappa(V), with V
     the matrix of vectorised Kraus operators, so a genuine T, one whose
-    dilation has ||env|| = 1, is refused at the default ``bound_tol`` once
-    eps * kappa(V) nears ``BOUND_TOL``.  For the phase flip at p = 1e-28
-    (kappa(V) = 1e14) the T of the dilation with env = (0.6, 0.8j) reads
-    quadratic form 1 + 1.5e-5, on the QR and the SVD route alike.
+    dilation has ||env|| = 1, is refused once eps * kappa(V) nears
+    ``BOUND_TOL``.  For the phase flip at p = 1e-28 (kappa(V) = 1e14) the T of
+    the dilation with env = (0.6, 0.8j) reads quadratic form 1 + 1.5e-5, on
+    the QR and the SVD route alike.
     """
-    return _solve(ch, t, range_tol, bound_tol)[0]
+    return _solve(ch, t)[0]
 
 
 def realize(ch: Channel, t) -> ChannelImplementation:
@@ -216,13 +212,10 @@ def realize(ch: Channel, t) -> ChannelImplementation:
 
     The implementation uses the caller's own Kraus operators, with
     environment amplitudes env = conj(V^+ t), the minimum-norm choice.
-    Raises if ``t`` is not admissible at ``RANGE_TOL`` and ``BOUND_TOL``.
-    These are fixed, not keywords as in :func:`admissible`: a wider range
-    tolerance would return a dilation whose T is only the part of ``t``
-    inside range(V), and no environment vector holds a quadratic form above
-    1 + ``BOUND_TOL``.
+    Raises, naming the failed condition, where :func:`admissible` refuses
+    ``t``.
     """
-    report, coeff = _solve(ch, t, RANGE_TOL, BOUND_TOL)
+    report, coeff = _solve(ch, t)
     if report.range_residual > RANGE_TOL:
         raise ValueError(
             "matrix is not admissible for this channel: range residual "

@@ -113,11 +113,12 @@ def partial_trace(m, dim_first: int, dim_second: int, keep: str = "first") -> np
     raise ValueError("keep must be 'first' or 'second'")
 
 
-def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
+def is_hermitian(m) -> bool:
+    """True when ``m`` is square and equals its adjoint within ``DEFAULT_TOL``."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(np.max(np.abs(m - m.conj().T)) <= DEFAULT_TOL)
 
 
 def is_isometry(u) -> bool:
@@ -129,20 +130,21 @@ def is_isometry(u) -> bool:
     return bool(np.max(np.abs(gram - np.eye(u.shape[1]))) <= DEFAULT_TOL)
 
 
-def pseudoinverse(m, rank_tol: float = PINV_RANK_TOL, tol: float = DEFAULT_TOL) -> np.ndarray:
+def pseudoinverse(m) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a Hermitian positive semidefinite matrix.
 
-    Eigenvalues at or below ``rank_tol`` times the largest eigenvalue are
-    treated as zero; a negative eigenvalue beyond ``tol`` is an error.
+    Eigenvalues at or below ``PINV_RANK_TOL`` times the largest eigenvalue
+    are treated as zero; a negative eigenvalue beyond ``DEFAULT_TOL`` is an
+    error.
     """
     m = as_matrix(m)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(m)
     wmax = float(w[-1]) if w.size else 0.0
-    if w.size and float(w[0]) < -tol * max(wmax, 1.0):
+    if w.size and float(w[0]) < -DEFAULT_TOL * max(wmax, 1.0):
         raise ValueError(f"matrix has a negative eigenvalue {w[0]:.3e}")
-    cutoff = rank_tol * max(wmax, 0.0)
+    cutoff = PINV_RANK_TOL * max(wmax, 0.0)
     keep = w > cutoff
     if not np.any(keep):
         return np.zeros_like(m)

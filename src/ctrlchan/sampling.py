@@ -1,4 +1,4 @@
-"""Seeded random generators for states, unitaries, channels, environment
+"""Seeded random generators for states, isometries, channels, environment
 vectors and admissible interference matrices.
 
 Used by the property-test suites and by the randomised reproduction cases of
@@ -37,10 +37,10 @@ def random_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_density_matrix(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    """Random mixed state from a Gaussian purification of the given rank."""
-    r = d if rank is None else rank
-    g = _complex_gaussian((d, r), rng)
+def random_density_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Random full-rank mixed state, G G^dag / Tr[G G^dag] for a d x d complex
+    Gaussian G (the Hilbert-Schmidt measure)."""
+    g = _complex_gaussian((d, d), rng)
     m = g @ g.conj().T
     return m / np.trace(m)
 
@@ -66,11 +66,10 @@ def random_env(n: int, rng: np.random.Generator, norm: float | None = None) -> n
     return v * norm
 
 
-def random_implementation(
-    d: int, kraus_count: int, rng: np.random.Generator, env_norm: float | None = None
-) -> ChannelImplementation:
+def random_implementation(d: int, kraus_count: int, rng: np.random.Generator) -> ChannelImplementation:
+    """:func:`random_channel` with a :func:`random_env` of uniform squared norm."""
     ch = random_channel(d, kraus_count, rng)
-    return ChannelImplementation(ch, random_env(kraus_count, rng, env_norm))
+    return ChannelImplementation(ch, random_env(kraus_count, rng))
 
 
 def random_admissible_t(ch: Channel, rng: np.random.Generator) -> np.ndarray:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from ctrlchan.channels import standard_channel
-from ctrlchan.cli import build_parser, main
-from ctrlchan.implementations import BOUND_TOL
-from ctrlchan.serialization import channel_to_json, state_to_json, tmatrix_to_json
+from ctrlchan.cli import main
+from ctrlchan.linalg import maximally_entangled
+from ctrlchan.serialization import channel_to_json, matrix_to_json, state_to_json, tmatrix_to_json
 
 
 @pytest.fixture
@@ -173,6 +173,17 @@ class TestSimulate:
         assert captured.err.startswith("error: density matrix has ")
         assert message in captured.err
 
+    @pytest.mark.parametrize("weights", ["a,b", "0.5", "0.2,0.3,0.5"])
+    def test_bad_weights_named(self, files, capsys, weights):
+        code = main([
+            "simulate", "--mode", "classical", "--weights", weights,
+            "--channel0", files["depol_impl.json"], "--channel1", files["depol_impl.json"],
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: weights: expected two comma-separated floats, got {weights!r}\n"
+        )
+
     def test_malformed_file_reports_error(self, files, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -208,41 +219,16 @@ class TestValidateT:
         assert doc["range_residual"] > 0.5
 
 
-    def test_tol_defaults_to_bound_tol(self, capsys):
-        args = build_parser().parse_args(["validate-t", "--channel", "c", "--t", "t"])
-        assert args.tol == BOUND_TOL
-        with pytest.raises(SystemExit):
-            main(["validate-t", "--help"])
-        assert f"default: {BOUND_TOL:g}" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("value", ["-1", "-1e-9", "nan", "inf", "-inf"])
-    def test_tol_must_be_finite_and_non_negative(self, files, value, capsys):
+    def test_tol_option_refused(self, files, capsys):
+        # admissible and realize decide at RANGE_TOL and BOUND_TOL alone, so
+        # the report cannot admit a T that --realize then refuses.
         with pytest.raises(SystemExit) as exc:
             main([
                 "validate-t", "--channel", files["depol.json"], "--t", files["t.json"],
-                f"--tol={value}",
+                "--tol", "1e-6",
             ])
         assert exc.value.code == 2
-        assert "argument --tol" in capsys.readouterr().err
-
-    def test_wide_tol_does_not_widen_realize(self, tmp_path, capsys):
-        # sigma_x / 2 lies wholly outside range(V) of the identity channel;
-        # --tol 2 lets the report call it admissible, but realize keeps its
-        # own tolerances and refuses it rather than build a T of 0.
-        ident = tmp_path / "ident.json"
-        ident.write_text(json.dumps(channel_to_json(standard_channel("identity", 2))))
-        t = tmp_path / "t.json"
-        t.write_text(json.dumps(tmatrix_to_json(np.array([[0.0, 0.5], [0.5, 0.0]]))))
-        code = main([
-            "validate-t", "--channel", str(ident), "--t", str(t), "--tol", "2",
-            "--realize", "--format", "json",
-        ])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "not admissible" in captured.err
-        doc = json.loads(captured.out)
-        assert doc["admissible"] is True
-        assert doc["env"] is None and doc["roundtrip_error"] is None
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     def test_t_whose_norm_overflows_exits_with_one_error_line(self, files, tmp_path, capsys):
         t = tmp_path / "t_huge.json"
@@ -254,25 +240,26 @@ class TestValidateT:
         assert captured.err == "error: t has a norm that overflows, though every entry is finite\n"
 
     @pytest.mark.parametrize("fmt", ["json", "pretty"])
-    def test_realize_beyond_the_dilation_cap_reports_then_fails(self, tmp_path, capsys, fmt):
+    def test_realize_beyond_the_dilation_cap_reports_not_admissible(self, tmp_path, capsys, fmt):
         ident = tmp_path / "ident.json"
         ident.write_text(json.dumps(channel_to_json(standard_channel("identity", 2))))
         t = tmp_path / "t.json"
         t.write_text(json.dumps(tmatrix_to_json(np.sqrt(1.0 + 5e-7) * np.eye(2))))
         code = main([
-            "validate-t", "--channel", str(ident), "--t", str(t), "--tol", "1e-6",
+            "validate-t", "--channel", str(ident), "--t", str(t),
             "--realize", "--format", fmt,
         ])
         captured = capsys.readouterr()
-        assert code == 2
-        assert "not admissible" in captured.err and "above 1 + 1e-08" in captured.err
+        assert code == 1
+        assert captured.err == ""
         if fmt == "json":
             doc = json.loads(captured.out)
-            assert doc["admissible"] is True
+            assert doc["admissible"] is False
             assert abs(doc["quadratic_form"] - (1.0 + 5e-7)) <= 1e-12
             assert doc["env"] is None and doc["roundtrip_error"] is None
         else:
-            assert "quadratic form = 1.0000005 -> admissible" in captured.out
+            assert "quadratic form = 1.0000005 -> NOT admissible" in captured.out
+            assert "environment amplitudes" not in captured.out
 
 
 class TestInfo:
@@ -330,3 +317,146 @@ class TestDistinguish:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert abs(doc["output_distance"] - 1.0 / np.sqrt(2.0)) <= 1e-9
+
+    @pytest.mark.parametrize("flag", ["t_a", "t_b"])
+    def test_refusal_names_its_flag(self, tmp_path, capsys, flag):
+        depol = tmp_path / "depol3.json"
+        depol.write_text(json.dumps(channel_to_json(standard_channel("depolarising", 3))))
+        # the qutrit depolarising channel admits T iff Tr[T^dag T] <= 1/3
+        p0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        paths = {"t_a": tmp_path / "t_a.json", "t_b": tmp_path / "t_b.json"}
+        for name, path in paths.items():
+            t = p0 if name == flag else p0 / np.sqrt(3.0)
+            path.write_text(json.dumps(tmatrix_to_json(t)))
+        code = main([
+            "distinguish", "--channel", str(depol),
+            "--t-a", str(paths["t_a"]), "--t-b", str(paths["t_b"]),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {flag}: matrix is not admissible for this channel: quadratic form "
+            "1 + 2.000e+00, above 1 + 1e-08 = 1 + BOUND_TOL; no dilation holds it\n"
+        )
+
+
+def _documents(d: int) -> dict:
+    """One well-formed document of each kind in dimension ``d``."""
+    depol = standard_channel("depolarising", d)
+    t = np.zeros((d, d), dtype=complex)
+    t[0, 0] = 1.0 / np.sqrt(d)
+    basis = [np.diag(np.eye(d)[i]).astype(complex) for i in range(2)]
+    return {
+        "channel": channel_to_json(depol),
+        "implementation": channel_to_json(depol, np.full(d * d, 1.0 / d)),
+        "t": tmatrix_to_json(t),
+        "-t": tmatrix_to_json(-t),
+        "state": state_to_json(basis[0]),
+        "bipartite": state_to_json(maximally_entangled(d)),
+        "ensemble": {"d": d, "items": [
+            {"p": 0.6, "rho": matrix_to_json(basis[0])},
+            {"p": 0.4, "rho": matrix_to_json(basis[1])},
+        ]},
+    }
+
+
+# Where each kind keeps its first matrix: the object holding the matrix
+# field, the field, and the index of the matrix in it, if the field is a list.
+_MATRIX_PATH = {
+    "channel": ((), "kraus", 0),
+    "implementation": ((), "kraus", 0),
+    "t": ((), "t", None),
+    "-t": ((), "t", None),
+    "state": ((), "rho", None),
+    "bipartite": ((), "rho", None),
+    "ensemble": (("items", 0), "rho", None),
+}
+
+
+def _malformed(kind: str, fault: str):
+    """The qubit document of ``kind`` with one ``fault``; a string is written as
+    it is, anything else as JSON."""
+    if fault == "syntax":
+        return "{not json"
+    if fault == "foreign d":
+        return _documents(3)[kind]
+    doc = _documents(2)[kind]
+    steps, field, index = _MATRIX_PATH[kind]
+    holder = doc
+    for step in steps:
+        holder = holder[step]
+    if fault == "missing key":
+        del holder[field]
+    elif fault == "wrong d":
+        doc["d"] += 1
+    else:
+        if index is not None:
+            holder, field = holder[field], index
+        if fault == "wrong type":
+            holder[field] = {"re": 1.0}
+        elif fault == "non-finite":
+            holder[field][0][0][0] = float("nan")
+        else:  # ragged rows
+            holder[field][0].pop()
+    return doc
+
+
+# Each subcommand's fixed arguments, and the kind of document each file flag reads.
+_COMMANDS = {
+    "simulate-control": (["simulate"], {
+        "--channel0": "implementation", "--channel1": "implementation", "--input": "state",
+    }),
+    "simulate-switch": (["simulate", "--mode", "switch"], {
+        "--channel0": "channel", "--channel1": "channel", "--input": "state",
+    }),
+    "simulate-classical": (["simulate", "--mode", "classical"], {
+        "--channel0": "implementation", "--channel1": "implementation", "--input": "state",
+    }),
+    "validate-t": (["validate-t", "--realize"], {"--channel": "channel", "--t": "t"}),
+    "info": (["info"], {
+        "--channel0": "implementation", "--channel1": "implementation",
+        "--ensemble": "ensemble", "--input": "bipartite",
+    }),
+    "distinguish": (["distinguish"], {
+        "--channel": "channel", "--t-a": "t", "--t-b": "-t",
+        "--fixed": "implementation", "--input": "state",
+    }),
+}
+_FAULTS = ["syntax", "wrong type", "missing key", "non-finite", "ragged rows", "wrong d", "foreign d"]
+
+
+class TestNoTraceback:
+    """Every file flag of every subcommand that reads one (``reproduce`` reads
+    none), given a malformed document: the run exits 2 with one ``error:``
+    line on stderr, and no exception escapes ``main``."""
+
+    @staticmethod
+    def run(tmp_path, command, flag=None, fault=None):
+        argv, flags = _COMMANDS[command]
+        valid = _documents(2)
+        args = list(argv)
+        for name, kind in flags.items():
+            doc = _malformed(kind, fault) if name == flag else valid[kind]
+            path = tmp_path / f"{name.strip('-')}.json"
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+            args += [name, str(path)]
+        return main(args)
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_well_formed_documents_run(self, tmp_path, capsys, command):
+        assert self.run(tmp_path, command) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("fault", _FAULTS)
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, (_, flags) in _COMMANDS.items() for flag in flags
+    ])
+    def test_one_error_line(self, tmp_path, capsys, command, flag, fault):
+        code = self.run(tmp_path, command, flag, fault)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert "Traceback" not in captured.err
