@@ -206,18 +206,30 @@ def _cmd_info(args) -> int:
     i1 = implementation_from_json(load_json(args.channel1), "channel1")
     control = _parse_control(args.control)
     output_map = controlled_map(i0, i1, control)
+    d = i0.dim
     doc = {}
     if args.metric in ("holevo", "both"):
         if args.ensemble:
             ens = ensemble_from_json(load_json(args.ensemble))
+            if ens.dim != d:
+                raise SchemaError(
+                    "--ensemble",
+                    f"ensemble of dimension {ens.dim} does not match the channels' dimension {d}",
+                )
         else:
-            ens = _default_ensemble(i0.dim)
+            ens = _default_ensemble(d)
         doc["holevo_lower_bound"] = holevo_lower_bound(output_map, ens)
     if args.metric in ("coherent", "both"):
         if args.input:
             nu0 = state_from_json(load_json(args.input))
+            if nu0.shape != (d * d, d * d):
+                raise SchemaError(
+                    "--input",
+                    f"state of shape {nu0.shape} does not match the channels' dimension {d}: "
+                    f"a reference and target state has shape {(d * d, d * d)}",
+                )
         else:
-            nu0 = maximally_entangled(i0.dim)
+            nu0 = maximally_entangled(d)
         doc["coherent_info_bound"] = coherent_info_bound(output_map, nu0)
     if args.format == "json":
         print(_json_dumps(doc))

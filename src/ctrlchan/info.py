@@ -21,7 +21,10 @@ from .control import ControlState, switch_map
 from .linalg import (
     DEFAULT_TOL,
     ENTROPY_CLAMP,
+    LEADER_WINDOW,
+    PARITY_RESIDUE,
     _checked_spectrum,
+    _density_rules,
     _one_plus,
     partial_trace,
     readonly,
@@ -169,6 +172,58 @@ _DEPOLARISING_QUBIT = standard_channel("depolarising", 2)
 _QUBIT_SWITCH = switch_map(_DEPOLARISING_QUBIT, _DEPOLARISING_QUBIT, ControlState.plus())
 
 
+# Positions 4 i + j in a flattened 4x4 of the lower-triangle entries (i, j)
+# that _parity_entropies reads: (0, 0), (1, 1), (2, 2), (3, 3), (1, 0),
+# (3, 2), (2, 0), (3, 1), (3, 0) and (2, 1).
+_LOWER = [0, 5, 10, 15, 4, 14, 8, 13, 12, 9]
+
+
+def _parity_entropies(avg: np.ndarray) -> np.ndarray | None:
+    """Entropies of a stack ``(..., 4, 4)`` of joint qubit states from the
+    spectra of their control-parity blocks, or None where those cannot be
+    trusted to rank the states.
+
+    Every matrix is checked by :func:`ctrlchan.linalg._density_rules`.  In
+    the |+>, |-> control basis a matrix [[A, B], [C, D]] has the diagonal
+    blocks (A + D) / 2 +- (B + C) / 2 and between them the block
+    E = (A - D) / 2 + (C - B) / 2, which is zero when the matrix commutes
+    with X (x) 1.  The blocks are read from the lower triangle, as
+    ``eigvalsh`` reads the matrix, with B = C^dag, and each 2x2 spectrum is
+    taken in closed form.  The result is None unless every ||E||_F is at
+    most ``PARITY_RESIDUE`` and every lowest eigenvalue, less ||E||_F and
+    ``PARITY_RESIDUE``, is at least ``-ENTROPY_CLAMP``: then, by Weyl, no
+    ``eigvalsh`` eigenvalue lies below the clamping window, so
+    :func:`entropy` accepts every matrix, and each entropy here is within
+    ``LEADER_WINDOW / 2`` of its value (see the tolerance table).
+    """
+    _density_rules(avg)
+    # the ten lower-triangle entries the blocks need, each as one row over the stack
+    m00, m11, m22, m33, m10, m32, m20, m31, m30, m21 = avg.reshape(-1, 16).T[_LOWER]
+    # (A +- D) / 2, and the Hermitian and anti-Hermitian parts of C
+    mid_low, half_low = (m10 + m32) / 2.0, (m10 - m32) / 2.0
+    c_herm, c_anti = (m30 + m21.conj()) / 2.0, (m30 - m21.conj()) / 2.0
+    # E has the diagonal (A - D) / 2 + i Im diag(C) and the off-diagonal
+    # entries half_low + c_anti and the conjugate of half_low - c_anti
+    residue = np.sqrt(
+        ((m00.real - m22.real) / 2.0) ** 2 + m20.imag**2
+        + ((m11.real - m33.real) / 2.0) ** 2 + m31.imag**2
+        + np.abs(half_low + c_anti) ** 2 + np.abs(half_low - c_anti) ** 2
+    ).max(initial=0.0)
+    # the |+> block adds the Hermitian part of C to (A + D) / 2, the |-> block
+    # subtracts it; a 2x2 block has the eigenvalues mean -+ radius
+    mean = (m00.real + m11.real + m22.real + m33.real) / 4.0
+    gap = (m00.real + m22.real - m11.real - m33.real) / 4.0
+    c_mean, c_gap = (m20.real + m31.real) / 2.0, (m20.real - m31.real) / 2.0
+    plus = np.hypot(gap + c_gap, np.abs(mid_low + c_herm))
+    minus = np.hypot(gap - c_gap, np.abs(mid_low - c_herm))
+    w = np.stack((mean + c_mean - plus, mean + c_mean + plus, mean - c_mean - minus, mean - c_mean + minus))
+    if not residue <= PARITY_RESIDUE or w.min() - residue - PARITY_RESIDUE < -ENTROPY_CLAMP:
+        return None
+    w = np.maximum(w, 0.0)
+    bits = -(w * np.log2(np.where(w > 0.0, w, 1.0))).sum(axis=0)
+    return bits.reshape(avg.shape[:-2])
+
+
 def switch_holevo_qubit_gridsearch(
     angle_step: float = np.pi / 60.0,
     prob_step: float = 0.05,
@@ -186,6 +241,22 @@ def switch_holevo_qubit_gridsearch(
     (theta0, theta1) grid.  The switch map does not depend on the grid, so it
     is built once per process, at import, and each call evaluates it once, on
     the stack of all grid states.  Returns (best value, (0.0, theta1, p0)).
+
+    The two channels under the switch are one and the same, so swapping the
+    two orders maps every output to itself: each output, and each average
+    of two, commutes with X (x) 1 on control (x) target and splits into two
+    2x2 blocks in the |+>, |-> control basis.  The grid is ranked on the
+    closed-form spectra of those blocks (:func:`_parity_entropies`), which
+    differ from the ``eigvalsh`` spectra by rounding.  Every point whose
+    ranked value lies within ``LEADER_WINDOW`` of the ranked maximum, a
+    window wider than twice the largest difference a ranked value can have
+    from its exact one, is then scored again with :func:`entropy`, in the
+    operand order of the literal loop.  Every exact maximum is among these
+    leaders, so the first of them in (theta1, p0) order is the point, and its
+    value the value, that scoring the whole grid exactly gives, bit for bit.
+    Where the blocks cannot be trusted (an average that is not
+    X (x) 1-symmetric within ``PARITY_RESIDUE``, or an eigenvalue near the
+    clamping window), every point is scored exactly, as are its errors.
     """
     for name, step in (("angle_step", angle_step), ("prob_step", prob_step)):
         if not 0.0 < step < math.inf:
@@ -198,12 +269,18 @@ def switch_holevo_qubit_gridsearch(
     if probs.size == 0:
         raise ValueError(f"prob_step {prob_step} leaves no probability in (0, 1)")
 
-    # Rows are theta1, columns p0; argmax on the flattened table finds the
-    # first maximum in (theta1, p0) order.  The operands keep the order of
-    # the literal (theta0, theta1, p0) loop, so each value is bitwise the one
-    # that loop computes at theta0 = 0.
+    # Rows are theta1, columns p0, and the leaders keep that order, so argmax
+    # finds the first maximum in (theta1, p0) order.  The operands keep the
+    # order of the literal (theta0, theta1, p0) loop, so each value is bitwise
+    # the one that loop computes at theta0 = 0.
     p0 = probs[:, None, None]
     avg = p0 * outputs[0] + (1.0 - p0) * outputs[:, None]
-    values = entropy(avg) - probs * entropies[0] - (1.0 - probs) * entropies[:, None]
-    k, j = np.unravel_index(np.argmax(values), values.shape)
-    return float(values[k, j]), (0.0, float(thetas[k]), float(probs[j]))
+    ranked = _parity_entropies(avg)
+    if ranked is None:
+        k, j = np.indices(avg.shape[:2]).reshape(2, -1)
+    else:
+        ranked = ranked - probs * entropies[0] - (1.0 - probs) * entropies[:, None]
+        k, j = np.nonzero(ranked >= ranked.max() - LEADER_WINDOW)
+    values = entropy(avg[k, j]) - probs[j] * entropies[0] - (1.0 - probs[j]) * entropies[k]
+    best = np.argmax(values)
+    return float(values[best]), (0.0, float(thetas[k[best]]), float(probs[j[best]]))

@@ -40,6 +40,19 @@ BOUND_TOL = 1e-8
 # no singular value an SVD would keep can lie at the cutoff.
 QR_MARGIN = 10.0
 ENTROPY_CLAMP = 1e-12  # entropy: an eigenvalue in (-ENTROPY_CLAMP, 0) is rounding, set to 0
+# info.switch_holevo_qubit_gridsearch ranks its grid on the closed-form
+# spectra of the two control-parity 2x2 blocks of each average, and only when
+# every block between them has Frobenius norm at most PARITY_RESIDUE.  Then,
+# by Weyl, the block spectra lie within PARITY_RESIDUE of the exact ones, and
+# the closed form and eigvalsh each round an eigenvalue of a trace-1 4x4 by a
+# few eps, well under PARITY_RESIDUE, so the two differ by at most
+# 2 PARITY_RESIDUE.  As |eta(x) - eta(y)| <= eta(|x - y|) for
+# eta(x) = -x log2 x, four eigenvalues move an entropy by at most
+# 4 eta(2e-14) < 3.7e-12: a ranked and an exact value differ by that plus
+# rounding, and every exact maximum lies within twice that, under
+# LEADER_WINDOW, of the ranked maximum.
+PARITY_RESIDUE = 1e-14
+LEADER_WINDOW = 1e-11
 ORACLE_SKIP = 1e-12  # stinespring_oracle: input eigenvectors of smaller weight are skipped
 CONSTANT_CUTOFF = 1e-14  # constant channel: no Kraus operators for smaller eigenvalues
 AGREE_TOL = 1e-10  # output_distance: direct and closed-form values must agree

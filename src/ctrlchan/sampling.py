@@ -51,19 +51,12 @@ def random_channel(d: int, kraus_count: int, rng: np.random.Generator) -> Channe
     return Channel(v.reshape(kraus_count, d, d))
 
 
-def random_env(n: int, rng: np.random.Generator, norm: float | None = None) -> np.ndarray:
-    """Random environment amplitude vector with <e|e> <= 1.
-
-    ``norm`` pins the vector norm exactly; by default the squared norm is
-    drawn uniformly from [0, 1).
-    """
+def random_env(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random environment amplitude vector with <e|e> <= 1: a uniformly
+    random direction, with the squared norm drawn uniformly from [0, 1)."""
     v = _complex_gaussian(n, rng)
     v /= np.linalg.norm(v)
-    if norm is None:
-        norm = float(np.sqrt(rng.uniform(0.0, 1.0)))
-    if not 0.0 <= norm <= 1.0:
-        raise ValueError(f"norm must lie in [0, 1], got {norm}")
-    return v * norm
+    return v * float(np.sqrt(rng.uniform(0.0, 1.0)))
 
 
 def random_implementation(d: int, kraus_count: int, rng: np.random.Generator) -> ChannelImplementation:

@@ -460,3 +460,27 @@ class TestNoTraceback:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--ensemble", "--ensemble: ensemble of dimension 3 does not match the channels' "
+                       "dimension 2"),
+        ("--input", "--input: state of shape (9, 9) does not match the channels' dimension 2: "
+                    "a reference and target state has shape (4, 4)"),
+    ])
+    def test_foreign_dimension_names_the_flag(self, tmp_path, capsys, flag, message):
+        # the flag and the shape the document gives, not a stack of mapped inputs
+        assert self.run(tmp_path, "info", flag, "foreign d") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_target_state_as_bipartite_input_names_the_flag(self, tmp_path, capsys):
+        impl = tmp_path / "impl.json"
+        impl.write_text(json.dumps(_documents(2)["implementation"]))
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(_documents(2)["state"]))
+        code = main(["info", "--metric", "coherent", "--channel0", str(impl),
+                     "--channel1", str(impl), "--input", str(state)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --input: state of shape (2, 2) does not match the channels' dimension 2: "
+            "a reference and target state has shape (4, 4)\n"
+        )

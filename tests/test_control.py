@@ -235,8 +235,8 @@ class TestStinespringOracle:
         # the untouched arm keeps its environment weight outside the dilation basis
         rng = np.random.default_rng(8)
         ch = random_channel(2, 2, rng)
-        i0 = ChannelImplementation(ch, random_env(2, rng, norm=0.3))
-        i1 = ChannelImplementation(ch, random_env(2, rng, norm=1.0))
+        i0 = ChannelImplementation(ch, 0.3 * random_pure_state(2, rng))
+        i1 = ChannelImplementation(ch, random_pure_state(2, rng))
         rho = random_density_matrix(2, rng)
         closed = controlled_output(i0, i1, PLUS, rho)
         oracle = stinespring_oracle(i0, i1, PLUS, rho)
@@ -268,7 +268,7 @@ class TestStinespringOracle:
             remix(random_channel(d, 2, rng), haar_isometry(d + 3, 2, rng)),
         ]
         impls = [
-            ChannelImplementation(ch, random_env(len(ch.kraus), rng, norm=norm))
+            ChannelImplementation(ch, norm * random_pure_state(len(ch.kraus), rng))
             for ch in channels
             for norm in (0.0, 0.6, 1.0)
         ]

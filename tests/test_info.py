@@ -19,8 +19,9 @@ from ctrlchan.info import (
     shannon_entropy,
     switch_holevo_qubit,
     switch_holevo_qubit_gridsearch,
+    _parity_entropies,
 )
-from ctrlchan.linalg import ket, maximally_entangled, partial_trace, projector
+from ctrlchan.linalg import LEADER_WINDOW, ket, maximally_entangled, partial_trace, projector
 from ctrlchan.sampling import random_density_matrix, random_env, random_pure_state
 
 PLUS = ControlState.plus()
@@ -289,16 +290,18 @@ class TestAnalyticBounds:
             assert cc_dephasing_bound(p) > single
 
 
-def literal_gridsearch(angle_step, prob_step):
-    """The grid search as a literal triple loop, with numpy's own spectra."""
+def literal_gridsearch(angle_step, prob_step, out_map=None):
+    """The grid search as a literal triple loop, with numpy's own spectra,
+    through ``out_map`` (by default the depolarising qubit switch)."""
 
     def bits(rho):
         w = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
         w = w[w > 0.0]
         return float(-(w * np.log2(w)).sum())
 
-    ch = standard_channel("depolarising", 2)
-    out_map = switch_map(ch, ch, PLUS)
+    if out_map is None:
+        ch = standard_channel("depolarising", 2)
+        out_map = switch_map(ch, ch, PLUS)
     thetas = np.arange(0.0, np.pi + angle_step / 2.0, angle_step)
     states = [np.array([np.cos(th / 2.0), np.sin(th / 2.0)], dtype=complex) for th in thetas]
     outputs = [out_map(np.outer(s, s.conj())) for s in states]
@@ -426,6 +429,176 @@ class TestSwitchGridSearch:
     def test_empty_probability_grid_rejected(self):
         with pytest.raises(ValueError, match="no probability"):
             switch_holevo_qubit_gridsearch(np.pi / 6, 1.0)
+
+
+# Every (n, m) grid of the holevo-grid-qubit workload: angle step pi / n,
+# probability step 1 / (2m).
+BENCH_GRIDS = [(np.pi / n, 1.0 / (2 * m)) for n in range(6, 31) for m in range(2, 12)]
+# The grids of TestSwitchGridSearch.test_matches_literal_loop.
+LITERAL_GRIDS = [
+    (a, p)
+    for a in (np.pi / 6, np.pi / 7, np.pi / 13, np.pi / 60, 0.3, 0.77, 3.5)
+    for p in (0.25, 0.1, 0.05, 0.2, 0.3)
+]
+# 0.77 and 0.2: p0 = 0.4 and p0 = 0.6 tie at theta1 = 3.08, and the first, 0.4,
+# is the point.
+TIE_GRID = (0.77, 0.2)
+
+
+def _exact_only(monkeypatch):
+    """Turn the parity ranking off, so that the grid search scores every
+    point with ``entropy``."""
+    import ctrlchan.info
+
+    monkeypatch.setattr(ctrlchan.info, "_parity_entropies", lambda avg: None)
+
+
+def _symmetric_state(w):
+    """The X (x) 1-symmetric joint state with |+> block diag(w[0], w[1]) and
+    |-> block diag(w[2], w[3]), written in the computational control basis."""
+    even, odd = np.diag(w[:2]).astype(complex), np.diag(w[2:]).astype(complex)
+    a, b = (even + odd) / 2.0, (even - odd) / 2.0
+    return np.block([[a, b], [b, a]])
+
+
+class TestParityRanking:
+    """The grid search ranks on the control-parity blocks and scores its
+    leaders with ``entropy``; it must return bit for bit what scoring every
+    point with ``entropy`` returns."""
+
+    def test_bitwise_the_exact_path(self, monkeypatch):
+        rng = np.random.default_rng(2020)
+        drawn = [
+            (float(rng.uniform(0.05, 3.5)), float(rng.uniform(0.02, 0.6))) for _ in range(200)
+        ]
+        grids = BENCH_GRIDS + LITERAL_GRIDS + [(np.pi / 60.0, 0.05)] + drawn
+        ranked = [switch_holevo_qubit_gridsearch(a, p) for a, p in grids]
+        _exact_only(monkeypatch)
+        for (a, p), (value, point) in zip(grids, ranked):
+            ref_value, ref_point = switch_holevo_qubit_gridsearch(a, p)
+            assert value.hex() == ref_value.hex(), (a, p)
+            assert [x.hex() for x in point] == [x.hex() for x in ref_point], (a, p)
+
+    def test_tie_takes_the_first_probability(self, monkeypatch):
+        # Both tied points are leaders, and the exact scores keep the first;
+        # the ranked values alone put p0 = 0.6000000000000001 first.
+        import ctrlchan.info
+
+        held = ctrlchan.info.entropy
+        scored = []
+
+        def counted(rho):
+            scored.append(np.shape(rho))
+            return held(rho)
+
+        monkeypatch.setattr(ctrlchan.info, "entropy", counted)
+        value, point = switch_holevo_qubit_gridsearch(*TIE_GRID)
+        assert point == (0.0, 3.08, 0.4)
+        assert scored == [(5, 4, 4), (2, 4, 4)]
+        _exact_only(monkeypatch)
+        assert switch_holevo_qubit_gridsearch(*TIE_GRID) == (value, point)
+
+    def test_few_exact_spectra(self, monkeypatch):
+        sides = []
+        held = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            a = np.asarray(a)
+            sides.extend([a.shape[-1]] * int(np.prod(a.shape[:-2])))
+            return held(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        for a, p in BENCH_GRIDS:
+            sides.clear()
+            switch_holevo_qubit_gridsearch(a, p)
+            # n + 1 outputs and at most two leaders, against (n + 1)(P + 1)
+            # when every average is scored with entropy
+            n = round(np.pi / a)
+            assert sides.count(4) == len(sides) <= (n + 1) + 2, (a, p)
+
+    @pytest.mark.parametrize("eps", [0.05, 1e-13], ids=["broken", "barely-broken"])
+    @pytest.mark.parametrize("grid", [(np.pi / 6, 0.25), TIE_GRID, (0.3, 0.1)],
+                             ids=["pi/6,1/4", "0.77,0.2", "0.3,0.1"])
+    def test_asymmetric_map_scored_exactly(self, monkeypatch, eps, grid):
+        # Adding eps Z (x) 1 keeps the map covariant under target rotations,
+        # so the literal loop still finds its maximum at theta0 = 0, but it
+        # breaks the X (x) 1 symmetry: in the |+>, |-> basis it lies between
+        # the blocks, so every average has ||E||_F = sqrt(2) eps.
+        import ctrlchan.info
+
+        held = ctrlchan.info._QUBIT_SWITCH
+        tilt = eps * np.kron(np.diag([1.0, -1.0]), np.eye(2)).astype(complex)
+
+        def tilted(rho):
+            return held(rho) + np.trace(rho, axis1=-2, axis2=-1)[..., None, None] * tilt
+
+        monkeypatch.setattr(ctrlchan.info, "_QUBIT_SWITCH", tilted)
+        held_ranking = ctrlchan.info._parity_entropies
+        verdicts = []
+        monkeypatch.setattr(
+            ctrlchan.info,
+            "_parity_entropies",
+            lambda avg: verdicts.append(held_ranking(avg)) or verdicts[-1],
+        )
+        value, point = switch_holevo_qubit_gridsearch(*grid)
+        assert verdicts == [None]
+        ref_value, ref_point = literal_gridsearch(*grid, out_map=tilted)
+        assert abs(value - ref_value) <= 1e-12
+        assert point == ref_point
+
+    @pytest.mark.parametrize(
+        "low, message",
+        [
+            (-1e-6, r"^density matrix has a negative eigenvalue -1\.000e-06$"),
+            (-1e-11, r"^eigenvalue -1\.000e-11 below the clamping window$"),
+        ],
+        ids=["negative", "below-clamp"],
+    )
+    def test_negative_output_refused_as_before(self, monkeypatch, low, message):
+        import ctrlchan.info
+
+        bad = _symmetric_state([low, 0.5, 0.25, 0.25 - low])
+
+        def negative(rho):
+            return np.broadcast_to(bad, rho.shape[:-2] + (4, 4)).copy()
+
+        monkeypatch.setattr(ctrlchan.info, "_QUBIT_SWITCH", negative)
+        with pytest.raises(ValueError, match=message):
+            switch_holevo_qubit_gridsearch(np.pi / 6, 0.25)
+        _exact_only(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            switch_holevo_qubit_gridsearch(np.pi / 6, 0.25)
+
+
+class TestParityEntropies:
+    def test_symmetric_stack_within_the_window(self):
+        rng = np.random.default_rng(7)
+        states = []
+        for _ in range(50):
+            w = rng.dirichlet(np.ones(4))
+            # a random unitary on the target, the same in both control blocks,
+            # keeps the X (x) 1 symmetry
+            u = np.kron(np.eye(2), np.linalg.qr(rng.standard_normal((2, 2))
+                                                + 1j * rng.standard_normal((2, 2)))[0])
+            states.append(u @ _symmetric_state(w) @ u.conj().T)
+        stack = np.array(states).reshape(5, 10, 4, 4)
+        ranked = _parity_entropies(stack)
+        assert ranked.shape == (5, 10)
+        assert np.abs(ranked - entropy(stack)).max() <= LEADER_WINDOW / 2.0
+
+    @pytest.mark.parametrize("low", [-1e-6, -1e-12 + 5e-15])
+    def test_no_ranking_near_the_clamping_window(self, low):
+        stack = np.array([_symmetric_state([0.25] * 4), _symmetric_state([low, 0.5, 0.25, 0.25 - low])])
+        assert _parity_entropies(stack) is None
+
+    def test_inside_the_clamping_window_ranked(self):
+        stack = np.array([_symmetric_state([-1e-13, 0.5, 0.25, 0.25 + 1e-13])])
+        assert abs(_parity_entropies(stack)[0] - entropy(stack)[0]) <= 1e-11
+
+    def test_rules_refuse_first(self):
+        bad = _symmetric_state([0.25] * 4) * 1.1
+        with pytest.raises(ValueError, match=r"trace 1 \+ 1\.000e-01"):
+            _parity_entropies(np.array([bad]))
 
     @pytest.mark.parametrize("step", [0.0, -0.1, float("nan")], ids=["zero", "negative", "nan"])
     @pytest.mark.parametrize("name", ["angle_step", "prob_step"])
