@@ -95,6 +95,13 @@ def _matrix_report(out: ControlledOutput) -> dict:
     }
 
 
+def _same_dimension(flag: str, kind: str, dim: int, d: int, owner: str) -> None:
+    """Refuse, under ``flag``, a ``kind`` document of dimension ``dim`` where
+    ``owner`` sets the dimension ``d``."""
+    if dim != d:
+        raise SchemaError(flag, f"{kind} of dimension {dim} does not match {owner} dimension {d}")
+
+
 def _cmd_reproduce(args) -> int:
     selected = args.case if args.case else list(case_ids())
     options = CaseOptions(d=args.d, seed=args.seed, trials=args.trials)
@@ -131,26 +138,30 @@ def _cmd_simulate(args) -> int:
     control = _parse_control(args.control)
     rho = state_from_json(load_json(args.input)) if args.input else None
     if args.mode == "switch":
-        ch0 = channel_from_json(load_json(args.channel0))
-        ch1 = channel_from_json(load_json(args.channel1))
-        if rho is None:
-            rho = projector(ket(0, ch0.dim))
-        out = switch_output(ch0, ch1, control, rho)
+        kind = "channel"
+        arm0 = channel_from_json(load_json(args.channel0))
+        arm1 = channel_from_json(load_json(args.channel1))
     else:
-        i0 = implementation_from_json(load_json(args.channel0), "channel0")
-        i1 = implementation_from_json(load_json(args.channel1), "channel1")
-        if rho is None:
-            rho = projector(ket(0, i0.dim))
-        if args.mode == "classical":
-            try:
-                w0, w1 = (float(x) for x in args.weights.split(","))
-            except ValueError as exc:
-                raise SchemaError(
-                    "weights", f"expected two comma-separated floats, got {args.weights!r}"
-                ) from exc
-            out = classical_control(i0, i1, (w0, w1), rho)
-        else:
-            out = controlled_output(i0, i1, control, rho)
+        kind = "implementation"
+        arm0 = implementation_from_json(load_json(args.channel0), "channel0")
+        arm1 = implementation_from_json(load_json(args.channel1), "channel1")
+    d = arm0.dim
+    _same_dimension("--channel1", kind, arm1.dim, d, "--channel0's")
+    if rho is None:
+        rho = projector(ket(0, d))
+    _same_dimension("--input", "state", rho.shape[0], d, "the channels'")
+    if args.mode == "switch":
+        out = switch_output(arm0, arm1, control, rho)
+    elif args.mode == "classical":
+        try:
+            w0, w1 = (float(x) for x in args.weights.split(","))
+        except ValueError as exc:
+            raise SchemaError(
+                "weights", f"expected two comma-separated floats, got {args.weights!r}"
+            ) from exc
+        out = classical_control(arm0, arm1, (w0, w1), rho)
+    else:
+        out = controlled_output(arm0, arm1, control, rho)
     doc = {"mode": args.mode, **_matrix_report(out)}
     if args.format == "json":
         print(_json_dumps(doc))
@@ -170,6 +181,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_validate_t(args) -> int:
     ch = channel_from_json(load_json(args.channel))
     t = tmatrix_from_json(load_json(args.t))
+    _same_dimension("--t", "matrix", t.shape[0], ch.dim, "the channel's")
     report = admissible(ch, t)
     doc = {
         "admissible": report.admissible,
@@ -204,18 +216,15 @@ def _default_ensemble(d: int) -> Ensemble:
 def _cmd_info(args) -> int:
     i0 = implementation_from_json(load_json(args.channel0), "channel0")
     i1 = implementation_from_json(load_json(args.channel1), "channel1")
+    d = i0.dim
+    _same_dimension("--channel1", "implementation", i1.dim, d, "--channel0's")
     control = _parse_control(args.control)
     output_map = controlled_map(i0, i1, control)
-    d = i0.dim
     doc = {}
     if args.metric in ("holevo", "both"):
         if args.ensemble:
             ens = ensemble_from_json(load_json(args.ensemble))
-            if ens.dim != d:
-                raise SchemaError(
-                    "--ensemble",
-                    f"ensemble of dimension {ens.dim} does not match the channels' dimension {d}",
-                )
+            _same_dimension("--ensemble", "ensemble", ens.dim, d, "the channels'")
         else:
             ens = _default_ensemble(d)
         doc["holevo_lower_bound"] = holevo_lower_bound(output_map, ens)
@@ -251,14 +260,18 @@ def _cmd_distinguish(args) -> int:
     ch = channel_from_json(load_json(args.channel))
     t_a = tmatrix_from_json(load_json(args.t_a), "t_a")
     t_b = tmatrix_from_json(load_json(args.t_b), "t_b")
+    _same_dimension("--t-a", "matrix", t_a.shape[0], ch.dim, "the channel's")
+    _same_dimension("--t-b", "matrix", t_b.shape[0], ch.dim, "the channel's")
     if args.fixed:
         fixed = implementation_from_json(load_json(args.fixed), "fixed")
+        _same_dimension("--fixed", "implementation", fixed.dim, ch.dim, "the channel's")
     else:
         fixed = standard_implementation("identity", d=ch.dim, alpha=1.0)
     inst = DiscriminationInstance(fixed, _realize(ch, t_a, "t_a"), _realize(ch, t_b, "t_b"))
     best_input = optimal_input(t_a, t_b)
     if args.input:
         rho = state_from_json(load_json(args.input))
+        _same_dimension("--input", "state", rho.shape[0], ch.dim, "the channel's")
     else:
         rho = projector(best_input)
     control = _parse_control(args.control)

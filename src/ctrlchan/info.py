@@ -6,6 +6,11 @@ friends), so they work uniformly for controlled pairs, the switch, the
 classical baseline, or any bare channel.  A map takes a ``(..., d, d)`` stack
 and maps it matrix by matrix, as the maps from ``control`` and
 :func:`ctrlchan.channels.apply` do; each quantity calls it once.
+
+The qubit switch grid search ranks its grid on closed-form spectra of the
+control-parity sectors of each output, averaged with the grid's weights, and
+scores only its leaders, in one :func:`entropy` call, so it returns bit for
+bit what scoring every point with :func:`entropy` returns.
 """
 
 from __future__ import annotations
@@ -19,12 +24,12 @@ import numpy as np
 from .channels import standard_channel
 from .control import ControlState, switch_map
 from .linalg import (
+    AVERAGE_ROUNDING,
     DEFAULT_TOL,
     ENTROPY_CLAMP,
     LEADER_WINDOW,
     PARITY_RESIDUE,
     _checked_spectrum,
-    _density_rules,
     _one_plus,
     partial_trace,
     readonly,
@@ -55,9 +60,15 @@ def entropy(rho):
     if w0.min(initial=0.0) < -ENTROPY_CLAMP:
         low = np.extract(w0 < -ENTROPY_CLAMP, w0)[0]
         raise ValueError(f"eigenvalue {low:.3e} below the clamping window")
-    w = np.maximum(w, 0.0)
-    bits = -(w * np.log2(np.where(w > 0.0, w, 1.0))).sum(axis=-1)
+    bits = _spectrum_bits(w)
     return float(bits) if bits.ndim == 0 else bits
+
+
+def _spectrum_bits(w: np.ndarray) -> np.ndarray:
+    """-sum w log2 w over the last axis of spectra ``(..., n)``, with each
+    negative eigenvalue set to zero."""
+    w = np.maximum(w, 0.0)
+    return -(w * np.log2(np.where(w > 0.0, w, 1.0))).sum(axis=-1)
 
 
 def binary_entropy(p: float) -> float:
@@ -172,56 +183,81 @@ _DEPOLARISING_QUBIT = standard_channel("depolarising", 2)
 _QUBIT_SWITCH = switch_map(_DEPOLARISING_QUBIT, _DEPOLARISING_QUBIT, ControlState.plus())
 
 
-# Positions 4 i + j in a flattened 4x4 of the lower-triangle entries (i, j)
-# that _parity_entropies reads: (0, 0), (1, 1), (2, 2), (3, 3), (1, 0),
-# (3, 2), (2, 0), (3, 1), (3, 0) and (2, 1).
-_LOWER = [0, 5, 10, 15, 4, 14, 8, 13, 12, 9]
+def _parity_numbers(m: np.ndarray) -> np.ndarray:
+    """The numbers the parity ranking reads from a stack ``(..., 4, 4)`` of
+    joint qubit operators, each read as ``eigvalsh`` reads it: its lower
+    triangle and the real part of its diagonal.
 
-
-def _parity_entropies(avg: np.ndarray) -> np.ndarray | None:
-    """Entropies of a stack ``(..., 4, 4)`` of joint qubit states from the
-    spectra of their control-parity blocks, or None where those cannot be
-    trusted to rank the states.
-
-    Every matrix is checked by :func:`ctrlchan.linalg._density_rules`.  In
-    the |+>, |-> control basis a matrix [[A, B], [C, D]] has the diagonal
-    blocks (A + D) / 2 +- (B + C) / 2 and between them the block
-    E = (A - D) / 2 + (C - B) / 2, which is zero when the matrix commutes
-    with X (x) 1.  The blocks are read from the lower triangle, as
-    ``eigvalsh`` reads the matrix, with B = C^dag, and each 2x2 spectrum is
-    taken in closed form.  The result is None unless every ||E||_F is at
-    most ``PARITY_RESIDUE`` and every lowest eigenvalue, less ||E||_F and
-    ``PARITY_RESIDUE``, is at least ``-ENTROPY_CLAMP``: then, by Weyl, no
-    ``eigvalsh`` eigenvalue lies below the clamping window, so
-    :func:`entropy` accepts every matrix, and each entropy here is within
-    ``LEADER_WINDOW / 2`` of its value (see the tolerance table).
+    In the |+>, |-> control basis such a matrix has the 2x2 sectors
+    [[a, conj(b)], [b, c]] on its diagonal and the block E below them, which
+    is zero when the matrix commutes with X (x) 1.  Returns ``(..., 16)``:
+    the rows (a + c) / 2, (a - c) / 2, Re b and Im b, one column per sector,
+    then the real and the imaginary parts of the four entries of E.  Each
+    number is real-linear in the matrix.
     """
-    _density_rules(avg)
-    # the ten lower-triangle entries the blocks need, each as one row over the stack
-    m00, m11, m22, m33, m10, m32, m20, m31, m30, m21 = avg.reshape(-1, 16).T[_LOWER]
-    # (A +- D) / 2, and the Hermitian and anti-Hermitian parts of C
-    mid_low, half_low = (m10 + m32) / 2.0, (m10 - m32) / 2.0
-    c_herm, c_anti = (m30 + m21.conj()) / 2.0, (m30 - m21.conj()) / 2.0
-    # E has the diagonal (A - D) / 2 + i Im diag(C) and the off-diagonal
-    # entries half_low + c_anti and the conjugate of half_low - c_anti
-    residue = np.sqrt(
-        ((m00.real - m22.real) / 2.0) ** 2 + m20.imag**2
-        + ((m11.real - m33.real) / 2.0) ** 2 + m31.imag**2
-        + np.abs(half_low + c_anti) ** 2 + np.abs(half_low - c_anti) ** 2
-    ).max(initial=0.0)
-    # the |+> block adds the Hermitian part of C to (A + D) / 2, the |-> block
-    # subtracts it; a 2x2 block has the eigenvalues mean -+ radius
-    mean = (m00.real + m11.real + m22.real + m33.real) / 4.0
-    gap = (m00.real + m22.real - m11.real - m33.real) / 4.0
-    c_mean, c_gap = (m20.real + m31.real) / 2.0, (m20.real - m31.real) / 2.0
-    plus = np.hypot(gap + c_gap, np.abs(mid_low + c_herm))
-    minus = np.hypot(gap - c_gap, np.abs(mid_low - c_herm))
-    w = np.stack((mean + c_mean - plus, mean + c_mean + plus, mean - c_mean - minus, mean - c_mean + minus))
-    if not residue <= PARITY_RESIDUE or w.min() - residue - PARITY_RESIDUE < -ENTROPY_CLAMP:
+    lower = np.tril(m, -1)
+    h = lower + lower.conj().swapaxes(-2, -1) + m.diagonal(0, -2, -1).real[..., None] * np.eye(4)
+    # H (x) 1 without its 1 / sqrt(2): r is h in the |+>, |-> control basis, |+> first
+    signs = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]), np.eye(2))
+    r = signs @ h @ signs / 2.0
+    a, c, b = r[..., [0, 2], [0, 2]].real, r[..., [1, 3], [1, 3]].real, r[..., [1, 3], [0, 2]]
+    e = r[..., 2:, :2].reshape(r.shape[:-2] + (4,))
+    sectors = np.stack(((a + c) / 2.0, (a - c) / 2.0, b.real, b.imag), axis=-2)
+    return np.concatenate((sectors.reshape(r.shape[:-2] + (8,)), e.real, e.imag), axis=-1)
+
+
+# _parity_numbers of the 32 real basis matrices: a real 32 x 16 table of
+# exact multiples of 1/4, so that the numbers of a contiguous stack of
+# complex 4x4 matrices, read as 32 reals each, are one product with it.
+_PARITY_TABLE = _parity_numbers(np.eye(32).view(complex).reshape(32, 4, 4))
+
+
+def _parity_entropies(
+    outputs: np.ndarray, probs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Entropies of the grid search's outputs ``(n, 4, 4)`` and of the
+    averages p out[0] + (1 - p) out[k] for p in ``probs``, of shapes
+    ``(n,)`` and ``(n, P)``, from closed-form sector spectra; or None where
+    those cannot be trusted to rank the grid.
+
+    Each output's sector numbers (:func:`_parity_numbers`) are averaged with
+    the weights of the matrices, so no average is built; weight 0 gives the
+    output itself.  The result is None unless three things hold.  Every
+    output's Hermitian deviation and trace error is at most
+    ``DEFAULT_TOL - AVERAGE_ROUNDING``, so every average passes
+    :func:`ctrlchan.linalg._density_rules` too.  Every output's ||E||_F is
+    at most ``PARITY_RESIDUE``, so every average's is too, up to rounding.
+    Every lowest sector eigenvalue, less the largest ||E||_F and
+    ``PARITY_RESIDUE``, is at least ``-ENTROPY_CLAMP``.  Then, by Weyl, no
+    ``eigvalsh`` eigenvalue lies below the clamping window, so
+    :func:`entropy` accepts every output and every average, and each entropy
+    here is within ``LEADER_WINDOW / 5`` of its value (see the tolerance
+    table).
+    """
+    n = outputs.shape[0]
+    p = np.concatenate(([0.0], probs))[:, None, None]
+    # an entry that is not finite, or whose square is not, fails a test below,
+    # each written so that a NaN fails it
+    with np.errstate(invalid="ignore", over="ignore"):
+        herm = np.abs(outputs - outputs.swapaxes(-2, -1).conj()).max(initial=0.0)
+        trace = np.abs(np.trace(outputs, axis1=-2, axis2=-1) - 1.0).max(initial=0.0)
+        numbers = np.ascontiguousarray(outputs).view(float).reshape(n, 32) @ _PARITY_TABLE
+        residue = np.sqrt((numbers[:, 8:] ** 2).sum(axis=-1)).max()
+        sectors = numbers[:, :8].reshape(n, 4, 2)
+        sectors = p * sectors[0] + (1.0 - p) * sectors[:, None]
+        # a sector's eigenvalues are its mean -+ the hypotenuse of the rest of its column
+        mean, radius = sectors[..., 0, :], np.sqrt((sectors[..., 1:, :] ** 2).sum(axis=-2))
+        w = np.concatenate((mean - radius, mean + radius), axis=-1)
+    limit = DEFAULT_TOL - AVERAGE_ROUNDING
+    if not (
+        herm <= limit
+        and trace <= limit
+        and residue <= PARITY_RESIDUE
+        and w.min() - residue - PARITY_RESIDUE >= -ENTROPY_CLAMP
+    ):
         return None
-    w = np.maximum(w, 0.0)
-    bits = -(w * np.log2(np.where(w > 0.0, w, 1.0))).sum(axis=0)
-    return bits.reshape(avg.shape[:-2])
+    bits = _spectrum_bits(w)
+    return bits[:, 0], bits[:, 1:]
 
 
 def switch_holevo_qubit_gridsearch(
@@ -245,18 +281,22 @@ def switch_holevo_qubit_gridsearch(
     The two channels under the switch are one and the same, so swapping the
     two orders maps every output to itself: each output, and each average
     of two, commutes with X (x) 1 on control (x) target and splits into two
-    2x2 blocks in the |+>, |-> control basis.  The grid is ranked on the
-    closed-form spectra of those blocks (:func:`_parity_entropies`), which
-    differ from the ``eigvalsh`` spectra by rounding.  Every point whose
-    ranked value lies within ``LEADER_WINDOW`` of the ranked maximum, a
-    window wider than twice the largest difference a ranked value can have
-    from its exact one, is then scored again with :func:`entropy`, in the
-    operand order of the literal loop.  Every exact maximum is among these
-    leaders, so the first of them in (theta1, p0) order is the point, and its
-    value the value, that scoring the whole grid exactly gives, bit for bit.
-    Where the blocks cannot be trusted (an average that is not
-    X (x) 1-symmetric within ``PARITY_RESIDUE``, or an eigenvalue near the
-    clamping window), every point is scored exactly, as are its errors.
+    2x2 sectors in the |+>, |-> control basis.  The grid is ranked on the
+    closed-form spectra of those sectors (:func:`_parity_entropies`): each
+    output's sector numbers are taken once, in one product with a table, and
+    averaged with the grid's weights, and the entropies they give differ
+    from the ``eigvalsh`` ones by rounding.  Every point whose ranked value
+    lies within ``LEADER_WINDOW`` of the ranked maximum, a window wider than
+    twice the largest difference a ranked value can have from its exact one,
+    is then scored again: the output at theta1 = 0, each leader's output and
+    each leader's average, built in the operand order of the literal loop,
+    go through one :func:`entropy` call.  Every exact maximum is among these leaders, so the
+    first of them in (theta1, p0) order is the point, and its value the
+    value, that scoring the whole grid exactly gives, bit for bit.  Where
+    the sectors cannot be trusted (an output near the edge of the state
+    rules, or not X (x) 1-symmetric within ``PARITY_RESIDUE``, or an
+    eigenvalue near the clamping window), every output and every point is
+    scored exactly, as are its errors.
     """
     for name, step in (("angle_step", angle_step), ("prob_step", prob_step)):
         if not 0.0 < step < math.inf:
@@ -264,23 +304,29 @@ def switch_holevo_qubit_gridsearch(
     thetas = np.arange(0.0, np.pi + angle_step / 2.0, angle_step)
     states = np.stack((np.cos(thetas / 2.0), np.sin(thetas / 2.0)), axis=-1).astype(complex)
     outputs = _QUBIT_SWITCH(states[:, :, None] * states[:, None, :].conj())
-    entropies = entropy(outputs)
     probs = np.arange(prob_step, 1.0, prob_step)
-    if probs.size == 0:
-        raise ValueError(f"prob_step {prob_step} leaves no probability in (0, 1)")
-
-    # Rows are theta1, columns p0, and the leaders keep that order, so argmax
-    # finds the first maximum in (theta1, p0) order.  The operands keep the
-    # order of the literal (theta0, theta1, p0) loop, so each value is bitwise
-    # the one that loop computes at theta0 = 0.
-    p0 = probs[:, None, None]
-    avg = p0 * outputs[0] + (1.0 - p0) * outputs[:, None]
-    ranked = _parity_entropies(avg)
+    # an empty probability grid is refused after the outputs' own checks
+    ranked = _parity_entropies(outputs, probs) if probs.size else None
     if ranked is None:
-        k, j = np.indices(avg.shape[:2]).reshape(2, -1)
+        bits = entropy(outputs)
+        if probs.size == 0:
+            raise ValueError(f"prob_step {prob_step} leaves no probability in (0, 1)")
+        k, j = np.indices((bits.size, probs.size)).reshape(2, -1)
     else:
-        ranked = ranked - probs * entropies[0] - (1.0 - probs) * entropies[:, None]
-        k, j = np.nonzero(ranked >= ranked.max() - LEADER_WINDOW)
-    values = entropy(avg[k, j]) - probs[j] * entropies[0] - (1.0 - probs[j]) * entropies[k]
+        # rows are theta1 and columns p0, and the leaders keep that order
+        out_bits, avg_bits = ranked
+        scores = avg_bits - probs * out_bits[0] - (1.0 - probs) * out_bits[:, None]
+        k, j = np.nonzero(scores >= scores.max() - LEADER_WINDOW)
+    # The operands keep the order of the literal (theta0, theta1, p0) loop, so
+    # each value is bitwise the one that loop computes at theta0 = 0, and
+    # argmax finds the first maximum in (theta1, p0) order.
+    p0 = probs[j, None, None]
+    avg = p0 * outputs[0] + (1.0 - p0) * outputs[k]
+    if ranked is None:
+        first, rows, avg_bits = bits[0], bits[k], entropy(avg)
+    else:
+        bits = entropy(np.concatenate((outputs[:1], outputs[k], avg)))
+        first, rows, avg_bits = bits[0], bits[1:k.size + 1], bits[k.size + 1:]
+    values = avg_bits - probs[j] * first - (1.0 - probs[j]) * rows
     best = np.argmax(values)
     return float(values[best]), (0.0, float(thetas[k[best]]), float(probs[j[best]]))

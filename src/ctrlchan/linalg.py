@@ -41,18 +41,29 @@ BOUND_TOL = 1e-8
 QR_MARGIN = 10.0
 ENTROPY_CLAMP = 1e-12  # entropy: an eigenvalue in (-ENTROPY_CLAMP, 0) is rounding, set to 0
 # info.switch_holevo_qubit_gridsearch ranks its grid on the closed-form
-# spectra of the two control-parity 2x2 blocks of each average, and only when
-# every block between them has Frobenius norm at most PARITY_RESIDUE.  Then,
-# by Weyl, the block spectra lie within PARITY_RESIDUE of the exact ones, and
-# the closed form and eigvalsh each round an eigenvalue of a trace-1 4x4 by a
-# few eps, well under PARITY_RESIDUE, so the two differ by at most
-# 2 PARITY_RESIDUE.  As |eta(x) - eta(y)| <= eta(|x - y|) for
-# eta(x) = -x log2 x, four eigenvalues move an entropy by at most
-# 4 eta(2e-14) < 3.7e-12: a ranked and an exact value differ by that plus
+# spectra of the two control-parity 2x2 sectors of each output and of each
+# average p out0 + (1 - p) outk, and only when the block between the sectors
+# has Frobenius norm at most PARITY_RESIDUE in every output.  That block is
+# linear in the matrix, so in every average it is at most PARITY_RESIDUE plus
+# rounding, and by Weyl the sector spectra lie that close to the exact ones.
+# The closed form, taken from sector numbers averaged like the matrices, and
+# eigvalsh each round an eigenvalue of a trace-1 4x4 by a few eps, well under
+# PARITY_RESIDUE, so the two differ by at most 2 PARITY_RESIDUE.  As
+# |eta(x) - eta(y)| <= eta(|x - y|) for eta(x) = -x log2 x, four eigenvalues
+# move an entropy by at most 4 eta(1e-14) < 1.9e-12.  A ranked value
+# S(avg) - p S(out0) - (1 - p) S(outk) takes three such entropies with weights
+# summing to 2, so it differs from its exact value by at most 3.8e-12 plus
 # rounding, and every exact maximum lies within twice that, under
 # LEADER_WINDOW, of the ranked maximum.
-PARITY_RESIDUE = 1e-14
+PARITY_RESIDUE = 5e-15
 LEADER_WINDOW = 1e-11
+# An entry of p a + (1 - p) b, for entries a and b of two states (so at most 1
+# in modulus), is rounded by at most eps relative to p |a| + (1 - p) |b|, and
+# np.trace adds three roundings of a sum near 1: an average's Hermitian
+# deviation and trace error exceed the larger of its two outputs' by a few
+# eps.  So outputs within DEFAULT_TOL - AVERAGE_ROUNDING give averages within
+# DEFAULT_TOL, and the grid search checks the outputs' rules only.
+AVERAGE_ROUNDING = 1e-14
 ORACLE_SKIP = 1e-12  # stinespring_oracle: input eigenvectors of smaller weight are skipped
 CONSTANT_CUTOFF = 1e-14  # constant channel: no Kraus operators for smaller eigenvalues
 AGREE_TOL = 1e-10  # output_distance: direct and closed-form values must agree

@@ -425,6 +425,40 @@ _COMMANDS = {
 }
 _FAULTS = ["syntax", "wrong type", "missing key", "non-finite", "ragged rows", "wrong d", "foreign d"]
 
+# Each file flag given a qutrit document among qubit ones, and the refusal.  It
+# names a flag and the dimension a document gives, not a stack of mapped
+# inputs: the flag of the foreign document or, where that document sets the
+# dimension (--channel0, --channel), the first flag that disagrees with it.
+_ARMS = "--channel1: implementation of dimension {} does not match --channel0's dimension {}"
+_CHANNELS = "--channel1: channel of dimension {} does not match --channel0's dimension {}"
+_TARGET = "--input: state of dimension 3 does not match the {} dimension 2"
+_T = "{}: matrix of dimension {} does not match the channel's dimension {}"
+_FOREIGN_DIMENSION = [
+    ("simulate-control", "--channel0", _ARMS.format(2, 3)),
+    ("simulate-control", "--channel1", _ARMS.format(3, 2)),
+    ("simulate-control", "--input", _TARGET.format("channels'")),
+    ("simulate-switch", "--channel0", _CHANNELS.format(2, 3)),
+    ("simulate-switch", "--channel1", _CHANNELS.format(3, 2)),
+    ("simulate-switch", "--input", _TARGET.format("channels'")),
+    ("simulate-classical", "--channel0", _ARMS.format(2, 3)),
+    ("simulate-classical", "--channel1", _ARMS.format(3, 2)),
+    ("simulate-classical", "--input", _TARGET.format("channels'")),
+    ("validate-t", "--channel", _T.format("--t", 2, 3)),
+    ("validate-t", "--t", _T.format("--t", 3, 2)),
+    ("info", "--channel0", _ARMS.format(2, 3)),
+    ("info", "--channel1", _ARMS.format(3, 2)),
+    ("info", "--ensemble", "--ensemble: ensemble of dimension 3 does not match the channels' "
+                           "dimension 2"),
+    ("info", "--input", "--input: state of shape (9, 9) does not match the channels' "
+                        "dimension 2: a reference and target state has shape (4, 4)"),
+    ("distinguish", "--channel", _T.format("--t-a", 2, 3)),
+    ("distinguish", "--t-a", _T.format("--t-a", 3, 2)),
+    ("distinguish", "--t-b", _T.format("--t-b", 3, 2)),
+    ("distinguish", "--fixed", "--fixed: implementation of dimension 3 does not match the "
+                               "channel's dimension 2"),
+    ("distinguish", "--input", _TARGET.format("channel's")),
+]
+
 
 class TestNoTraceback:
     """Every file flag of every subcommand that reads one (``reproduce`` reads
@@ -461,16 +495,15 @@ class TestNoTraceback:
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("flag, message", [
-        ("--ensemble", "--ensemble: ensemble of dimension 3 does not match the channels' "
-                       "dimension 2"),
-        ("--input", "--input: state of shape (9, 9) does not match the channels' dimension 2: "
-                    "a reference and target state has shape (4, 4)"),
-    ])
-    def test_foreign_dimension_names_the_flag(self, tmp_path, capsys, flag, message):
-        # the flag and the shape the document gives, not a stack of mapped inputs
-        assert self.run(tmp_path, "info", flag, "foreign d") == 2
+    @pytest.mark.parametrize("command, flag, message", _FOREIGN_DIMENSION)
+    def test_foreign_dimension_names_the_flag(self, tmp_path, capsys, command, flag, message):
+        assert self.run(tmp_path, command, flag, "foreign d") == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_foreign_dimension_covers_every_file_flag(self):
+        named = [(command, flag) for command, flag, _ in _FOREIGN_DIMENSION]
+        expected = [(command, flag) for command, (_, flags) in _COMMANDS.items() for flag in flags]
+        assert named == expected
 
     def test_target_state_as_bipartite_input_names_the_flag(self, tmp_path, capsys):
         impl = tmp_path / "impl.json"

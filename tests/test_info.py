@@ -19,9 +19,21 @@ from ctrlchan.info import (
     shannon_entropy,
     switch_holevo_qubit,
     switch_holevo_qubit_gridsearch,
+    _PARITY_TABLE,
     _parity_entropies,
+    _parity_numbers,
 )
-from ctrlchan.linalg import LEADER_WINDOW, ket, maximally_entangled, partial_trace, projector
+from ctrlchan.linalg import (
+    AVERAGE_ROUNDING,
+    DEFAULT_TOL,
+    ENTROPY_CLAMP,
+    LEADER_WINDOW,
+    PARITY_RESIDUE,
+    ket,
+    maximally_entangled,
+    partial_trace,
+    projector,
+)
 from ctrlchan.sampling import random_density_matrix, random_env, random_pure_state
 
 PLUS = ControlState.plus()
@@ -450,7 +462,7 @@ def _exact_only(monkeypatch):
     point with ``entropy``."""
     import ctrlchan.info
 
-    monkeypatch.setattr(ctrlchan.info, "_parity_entropies", lambda avg: None)
+    monkeypatch.setattr(ctrlchan.info, "_parity_entropies", lambda outputs, probs: None)
 
 
 def _symmetric_state(w):
@@ -459,6 +471,28 @@ def _symmetric_state(w):
     even, odd = np.diag(w[:2]).astype(complex), np.diag(w[2:]).astype(complex)
     a, b = (even + odd) / 2.0, (even - odd) / 2.0
     return np.block([[a, b], [b, a]])
+
+
+def _recorded_verdicts(monkeypatch):
+    """Record every result of the parity ranking, in a list returned here."""
+    import ctrlchan.info
+
+    held = ctrlchan.info._parity_entropies
+    verdicts = []
+    monkeypatch.setattr(
+        ctrlchan.info,
+        "_parity_entropies",
+        lambda outputs, probs: verdicts.append(held(outputs, probs)) or verdicts[-1],
+    )
+    return verdicts
+
+
+def _outcome(grid):
+    """What the grid search gives on ``grid``: its result, or its error message."""
+    try:
+        return switch_holevo_qubit_gridsearch(*grid)
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestParityRanking:
@@ -481,7 +515,9 @@ class TestParityRanking:
 
     def test_tie_takes_the_first_probability(self, monkeypatch):
         # Both tied points are leaders, and the exact scores keep the first;
-        # the ranked values alone put p0 = 0.6000000000000001 first.
+        # the ranked values alone put p0 = 0.6000000000000001 first.  The one
+        # entropy call scores the output at theta1 = 0 and each leader's
+        # output and average.
         import ctrlchan.info
 
         held = ctrlchan.info.entropy
@@ -494,7 +530,7 @@ class TestParityRanking:
         monkeypatch.setattr(ctrlchan.info, "entropy", counted)
         value, point = switch_holevo_qubit_gridsearch(*TIE_GRID)
         assert point == (0.0, 3.08, 0.4)
-        assert scored == [(5, 4, 4), (2, 4, 4)]
+        assert scored == [(5, 4, 4)]
         _exact_only(monkeypatch)
         assert switch_holevo_qubit_gridsearch(*TIE_GRID) == (value, point)
 
@@ -511,10 +547,10 @@ class TestParityRanking:
         for a, p in BENCH_GRIDS:
             sides.clear()
             switch_holevo_qubit_gridsearch(a, p)
-            # n + 1 outputs and at most two leaders, against (n + 1)(P + 1)
-            # when every average is scored with entropy
-            n = round(np.pi / a)
-            assert sides.count(4) == len(sides) <= (n + 1) + 2, (a, p)
+            # the output at theta1 = 0, and the output and the average of the
+            # one leader, (pi, 1/2), against (n + 1)(P + 1) when every output
+            # and every average is scored with entropy
+            assert sides == [4, 4, 4], (a, p)
 
     @pytest.mark.parametrize("eps", [0.05, 1e-13], ids=["broken", "barely-broken"])
     @pytest.mark.parametrize("grid", [(np.pi / 6, 0.25), TIE_GRID, (0.3, 0.1)],
@@ -533,13 +569,7 @@ class TestParityRanking:
             return held(rho) + np.trace(rho, axis1=-2, axis2=-1)[..., None, None] * tilt
 
         monkeypatch.setattr(ctrlchan.info, "_QUBIT_SWITCH", tilted)
-        held_ranking = ctrlchan.info._parity_entropies
-        verdicts = []
-        monkeypatch.setattr(
-            ctrlchan.info,
-            "_parity_entropies",
-            lambda avg: verdicts.append(held_ranking(avg)) or verdicts[-1],
-        )
+        verdicts = _recorded_verdicts(monkeypatch)
         value, point = switch_holevo_qubit_gridsearch(*grid)
         assert verdicts == [None]
         ref_value, ref_point = literal_gridsearch(*grid, out_map=tilted)
@@ -547,31 +577,94 @@ class TestParityRanking:
         assert point == ref_point
 
     @pytest.mark.parametrize(
-        "low, message",
+        "bad, message",
         [
-            (-1e-6, r"^density matrix has a negative eigenvalue -1\.000e-06$"),
-            (-1e-11, r"^eigenvalue -1\.000e-11 below the clamping window$"),
+            (_symmetric_state([-1e-6, 0.5, 0.25, 0.25 + 1e-6]),
+             r"^density matrix has a negative eigenvalue -1\.000e-06$"),
+            (_symmetric_state([-1e-11, 0.5, 0.25, 0.25 + 1e-11]),
+             r"^eigenvalue -1\.000e-11 below the clamping window$"),
+            (_symmetric_state([0.25] * 4) * 1.1,
+             r"^density matrix has trace 1 \+ 1\.000e-01, expected 1$"),
         ],
-        ids=["negative", "below-clamp"],
+        ids=["negative", "below-clamp", "trace"],
     )
-    def test_negative_output_refused_as_before(self, monkeypatch, low, message):
+    def test_invalid_output_refused_as_before(self, monkeypatch, bad, message):
         import ctrlchan.info
 
-        bad = _symmetric_state([low, 0.5, 0.25, 0.25 - low])
-
-        def negative(rho):
+        def invalid(rho):
             return np.broadcast_to(bad, rho.shape[:-2] + (4, 4)).copy()
 
-        monkeypatch.setattr(ctrlchan.info, "_QUBIT_SWITCH", negative)
+        monkeypatch.setattr(ctrlchan.info, "_QUBIT_SWITCH", invalid)
         with pytest.raises(ValueError, match=message):
             switch_holevo_qubit_gridsearch(np.pi / 6, 0.25)
         _exact_only(monkeypatch)
         with pytest.raises(ValueError, match=message):
             switch_holevo_qubit_gridsearch(np.pi / 6, 0.25)
 
+    @pytest.mark.parametrize(
+        "entry, excess, verdict",
+        [
+            ((1, 0), DEFAULT_TOL - AVERAGE_ROUNDING / 2.0, None),
+            ((0, 0), DEFAULT_TOL - AVERAGE_ROUNDING / 2.0, None),
+            # every output passes the rules, but rounding takes some averages
+            # just past DEFAULT_TOL, and the exact rules refuse them
+            ((1, 0), DEFAULT_TOL, "density matrix is not Hermitian within tolerance"),
+        ],
+        ids=["hermitian-band", "trace-band", "hermitian-edge"],
+    )
+    def test_margin_band_takes_the_exact_rules(self, monkeypatch, entry, excess, verdict):
+        # An output whose Hermitian deviation (entry (1, 0)) or trace error
+        # (entry (0, 0)) lies within AVERAGE_ROUNDING of DEFAULT_TOL is not
+        # ranked, so the rules run over every average, as scoring every point
+        # exactly runs them, and the grid search gives that path's verdict.
+        import ctrlchan.info
+
+        edge = _symmetric_state([0.25] * 4)
+        edge[entry] += excess
+
+        def at_the_edge(rho):
+            return np.broadcast_to(edge, rho.shape[:-2] + (4, 4)).copy()
+
+        monkeypatch.setattr(ctrlchan.info, "_QUBIT_SWITCH", at_the_edge)
+        verdicts = _recorded_verdicts(monkeypatch)
+        outcome = _outcome((np.pi / 6, 0.1))
+        assert verdicts == [None]
+        if verdict is None:
+            assert isinstance(outcome, tuple)
+        else:
+            assert outcome == verdict
+        _exact_only(monkeypatch)
+        assert _outcome((np.pi / 6, 0.1)) == outcome
+
 
 class TestParityEntropies:
-    def test_symmetric_stack_within_the_window(self):
+    def test_table_gives_the_parity_numbers(self):
+        rng = np.random.default_rng(8)
+        m = rng.standard_normal((20, 4, 4)) + 1j * rng.standard_normal((20, 4, 4))
+        numbers = m.view(float).reshape(20, 32) @ _PARITY_TABLE
+        assert np.abs(numbers - _parity_numbers(m)).max() <= 1e-15
+        # exact multiples of 1/4, so the product rounds like the sums it replaces
+        assert np.array_equal(4.0 * _PARITY_TABLE, np.round(4.0 * _PARITY_TABLE))
+
+    def test_numbers_read_what_eigvalsh_reads(self):
+        # the lower triangle and the real part of the diagonal, nothing else
+        rng = np.random.default_rng(9)
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        moved = m + np.triu(rng.standard_normal((4, 4)), 1) + 1j * np.diag(rng.standard_normal(4))
+        assert np.array_equal(_parity_numbers(moved), _parity_numbers(m))
+        herm = np.tril(m, -1) + np.tril(m, -1).conj().T + np.diag(m.diagonal().real)
+        # the sector numbers give the spectrum of the Hermitian matrix they come from
+        # when E vanishes, so check them on its X (x) 1-symmetric part
+        swap = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
+        sym = (herm + swap @ herm @ swap) / 2.0
+        numbers = _parity_numbers(sym)
+        assert np.abs(numbers[8:]).max() <= 1e-15
+        mean, rest = numbers[:8].reshape(4, 2)[0], numbers[:8].reshape(4, 2)[1:]
+        radius = np.sqrt((rest**2).sum(axis=0))
+        spectrum = np.sort(np.concatenate((mean - radius, mean + radius)))
+        assert np.abs(spectrum - np.linalg.eigvalsh(sym)).max() <= 1e-14
+
+    def test_symmetric_outputs_within_the_window(self):
         rng = np.random.default_rng(7)
         states = []
         for _ in range(50):
@@ -581,24 +674,32 @@ class TestParityEntropies:
             u = np.kron(np.eye(2), np.linalg.qr(rng.standard_normal((2, 2))
                                                 + 1j * rng.standard_normal((2, 2)))[0])
             states.append(u @ _symmetric_state(w) @ u.conj().T)
-        stack = np.array(states).reshape(5, 10, 4, 4)
-        ranked = _parity_entropies(stack)
-        assert ranked.shape == (5, 10)
-        assert np.abs(ranked - entropy(stack)).max() <= LEADER_WINDOW / 2.0
+        outputs = np.array(states)
+        probs = np.array([0.1, 0.5, 0.75])
+        out_bits, avg_bits = _parity_entropies(outputs, probs)
+        assert out_bits.shape == (50,) and avg_bits.shape == (50, 3)
+        p0 = probs[:, None, None]
+        averages = p0 * outputs[0] + (1.0 - p0) * outputs[:, None]
+        # each entropy within a fifth of the window, as the tolerance table states
+        assert np.abs(out_bits - entropy(outputs)).max() <= LEADER_WINDOW / 5.0
+        assert np.abs(avg_bits - entropy(averages)).max() <= LEADER_WINDOW / 5.0
 
-    @pytest.mark.parametrize("low", [-1e-6, -1e-12 + 5e-15])
+    @pytest.mark.parametrize("low", [-1e-6, -ENTROPY_CLAMP + PARITY_RESIDUE / 2.0])
     def test_no_ranking_near_the_clamping_window(self, low):
-        stack = np.array([_symmetric_state([0.25] * 4), _symmetric_state([low, 0.5, 0.25, 0.25 - low])])
-        assert _parity_entropies(stack) is None
+        outputs = np.array([_symmetric_state([0.25] * 4), _symmetric_state([low, 0.5, 0.25, 0.25 - low])])
+        assert _parity_entropies(outputs, np.array([0.5])) is None
 
     def test_inside_the_clamping_window_ranked(self):
-        stack = np.array([_symmetric_state([-1e-13, 0.5, 0.25, 0.25 + 1e-13])])
-        assert abs(_parity_entropies(stack)[0] - entropy(stack)[0]) <= 1e-11
+        outputs = np.array([_symmetric_state([-1e-13, 0.5, 0.25, 0.25 + 1e-13])])
+        out_bits, avg_bits = _parity_entropies(outputs, np.array([0.5]))
+        assert abs(out_bits[0] - entropy(outputs)[0]) <= 1e-11
+        assert abs(avg_bits[0, 0] - entropy(outputs)[0]) <= 1e-11
 
-    def test_rules_refuse_first(self):
+    def test_rules_beyond_the_margin_not_ranked(self):
+        # the grid search then refuses the output by the exact rules, as
+        # test_invalid_output_refused_as_before checks
         bad = _symmetric_state([0.25] * 4) * 1.1
-        with pytest.raises(ValueError, match=r"trace 1 \+ 1\.000e-01"):
-            _parity_entropies(np.array([bad]))
+        assert _parity_entropies(np.array([bad]), np.array([0.5])) is None
 
     @pytest.mark.parametrize("step", [0.0, -0.1, float("nan")], ids=["zero", "negative", "nan"])
     @pytest.mark.parametrize("name", ["angle_step", "prob_step"])
