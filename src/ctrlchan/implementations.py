@@ -20,12 +20,16 @@ slow; that permutes the d^2 coordinates of t and of every column of V alike,
 leaving both tests unchanged.  So, with C the Choi matrix, this is the same
 as |T>> in range(C) and <<T|C^+|T>> <= 1, but a solve on V decides it and
 yields the environment amplitudes, and it is conditioned by sqrt(kappa(C))
-rather than kappa(C).  There is one factorization of V per channel, shared
-by consecutive solves and by random draws of admissible T, one entry kept: a
-factorization held for each channel's lifetime raised the peak RSS of the
-``dilation-d8`` benchmark, which keeps many channels alive, by 12 %.  It is a
-QR when a cheap bound proves that V has full column rank well inside the
-lstsq cutoff, where the minimum-norm solution is unique, and an SVD otherwise.
+rather than kappa(C).  A solve takes one of two routes, each with a one-entry
+cache keyed by the channel, shared by consecutive solves on it: a cache held
+for each channel's lifetime raised the peak RSS of the ``dilation-d8``
+benchmark, which keeps many channels alive, by 12 %.  Where a shifted
+Cholesky of the Gram matrix G = V^dag V proves kappa(V) < 1e4, so that the
+minimum-norm solution is unique, it solves with G^-1 and one refinement
+step.  Every other V (k > d^2, dependent Kraus sets, tiny Kraus weights) is
+factored once, by QR when a cheap bound proves full column rank well inside
+the lstsq cutoff and by SVD otherwise; random draws of admissible T use
+that factorization on every channel.
 """
 
 from __future__ import annotations
@@ -39,8 +43,10 @@ from .channels import Channel, standard_channel
 from .linalg import (
     BOUND_TOL,
     DEFAULT_TOL,
+    GRAM_FLOOR,
     QR_MARGIN,
     RANGE_TOL,
+    _cholesky_succeeds,
     _one_plus,
     _overflows,
     as_matrix,
@@ -134,10 +140,11 @@ def _factor(ch: Channel) -> tuple[np.ndarray, np.ndarray]:
     SVD V = U s W^dag, kept to the singular values above the cutoff:
     (B, M) = (U_r, W_r diag(1/s_r)).
 
-    This is the one factorization of a channel's range: solves here and
-    draws in :func:`ctrlchan.sampling.random_admissible_t` both use it.  One
-    entry is kept, keyed by the channel object: consecutive draws and solves
-    on a channel share it, and a call on another channel replaces it.
+    Draws in :func:`ctrlchan.sampling.random_admissible_t` use it on every
+    channel, and :func:`_solve` on every channel that :func:`_gram_inverse`
+    refuses.  One entry is kept, keyed by the channel object: consecutive
+    draws and solves on a channel share it, and a call on another channel
+    replaces it.
     """
     v = _kraus_matrix(ch)
     rows, k = v.shape
@@ -154,6 +161,25 @@ def _factor(ch: Channel) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(u[:, keep].conj().T, wh[keep].conj().T / s[keep])
 
 
+@lru_cache(maxsize=1)
+def _gram_inverse(ch: Channel) -> np.ndarray | None:
+    """Read-only G^-1 for the Gram matrix G = V^dag V, or None unless a
+    Cholesky of G - ``GRAM_FLOOR`` tr(G) 1 proves kappa(V) < GRAM_FLOOR^(-1/2)
+    (see the tolerance table); k > d^2 is refused at once.  One entry is
+    kept, keyed by the channel object, as :func:`_factor` keeps one.
+    """
+    flat = ch.kraus.reshape(len(ch.kraus), -1)
+    k, rows = flat.shape
+    if k > rows:
+        return None
+    gram = flat.conj() @ flat.T
+    shifted = gram.copy()
+    shifted.reshape(-1)[:: k + 1] -= GRAM_FLOOR * gram.trace().real
+    if not _cholesky_succeeds(shifted):
+        return None
+    return _frozen(np.linalg.inv(gram))[0]
+
+
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.setflags(write=False)
@@ -161,14 +187,16 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _solve(ch: Channel, t):
-    """Minimum-norm coefficients c = V^+ t = M (B^dag t), and the
-    admissibility report they give.
+    """Minimum-norm coefficients c = V^+ t, and the admissibility report
+    they give.
 
-    (B^dag, M) is the one factorization per channel, a QR when V provably has
-    full column rank and an SVD otherwise, shared by consecutive solves, one
-    entry kept (see :func:`_factor`; one per channel for its lifetime raised
-    peak RSS by 12 %), so a solve is two small products.  The range residual
-    ||t - V c|| / ||t|| is computed from V itself, not from the factors.
+    Where :func:`_gram_inverse` certifies V, c = G^-1 V^dag t, refined once
+    by c += G^-1 V^dag (t - V c): the certificate makes c the one
+    minimum-norm solution, which lstsq gives too.  Every other V goes
+    through :func:`_factor`, c = M (B^dag t).  Each route keeps one entry,
+    so consecutive solves on one channel share it and a solve is a few
+    small products.  The range residual ||t - V c|| / ||t|| is computed from
+    V itself on both routes.
     """
     t = as_matrix(t)
     if t.shape != (ch.dim, ch.dim):
@@ -184,8 +212,14 @@ def _solve(ch: Channel, t):
         _overflows(t, "t", "a norm")
     if tnorm == 0.0:
         return AdmissibilityReport(True, 0.0, 0.0), np.zeros(v.shape[1], dtype=complex)
-    basis_dag, m = _factor(ch)
-    coeff = m @ (basis_dag @ tvec)
+    gram_inv = _gram_inverse(ch)
+    if gram_inv is None:
+        basis_dag, m = _factor(ch)
+        coeff = m @ (basis_dag @ tvec)
+    else:
+        vh = v.conj().T
+        coeff = gram_inv @ (vh @ tvec)
+        coeff += gram_inv @ (vh @ (tvec - v @ coeff))
     residual = float(np.linalg.norm(tvec - v @ coeff)) / tnorm
     qform = float(np.vdot(coeff, coeff).real)
     ok = residual <= RANGE_TOL and qform <= 1.0 + BOUND_TOL

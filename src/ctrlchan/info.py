@@ -9,8 +9,8 @@ and maps it matrix by matrix, as the maps from ``control`` and
 
 The qubit switch grid search ranks its grid on closed-form spectra of the
 control-parity sectors of each output, averaged with the grid's weights, and
-scores only its leaders, in one :func:`entropy` call, so it returns bit for
-bit what scoring every point with :func:`entropy` returns.
+scores only its leaders, in one ``eigvalsh`` call, so it returns bit for bit
+what scoring every point with :func:`entropy` returns.
 """
 
 from __future__ import annotations
@@ -290,9 +290,11 @@ def switch_holevo_qubit_gridsearch(
     twice the largest difference a ranked value can have from its exact one,
     is then scored again: the output at theta1 = 0, each leader's output and
     each leader's average, built in the operand order of the literal loop,
-    go through one :func:`entropy` call.  Every exact maximum is among these leaders, so the
-    first of them in (theta1, p0) order is the point, and its value the
-    value, that scoring the whole grid exactly gives, bit for bit.  Where
+    go through one ``eigvalsh``, unchecked: the ranking has already proved
+    what :func:`entropy` would check, so the bits are its bits.  Every exact
+    maximum is among these leaders, so the first of them in (theta1, p0)
+    order is the point, and its value the value, that scoring the whole
+    grid exactly gives, bit for bit.  Where
     the sectors cannot be trusted (an output near the edge of the state
     rules, or not X (x) 1-symmetric within ``PARITY_RESIDUE``, or an
     eigenvalue near the clamping window), every output and every point is
@@ -325,7 +327,9 @@ def switch_holevo_qubit_gridsearch(
     if ranked is None:
         first, rows, avg_bits = bits[0], bits[k], entropy(avg)
     else:
-        bits = entropy(np.concatenate((outputs[:1], outputs[k], avg)))
+        # _parity_entropies has proved the state rules and the clamp gate for
+        # every one of these, so their spectra need no check
+        bits = _spectrum_bits(np.linalg.eigvalsh(np.concatenate((outputs[:1], outputs[k], avg))))
         first, rows, avg_bits = bits[0], bits[1:k.size + 1], bits[k.size + 1:]
     values = avg_bits - probs[j] * first - (1.0 - probs[j]) * rows
     best = np.argmax(values)

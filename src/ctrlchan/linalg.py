@@ -39,6 +39,16 @@ BOUND_TOL = 1e-8
 # few eps * s_max, a fraction of the cutoff well under 1 - 1 / QR_MARGIN, so
 # no singular value an SVD would keep can lie at the cutoff.
 QR_MARGIN = 10.0
+# implementations._solve solves on the Gram matrix G = V^dag V, for k <= d^2,
+# only when a Cholesky of G - GRAM_FLOOR tr(G) 1 succeeds.  s_max^2 <= tr G,
+# which is d for a channel (sum K^dag K = 1).  Success proves lambda_min(G)
+# above GRAM_FLOOR tr(G) less the rounding of the Gram product and the
+# Cholesky, a few k eps tr(G), five decades under it: so kappa(V)^2 <
+# 1 / GRAM_FLOOR, kappa(V) < 1e4, and V has full column rank far inside the
+# lstsq cutoff.  G^-1 V^dag t alone errs by about eps kappa(V)^2 relative;
+# one refinement step from the residual on V takes that to about
+# eps kappa(V), the QR's accuracy.
+GRAM_FLOOR = 1e-8
 ENTROPY_CLAMP = 1e-12  # entropy: an eigenvalue in (-ENTROPY_CLAMP, 0) is rounding, set to 0
 # info.switch_holevo_qubit_gridsearch ranks its grid on the closed-form
 # spectra of the two control-parity 2x2 sectors of each output and of each
@@ -243,9 +253,7 @@ def _check_density(rho: np.ndarray) -> None:
     Only when it fails is the spectrum taken, to refuse with its lowest
     eigenvalue or to accept one in ``[-DEFAULT_TOL, -DEFAULT_TOL / 2]``.
     The Cholesky reads the lower triangle, as ``eigvalsh`` does, so both
-    judge the same matrix.  Entries that overflow when squared give a NaN
-    pivot without a failure, and a NaN pivot makes every later one NaN, so
-    a factor counts as success only with a finite last pivot.
+    judge the same matrix; success is :func:`_cholesky_succeeds`.
     """
     n = rho.shape[0]
     fits = False
@@ -262,12 +270,22 @@ def _check_density(rho: np.ndarray) -> None:
     else:
         rho = _density_rules(rho)
         shifted = rho + (DEFAULT_TOL / 2) * np.eye(rho.shape[-1])
-    try:
-        factor = np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        factor = None
-    if factor is None or not cmath.isfinite(factor[-1, -1]):
+    if not _cholesky_succeeds(shifted):
         _refuse_negative(np.linalg.eigvalsh(rho))
+
+
+def _cholesky_succeeds(m: np.ndarray) -> bool:
+    """True when ``np.linalg.cholesky`` factors ``m`` with a finite last pivot.
+
+    Entries that overflow when squared give a NaN pivot without a failure,
+    and a NaN pivot makes every later one NaN, so success needs a finite
+    last pivot as well as no ``LinAlgError``.
+    """
+    try:
+        factor = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return cmath.isfinite(factor[-1, -1])
 
 
 def _checked_spectrum(rho) -> np.ndarray:

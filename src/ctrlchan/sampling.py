@@ -3,10 +3,9 @@ vectors and admissible interference matrices.
 
 Used by the property-test suites and by the randomised reproduction cases of
 the CLI; every function takes an explicit ``numpy.random.Generator``.
-Admissible matrices are drawn on the factorization of the Kraus matrix that
-``admissible`` and ``realize`` solve against (a QR when it provably has full
-column rank, an SVD otherwise), so a draw and the solves that follow it on
-one channel share one factorization.
+Admissible matrices are drawn on the QR or SVD factorization of the Kraus
+matrix that ``admissible`` and ``realize`` solve against wherever their Gram
+route is not certified.
 """
 
 from __future__ import annotations
@@ -72,13 +71,14 @@ def random_admissible_t(ch: Channel, rng: np.random.Generator) -> np.ndarray:
     the Kraus matrix, scales them so that the quadratic form
     ||V^+ |T>>||^2 = ||M c||^2 lands uniformly in [0, 1), and returns B c
     unvectorised row by row, as the columns of V are.  (B^dag, M) is the
-    factorization :func:`~ctrlchan.implementations.admissible` and
-    :func:`~ctrlchan.implementations.realize` solve against, V^+ = M B^dag:
-    (Q, R^-1) of a QR when V provably has full column rank, (U_r,
-    W_r diag(1/s_r)) of the SVD otherwise.  So draws and solves on one
-    channel share it and agree on its range.  An isotropic complex Gaussian
-    on range(V) does not depend on the basis, so the draws have one
-    distribution on either route.
+    cached factorization of :func:`~ctrlchan.implementations._factor`,
+    V^+ = M B^dag: (Q, R^-1) of a QR when V provably has full column rank,
+    (U_r, W_r diag(1/s_r)) of the SVD otherwise.  The draws take it on every
+    channel, also where :func:`~ctrlchan.implementations.admissible` and
+    :func:`~ctrlchan.implementations.realize` solve on the Gram matrix
+    instead, so a draw then a solve on such a channel makes one QR and one
+    Gram inverse.  An isotropic complex Gaussian on range(V) does not depend
+    on the basis, so the draws have one distribution on either route.
     """
     basis_dag, m = _factor(ch)
     coeff = _complex_gaussian(basis_dag.shape[0], rng)

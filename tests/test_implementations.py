@@ -392,8 +392,9 @@ class TestLstsqParity:
         assert accepted > 0 and refused > 0
 
 
-def count_factorizations(monkeypatch):
-    """Record (name, shape) of every ``qr``, ``svd`` and ``eigh`` call."""
+def count_factorizations(monkeypatch, names=("qr", "svd", "eigh")):
+    """Record (name, shape) of every call to the ``np.linalg`` functions
+    ``names``, by default ``qr``, ``svd`` and ``eigh``."""
     calls = []
 
     def counting(name):
@@ -405,7 +406,7 @@ def count_factorizations(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
 
-    for name in ("qr", "svd", "eigh"):
+    for name in names:
         counting(name)
     return calls
 
@@ -523,6 +524,71 @@ class TestFactorization:
         admissible(second, t_second)
         gc.collect()
         assert ref() is None
+
+
+GRAM_COUNTED = ("qr", "svd", "eigh", "cholesky", "inv")
+
+
+class TestGramRoute:
+    """Solves on the Gram matrix G = V^dag V where a shifted Cholesky proves
+    kappa(V) < 1e4, on the QR or SVD factorization of V elsewhere."""
+
+    @pytest.mark.parametrize("kind", ["phase_flip", "bit_flip"])
+    @pytest.mark.parametrize("p, gram", [
+        (4e-8, True),  # kappa(V) = sqrt((1 - p) / p) = 5e3: just inside 1e4
+        (2.5e-9, False),  # kappa(V) = 2e4: just outside
+    ])
+    def test_route_boundary(self, monkeypatch, kind, p, gram):
+        rng = np.random.default_rng(330)
+        for alpha, beta in ((0.0, 1.0), (0.6, 0.8j), (1.0, 0.0)):
+            impl = standard_implementation(kind, p=p, alpha=alpha, beta=beta)
+            ch, t = impl.channel, transformation_matrix(impl)
+            calls = count_factorizations(monkeypatch, GRAM_COUNTED)
+            admissible(ch, t)
+            names = [name for name, _ in calls]
+            assert names == (["cholesky", "inv"] if gram else ["cholesky", "qr", "inv"])
+            for m in (t, 1.5 * t, off_range(ch, t, rng)):
+                ok, residual, qform = lstsq_route(ch, m)
+                rep = admissible(ch, m)
+                assert rep.admissible == ok
+                assert (rep.range_residual <= RANGE_TOL) == (residual <= RANGE_TOL)
+                assert abs(rep.quadratic_form - qform) <= 1e-9
+                if ok:
+                    impl = realize(ch, m)
+                    assert np.max(np.abs(transformation_matrix(impl) - m)) <= 1e-10
+                else:
+                    with pytest.raises(ValueError, match="not admissible"):
+                        realize(ch, m)
+
+    def test_realize_pair_makes_one_gram_inverse(self, monkeypatch):
+        rng = np.random.default_rng(331)
+        ch = random_channel(4, 9, rng)
+        t1, t2 = random_admissible_t(ch, rng), random_admissible_t(ch, rng)
+        admissible(random_channel(4, 3, rng), t1)  # a solve on another channel evicts ch
+        calls = count_factorizations(monkeypatch, GRAM_COUNTED)
+        realize(ch, t1)
+        realize(ch, t2)
+        assert calls == [("cholesky", (9, 9)), ("inv", (9, 9))]
+
+    def test_draw_then_realize_makes_one_qr_and_one_gram_inverse(self, monkeypatch):
+        rng = np.random.default_rng(332)
+        ch = random_channel(4, 9, rng)
+        calls = count_factorizations(monkeypatch, GRAM_COUNTED)
+        t = random_admissible_t(ch, rng)
+        realize(ch, t)
+        realize(ch, 0.5 * t)
+        # the draw's QR and its R^-1, then the certificate and G^-1
+        assert calls == [("qr", (16, 9)), ("inv", (9, 9)), ("cholesky", (9, 9)), ("inv", (9, 9))]
+
+    def test_more_kraus_operators_than_d_squared_never_take_it(self, monkeypatch):
+        rng = np.random.default_rng(333)
+        for d, k in ((2, 5), (3, 10), (3, 12)):
+            ch = remix(random_channel(d, d * d, rng), haar_isometry(k, d * d, rng))
+            calls = count_factorizations(monkeypatch, GRAM_COUNTED)
+            t = random_admissible_t(ch, rng)
+            for m in (t, 1.5 * t, off_range(ch, t, rng)):
+                admissible(ch, m)
+            assert [name for name, _ in calls] == ["svd"]
 
 
 class TestRandomAdmissibleT:

@@ -516,18 +516,16 @@ class TestParityRanking:
     def test_tie_takes_the_first_probability(self, monkeypatch):
         # Both tied points are leaders, and the exact scores keep the first;
         # the ranked values alone put p0 = 0.6000000000000001 first.  The one
-        # entropy call scores the output at theta1 = 0 and each leader's
+        # eigvalsh call scores the output at theta1 = 0 and each leader's
         # output and average.
-        import ctrlchan.info
-
-        held = ctrlchan.info.entropy
+        held = np.linalg.eigvalsh
         scored = []
 
         def counted(rho):
             scored.append(np.shape(rho))
             return held(rho)
 
-        monkeypatch.setattr(ctrlchan.info, "entropy", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         value, point = switch_holevo_qubit_gridsearch(*TIE_GRID)
         assert point == (0.0, 3.08, 0.4)
         assert scored == [(5, 4, 4)]
@@ -635,6 +633,28 @@ class TestParityRanking:
             assert outcome == verdict
         _exact_only(monkeypatch)
         assert _outcome((np.pi / 6, 0.1)) == outcome
+
+
+class TestRankedPathChecks:
+    def test_ranked_path_rechecks_no_state(self, monkeypatch):
+        # _parity_entropies has proved the state rules and the clamp gate for
+        # every matrix the leaders are scored on, so the ranked path runs no
+        # _density_rules; the exact path checks the outputs, then the averages
+        import ctrlchan.linalg
+
+        held = ctrlchan.linalg._density_rules
+        checked = []
+
+        def counted(rho):
+            checked.append(np.shape(rho))
+            return held(rho)
+
+        monkeypatch.setattr(ctrlchan.linalg, "_density_rules", counted)
+        value, point = switch_holevo_qubit_gridsearch(*TIE_GRID)
+        assert checked == []
+        _exact_only(monkeypatch)
+        assert switch_holevo_qubit_gridsearch(*TIE_GRID) == (value, point)
+        assert checked == [(5, 4, 4), (20, 4, 4)]
 
 
 class TestParityEntropies:
