@@ -4,6 +4,10 @@ A channel here is always a completely positive trace-preserving map on a
 d-dimensional system, carried as one read-only ``(k, d, d)`` array of Kraus
 operators ``{K_i}`` with ``sum_i K_i^dag K_i = 1``.  The Choi matrix lives on
 the input (x) output index space with the input factor on the slow index.
+
+Every channel records its trace-preservation deviation max |sum K^dag K - 1|,
+measured by the constructor, or bounded by :func:`remix` from its source's
+and from the isometry check of ``u``, which then forms no sum K'^dag K'.
 """
 
 from __future__ import annotations
@@ -15,14 +19,17 @@ import numpy as np
 from .linalg import (
     CONSTANT_CUTOFF,
     DEFAULT_TOL,
+    REMIX_ROUNDING,
     SIGMA_X,
     SIGMA_Z,
     _checked_spectrum,
+    _isometry_deviation,
     _overflows,
     as_matrix,
-    is_isometry,
     validate_density_matrix,
 )
+
+_EPS = 2.0**-52  # np.finfo(float).eps, without its lookup at import
 
 STANDARD_KINDS = (
     "identity",
@@ -42,6 +49,7 @@ class Channel:
     ``kraus`` may be passed as any sequence of d x d matrices or as a
     ``(k, d, d)`` array; it is stored as a read-only complex ``(k, d, d)``
     array, so ``len``, iteration and ``kraus[i]`` address single operators.
+    Its deviation max |sum K^dag K - 1| is kept as ``_deviation``.
     """
 
     kraus: np.ndarray
@@ -74,6 +82,18 @@ class Channel:
             )
         ops.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
+        object.__setattr__(self, "_deviation", dev)
+
+    @classmethod
+    def _certified(cls, ops: np.ndarray, deviation: float) -> "Channel":
+        """A channel on a fresh complex ``(k, d, d)`` stack whose deviation is
+        bounded by ``deviation`` within ``DEFAULT_TOL``: frozen in place, with
+        no copy and no sum K^dag K."""
+        ops.setflags(write=False)
+        ch = object.__new__(cls)
+        object.__setattr__(ch, "kraus", ops)
+        object.__setattr__(ch, "_deviation", deviation)
+        return ch
 
     @property
     def dim(self) -> int:
@@ -132,11 +152,20 @@ def remix(ch: Channel, u) -> Channel:
     isometry to grow the list.  If ``u`` has more columns than there are Kraus
     operators, the list is first padded with zero operators.  The represented
     CPTP map is unchanged.
+
+    ``u`` is checked as an isometry; a NaN, infinite or overflowing entry is
+    refused by name.  The new list is not checked again when the source's
+    deviation and that of u^dag u bound its own within ``DEFAULT_TOL``, as
+    derived at ``REMIX_ROUNDING`` in :mod:`ctrlchan.linalg`: it is then
+    frozen as computed, with the bound as its deviation.  Otherwise it is
+    checked as a new :class:`Channel`.  Either way it is accepted or refused
+    as that check would, and holds the same numbers.
     """
     u = as_matrix(u)
-    if not is_isometry(u):
+    mu = _isometry_deviation(u, "remix matrix")
+    if not mu <= DEFAULT_TOL:
         raise ValueError("remix matrix must have orthonormal columns")
-    n_old = u.shape[1]
+    n, n_old = u.shape
     if n_old < len(ch.kraus):
         raise ValueError(
             f"remix matrix has {n_old} columns but the channel has "
@@ -145,7 +174,13 @@ def remix(ch: Channel, u) -> Channel:
     # Columns past the Kraus count would multiply zero padding operators.
     # K' = u K is one product of u with the k x d^2 matrix of flattened K_r.
     k, d, _ = ch.kraus.shape
-    return Channel((u[:, :k] @ ch.kraus.reshape(k, d * d)).reshape(-1, d, d))
+    ops = (u[:, :k] @ ch.kraus.reshape(k, d * d)).reshape(-1, d, d)
+    # the bound and its rounding margin are derived at REMIX_ROUNDING
+    delta = ch._deviation
+    bound = delta + k * mu * (1.0 + delta) + REMIX_ROUNDING * (k + d) * n * _EPS
+    if bound <= DEFAULT_TOL:
+        return Channel._certified(ops, bound)
+    return Channel(ops)
 
 
 def weyl_basis(d: int) -> list[np.ndarray]:
@@ -199,7 +234,7 @@ def standard_channel(kind: str, d: int = 2, param=None) -> Channel:
         return Channel((np.sqrt(1.0 - p) * np.eye(2, dtype=complex), np.sqrt(p) * pauli))
     if kind == "unitary":
         u = as_matrix(param)
-        if u.shape != (d, d) or not is_isometry(u):
+        if u.shape != (d, d) or not _isometry_deviation(u, "parameter") <= DEFAULT_TOL:
             raise ValueError(f"parameter must be a {d} x {d} unitary matrix")
         return Channel((u,))
     if kind == "constant":

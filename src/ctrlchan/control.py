@@ -91,6 +91,8 @@ class ControlledOutput:
     Hermitian deviation, its trace and one shifted Cholesky, without the
     stack rules, and only a matrix the Cholesky fails on pays for a
     spectrum, which refuses it or accepts it as the spectrum check would.
+    A caller's matrix is copied; the outputs the library builds are checked
+    the same way and frozen in place.
     """
 
     matrix: np.ndarray
@@ -101,6 +103,17 @@ class ControlledOutput:
             raise ValueError(f"joint output must be square with even side, got {m.shape}")
         _check_density(m)
         object.__setattr__(self, "matrix", readonly(m))
+
+    @classmethod
+    def _fresh(cls, m: np.ndarray) -> "ControlledOutput":
+        """Wrap a joint output that the library has just built in a new
+        complex ``(2d, 2d)`` array: checked as the constructor checks it, then
+        frozen in place, with no copy."""
+        _check_density(m)
+        m.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "matrix", m)
+        return out
 
     @property
     def target_dim(self) -> int:
@@ -211,7 +224,7 @@ def controlled_output(
 ) -> ControlledOutput:
     """Coherently control between two channel implementations on input ``rho``."""
     rho = validate_density_matrix(rho)
-    return ControlledOutput(controlled_map(i0, i1, control)(rho))
+    return ControlledOutput._fresh(controlled_map(i0, i1, control)(rho))
 
 
 def _embedded_env(env: np.ndarray) -> np.ndarray:
@@ -262,7 +275,7 @@ def stinespring_oracle(
         np.multiply(control.b * (kraus1 @ psi).T[:, None, :], e0[:, None], out=amp[1, :, :, 1:])
         joint = amp.reshape(2 * d, -1)
         out += lam * (joint @ joint.conj().T)
-    return ControlledOutput(out)
+    return ControlledOutput._fresh(out)
 
 
 def classical_map(
@@ -297,7 +310,7 @@ def classical_control(
     blocks zeroed; no implementation dependence survives.
     """
     rho = validate_density_matrix(rho)
-    return ControlledOutput(classical_map(i0, i1, weights)(rho))
+    return ControlledOutput._fresh(classical_map(i0, i1, weights)(rho))
 
 
 def _choi_tensor(ch: Channel) -> np.ndarray:
@@ -429,7 +442,7 @@ def switch_map(
         lead = rho.shape[:-2]
         vec = rho.reshape(lead + (d * d,))
         adjoint = rho.conj().swapaxes(-1, -2)
-        if np.array_equal(rho, adjoint):
+        if not (rho != adjoint).any():
             # block(rho^dag) would repeat block(rho) on the same numbers
             direct = block(rho)
             mirrored = direct.conj().swapaxes(-1, -2)
@@ -450,4 +463,4 @@ def switch_map(
 def switch_output(ch0: Channel, ch1: Channel, control: ControlState, rho) -> ControlledOutput:
     """Send ``rho`` through the two channels in a controlled order superposition."""
     rho = validate_density_matrix(rho)
-    return ControlledOutput(switch_map(ch0, ch1, control)(rho))
+    return ControlledOutput._fresh(switch_map(ch0, ch1, control)(rho))

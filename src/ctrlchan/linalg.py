@@ -49,6 +49,24 @@ QR_MARGIN = 10.0
 # one refinement step from the residual on V takes that to about
 # eps kappa(V), the QR's accuracy.
 GRAM_FLOOR = 1e-8
+# channels.remix takes K'_i = sum_r u_ir K_r as trace-preserving, without
+# forming sum K'^dag K', when
+#     delta + k mu (1 + delta) + REMIX_ROUNDING (k + d) n eps <= DEFAULT_TOL,
+# for k source operators on d dimensions, n rows of u, mu = max |u^dag u - 1|,
+# delta the source's max |sum K^dag K - 1| and eps = 2.2e-16.  With
+# P = u_k^dag u_k over the first k columns of u, sum K'^dag K' - 1 =
+# (sum K^dag K - 1) + sum_rs (P - 1)_rs K_r^dag K_s.  Entry (a, b) of the last
+# sum is sum_c x_ca^dag (P - 1) x_cb, with x_ca the vector of K_r[c, a] over r;
+# by Cauchy-Schwarz it is at most ||P - 1||_2 times the square roots of
+# (sum K^dag K)_aa and (sum K^dag K)_bb, so at most k mu (1 + delta).  Rounding,
+# in units of eps, adds k n to k mu (the n-term sums of the Gram matrix), at
+# most 2 k^3/2 <= 2 k n from the product u K, and k d and n d from the two
+# Kraus checks: that of the source, behind delta, and the one the bound stands
+# in for.  3 (k + d) n covers the sum, and REMIX_ROUNDING = 8 leaves a factor
+# above 2 for the second-order terms; the margin is 1.2e-10 at d = 16,
+# k = 256.  The bound is recorded as the new channel's delta, so a chain of
+# remixes stays certified until its bounds add up to DEFAULT_TOL.
+REMIX_ROUNDING = 8.0
 ENTROPY_CLAMP = 1e-12  # entropy: an eigenvalue in (-ENTROPY_CLAMP, 0) is rounding, set to 0
 # info.switch_holevo_qubit_gridsearch ranks its grid on the closed-form
 # spectra of the two control-parity 2x2 sectors of each output and of each
@@ -155,13 +173,22 @@ def is_hermitian(m) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= DEFAULT_TOL)
 
 
-def is_isometry(u) -> bool:
-    """True when the columns of ``u`` are orthonormal within ``DEFAULT_TOL``."""
-    u = as_matrix(u)
+def _isometry_deviation(u: np.ndarray, name: str) -> float:
+    """max |u^dag u - 1| of a complex matrix ``u``, whose columns are
+    orthonormal within ``DEFAULT_TOL`` when it is at most that; inf when
+    ``u`` has more columns than rows.  The Gram matrix has 1 taken off its
+    diagonal in place, and is formed quietly: when it comes out non-finite,
+    ``u`` is refused under ``name`` by its first non-finite entry, or else
+    as an overflow."""
     if u.shape[0] < u.shape[1]:
-        return False
-    gram = u.conj().T @ u
-    return bool(np.max(np.abs(gram - np.eye(u.shape[1]))) <= DEFAULT_TOL)
+        return np.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = u.conj().T @ u
+        gram.reshape(-1)[:: gram.shape[0] + 1] -= 1.0
+        dev = float(np.max(np.abs(gram)))
+    if not np.isfinite(dev):
+        _overflows(u, name, "a Gram matrix u^dag u")
+    return dev
 
 
 def pseudoinverse(m) -> np.ndarray:

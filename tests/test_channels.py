@@ -13,6 +13,7 @@ from ctrlchan.channels import (
     weyl_basis,
 )
 from ctrlchan.linalg import (
+    DEFAULT_TOL,
     SIGMA_X,
     SIGMA_Z,
     dagger,
@@ -268,6 +269,150 @@ class TestRemix:
             u = haar_isometry(3, 3, rng)
             assert np.max(np.abs(choi_of(remix(ch, u)) - choi_of(ch))) <= 1e-10
 
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (np.inf, r"^remix matrix has a non-finite entry \(inf\+0j\) at index \(0, 0\)$"),
+            (np.nan, r"^remix matrix has a non-finite entry \(nan\+0j\) at index \(0, 0\)$"),
+            (1e200, r"^remix matrix has a Gram matrix u\^dag u that overflows, though every entry is finite$"),
+        ],
+        ids=["inf", "nan", "overflow"],
+    )
+    def test_non_finite_or_overflowing_u_refused_by_name(self, entry, message):
+        # the Gram matrix u^dag u is formed quietly and a non-finite one is
+        # refused by name, where a numpy warning escaped before
+        ch = random_channel(2, 2, np.random.default_rng(8))
+        with pytest.raises(ValueError, match=message):
+            remix(ch, np.array([[entry, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match=message.replace("remix matrix", "parameter")):
+            standard_channel("unitary", 2, np.array([[entry, 0.0], [0.0, 1.0]]))
+
+    def test_wide_non_finite_u_refused_as_not_orthonormal(self):
+        # more columns than rows: refused by shape, with no Gram matrix
+        ch = standard_channel("identity", 2)
+        with pytest.raises(ValueError, match="orthonormal"):
+            remix(ch, np.array([[np.inf, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+
+
+def _checked_remix(ch, u):
+    """The list remix would build, through the full Channel check: the
+    reference every certified remix must match bit for bit."""
+    k, d, _ = ch.kraus.shape
+    u = np.asarray(u, dtype=complex)
+    return Channel((u[:, :k] @ ch.kraus.reshape(k, d * d)).reshape(-1, d, d))
+
+
+def _verdict(make):
+    try:
+        return make().kraus.tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Every Channel built through the full check, the only place a sum
+    K^dag K is formed."""
+    built = []
+    post_init = Channel.__post_init__
+
+    def counted(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(Channel, "__post_init__", counted)
+    return built
+
+
+class TestCertifiedRemix:
+    """remix bounds the new list's deviation from the source's and from
+    u^dag u, and skips the full check only when the bound is within
+    DEFAULT_TOL; every verdict and every Kraus list is the full check's."""
+
+    @pytest.mark.parametrize(
+        "d, ks",
+        [(2, range(1, 5)), (3, range(1, 10)), (4, range(1, 17)), (8, (1, 2, 7, 8, 9, 33, 64)), (16, (1, 17, 256))],
+    )
+    def test_bitwise_the_checked_product_without_a_check(self, checks, d, ks):
+        rng = np.random.default_rng(2300 + d)
+        for k in ks:
+            ch = random_channel(d, k, rng)
+            # square, taller, and padded: two more columns than operators
+            for rows, cols in ((k, k), (k + 2, k), (k + 3, k + 2)):
+                u = haar_isometry(rows, cols, rng)
+                checks.clear()
+                out = remix(ch, u)
+                assert checks == []
+                assert not out.kraus.flags.writeable
+                ref = _checked_remix(ch, u)
+                assert out.kraus.tobytes() == ref.kraus.tobytes()
+                assert out.kraus.shape == ref.kraus.shape == (rows, d, d)
+                assert ref._deviation <= out._deviation <= DEFAULT_TOL
+
+    def test_channel_records_its_deviation(self):
+        ch = random_channel(3, 4, np.random.default_rng(2310))
+        flat = ch.kraus.reshape(-1, 3)
+        assert ch._deviation == float(np.max(np.abs(flat.conj().T @ flat - np.eye(3))))
+
+    @pytest.mark.parametrize("mu", [5e-10, 9e-10, 9.99e-10, 1.01e-9])
+    def test_u_near_the_tolerance_takes_the_full_check(self, checks, mu):
+        # k = 64: k mu is far above DEFAULT_TOL, so the bound cannot certify
+        # and the list is checked as the parent checked it
+        rng = np.random.default_rng(2320)
+        ch = random_channel(8, 64, rng)
+        u = haar_isometry(65, 64, rng)
+        u[:, 0] *= np.sqrt(1.0 + mu)
+        checks.clear()
+        got = _verdict(lambda: remix(ch, u))
+        if mu <= DEFAULT_TOL:
+            assert len(checks) == 1
+            assert got == _checked_remix(ch, u).kraus.tobytes()
+        else:
+            assert checks == []
+            assert got == "remix matrix must have orthonormal columns"
+
+    @pytest.mark.parametrize("scale", [4e-10, 4.99e-10])
+    def test_source_near_the_tolerance(self, checks, scale):
+        # delta is about 2 scale: 8e-10 leaves room for the bound, 9.98e-10 not
+        rng = np.random.default_rng(2330)
+        ch = Channel(random_channel(8, 64, rng).kraus * (1.0 + scale))
+        u = haar_isometry(65, 64, rng)
+        checks.clear()
+        out = remix(ch, u)
+        assert len(checks) == (0 if scale < 4.5e-10 else 1)
+        assert out.kraus.tobytes() == _checked_remix(ch, u).kraus.tobytes()
+
+    def test_source_near_the_tolerance_refused_as_the_full_check_refuses(self):
+        rng = np.random.default_rng(2340)
+        ch = Channel(random_channel(8, 64, rng).kraus * (1.0 + 4.99e-10))
+        u = haar_isometry(64, 64, rng)
+        u[:, 3] *= np.sqrt(1.0 + 9e-10)
+        got = _verdict(lambda: remix(ch, u))
+        assert got.startswith("kraus operators are not trace-preserving: max |sum K^dag K - 1| = 1.0")
+        assert got == _verdict(lambda: _checked_remix(ch, u))
+
+    @pytest.mark.parametrize("scale", [0.0, 4e-10], ids=["exact", "scaled"])
+    def test_chain_of_fifty_remixes(self, checks, scale):
+        # a source scaled by 1 + 4e-10 starts at delta = 8e-10, so the rounding
+        # margins add up to DEFAULT_TOL within the chain: the full check runs
+        # again there, and its measured deviation restarts the bound
+        rng = np.random.default_rng(2350)
+        ch = Channel(random_channel(8, 64, rng).kraus * (1.0 + scale))
+        certified = 0
+        for step in range(50):
+            u = haar_isometry(len(ch.kraus) + step % 2, len(ch.kraus), rng)
+            checks.clear()
+            out = remix(ch, u)
+            certified += not checks
+            ref = _checked_remix(ch, u)
+            assert out.kraus.tobytes() == ref.kraus.tobytes()
+            assert ref._deviation <= out._deviation <= DEFAULT_TOL
+            ch = out
+        if scale:
+            assert 0 < certified < 50
+        else:
+            assert certified == 50
 
 class TestWeylBasis:
     def test_qubit_ordering(self):

@@ -116,6 +116,47 @@ class TestControlledOutputType:
         with pytest.raises(ValueError, match="even side"):
             ControlledOutput(np.eye(3) / 3)
 
+    def test_caller_matrix_is_copied(self):
+        m = np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex)
+        out = ControlledOutput(m)
+        m[0, 0] = 0.9
+        assert out.matrix[0, 0] == 0.4
+        assert not out.matrix.flags.writeable and m.flags.writeable
+
+    def test_library_outputs_are_checked_and_read_only(self, monkeypatch):
+        # each output the library builds is checked once, in place, and frozen
+        import ctrlchan.control as control
+        from ctrlchan.discrimination import DiscriminationInstance, output_distance
+
+        checked = []
+        check = control._check_density
+
+        def recording(m):
+            checked.append(m)
+            check(m)
+
+        monkeypatch.setattr(control, "_check_density", recording)
+        rng = np.random.default_rng(430)
+        i0, i1 = random_implementation(3, 2, rng), random_implementation(3, 4, rng)
+        rho = random_density_matrix(3, rng)
+        outputs = [
+            controlled_output(i0, i1, PLUS, rho),
+            stinespring_oracle(i0, i1, PLUS, rho),
+            classical_control(i0, i1, (0.3, 0.7), rho),
+            switch_output(i0.channel, i1.channel, PLUS, rho),
+        ]
+        # the checked array is the one each output holds: no copy
+        assert len(checked) == 4
+        assert all(o.matrix is m for o, m in zip(outputs, checked))
+        ch = random_channel(3, 3, rng)
+        inst = DiscriminationInstance(i0, realize(ch, np.zeros((3, 3))), realize(ch, 0.5 * ch.kraus[0]))
+        output_distance(inst, PLUS, rho)
+        assert len(checked) == 6
+        for m in checked:
+            assert m.shape == (6, 6) and not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 0] = 0.0
+
 
 class TestControlledOutput:
     def test_transparent_arms(self):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ctrlchan import control, discrimination, linalg
 from ctrlchan.channels import Channel, choi_of, remix, standard_channel
-from ctrlchan.control import ControlledOutput, ControlState, controlled_output
+from ctrlchan.control import ControlState, controlled_output
 from ctrlchan.discrimination import (
     DiscriminationInstance,
     diamond_bound,
@@ -139,21 +139,22 @@ class TestOutputDistance:
 
 
     def test_validates_rho_once_and_checks_each_output(self, monkeypatch):
+        # each joint output is built fresh, so it is checked in place by
+        # control._check_density rather than copied by the constructor
         validations = []
         outputs = []
-        post_init = ControlledOutput.__post_init__
 
         def counting(rho, *args, **kwargs):
             validations.append(rho)
             return linalg.validate_density_matrix(rho, *args, **kwargs)
 
-        def checked(self):
-            outputs.append(self)
-            post_init(self)
+        def checked(m):
+            outputs.append(m)
+            linalg._check_density(m)
 
         for module in (control, discrimination):
             monkeypatch.setattr(module, "validate_density_matrix", counting)
-        monkeypatch.setattr(ControlledOutput, "__post_init__", checked)
+        monkeypatch.setattr(control, "_check_density", checked)
         inst, _ = depolarising_instance(2)
         value = output_distance(inst, PLUS, projector(ket(0, 2)))
         assert abs(value - 1.0 / np.sqrt(2.0)) <= 1e-10
