@@ -135,7 +135,12 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    control = _parse_control(args.control)
+    # a flag the mode does not use is refused rather than ignored
+    if args.mode == "classical" and args.control is not None:
+        raise SchemaError("--control", "--mode classical takes no control state")
+    if args.mode != "classical" and args.weights is not None:
+        raise SchemaError("--weights", f"--mode {args.mode} takes no mixture weights")
+    control = _parse_control("plus" if args.control is None else args.control)
     rho = state_from_json(load_json(args.input)) if args.input else None
     if args.mode == "switch":
         kind = "channel"
@@ -153,11 +158,12 @@ def _cmd_simulate(args) -> int:
     if args.mode == "switch":
         out = switch_output(arm0, arm1, control, rho)
     elif args.mode == "classical":
+        weights = "0.5,0.5" if args.weights is None else args.weights
         try:
-            w0, w1 = (float(x) for x in args.weights.split(","))
+            w0, w1 = (float(x) for x in weights.split(","))
         except ValueError as exc:
             raise SchemaError(
-                "weights", f"expected two comma-separated floats, got {args.weights!r}"
+                "weights", f"expected two comma-separated floats, got {weights!r}"
             ) from exc
         out = classical_control(arm0, arm1, (w0, w1), rho)
     else:
@@ -323,11 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="joint control-target output for a channel pair")
     sim.add_argument("--channel0", required=True, help="channel JSON for the |0> arm")
     sim.add_argument("--channel1", required=True, help="channel JSON for the |1> arm")
-    sim.add_argument("--control", default="plus",
-                     help="'plus', 'zero', 'one', or aRe,aIm,bRe,bIm")
+    sim.add_argument("--control", default=None,
+                     help="'plus' (default), 'zero', 'one', or aRe,aIm,bRe,bIm; "
+                          "not with --mode classical")
     sim.add_argument("--input", default=None, help="state JSON (default |0><0|)")
     sim.add_argument("--mode", choices=("control", "switch", "classical"), default="control")
-    sim.add_argument("--weights", default="0.5,0.5", help="mixture weights for --mode classical")
+    sim.add_argument("--weights", default=None,
+                     help="mixture weights for --mode classical (default 0.5,0.5)")
     sim.add_argument("--format", choices=("pretty", "json"), default="pretty")
     sim.set_defaults(func=_cmd_simulate)
 

@@ -20,16 +20,14 @@ slow; that permutes the d^2 coordinates of t and of every column of V alike,
 leaving both tests unchanged.  So, with C the Choi matrix, this is the same
 as |T>> in range(C) and <<T|C^+|T>> <= 1, but a solve on V decides it and
 yields the environment amplitudes, and it is conditioned by sqrt(kappa(C))
-rather than kappa(C).  A solve takes one of two routes, each with a one-entry
-cache keyed by the channel, shared by consecutive solves on it: a cache held
-for each channel's lifetime raised the peak RSS of the ``dilation-d8``
-benchmark, which keeps many channels alive, by 12 %.  Where a shifted
-Cholesky of the Gram matrix G = V^dag V proves kappa(V) < 1e4, so that the
-minimum-norm solution is unique, it solves with G^-1 and one refinement
-step.  Every other V (k > d^2, dependent Kraus sets, tiny Kraus weights) is
-factored once, by QR when a cheap bound proves full column rank well inside
-the lstsq cutoff and by SVD otherwise; random draws of admissible T use
-that factorization on every channel.
+rather than kappa(C).  Every solve and every random draw of an admissible T
+(:func:`ctrlchan.sampling.random_admissible_t`) goes through one
+factorization of V, :func:`_factor`, on one of the two routes of the
+tolerance table in ``linalg``: the Gram matrix G = V^dag V where a shifted
+Cholesky certifies it, an SVD of V otherwise.  It keeps one entry, keyed by
+the channel, shared by consecutive draws and solves on it: a cache held for
+each channel's lifetime raised the peak RSS of the ``dilation-d8``
+benchmark, which keeps many channels alive, by 12 %.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from .linalg import (
     BOUND_TOL,
     DEFAULT_TOL,
     GRAM_FLOOR,
-    QR_MARGIN,
     RANGE_TOL,
     _cholesky_succeeds,
     _one_plus,
@@ -128,56 +125,26 @@ def _kraus_matrix(ch: Channel) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _factor(ch: Channel) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (B^dag, M) with B an orthonormal basis of range(V) and
-    V^+ = M B^dag, for V with every singular value above the cutoff
-    ``lstsq(rcond=None)`` uses, eps * max(d^2, k) * s_max, kept.
+    """Read-only (B^dag, M) with V^+ = M B^dag, for the Kraus matrix V of
+    ``ch``, on the route the tolerance table in ``linalg`` sets out:
+    (V^dag, G^-1) on the Gram route, (U_r^dag, W_r diag(1/s_r)) from the
+    economy SVD V = U s W^dag on the SVD route.
 
-    When k <= d^2, V = QR first.  If min |R_ii| lies above the cutoff times
-    max |R_ii|, and ||R||_F ||R^-1||_F, which bounds kappa(V) from above, lies
-    ``QR_MARGIN`` times below 1 / cutoff, the cutoff keeps every singular
-    value; V then has full column rank and (B, M) = (Q, R^-1).  Every other V
-    (k > d^2, dependent Kraus sets, very ill-conditioned V) takes the economy
-    SVD V = U s W^dag, kept to the singular values above the cutoff:
-    (B, M) = (U_r, W_r diag(1/s_r)).
-
-    Draws in :func:`ctrlchan.sampling.random_admissible_t` use it on every
-    channel, and :func:`_solve` on every channel that :func:`_gram_inverse`
-    refuses.  One entry is kept, keyed by the channel object: consecutive
-    draws and solves on a channel share it, and a call on another channel
-    replaces it.
+    One entry is kept, keyed by the channel object: consecutive draws and
+    solves on a channel share it, and a call on another channel replaces it.
     """
     v = _kraus_matrix(ch)
     rows, k = v.shape
-    cutoff = np.finfo(float).eps * max(rows, k)
     if k <= rows:
-        q, r = np.linalg.qr(v)
-        diag = np.abs(np.diagonal(r))
-        if diag.min() > cutoff * diag.max():
-            r_inv = np.linalg.inv(r)
-            if np.linalg.norm(r) * np.linalg.norm(r_inv) < 1.0 / (QR_MARGIN * cutoff):
-                return _frozen(q.conj().T, r_inv)
+        vh = v.conj().T
+        gram = vh @ v
+        shifted = gram.copy()
+        shifted.reshape(-1)[:: k + 1] -= GRAM_FLOOR * gram.trace().real
+        if _cholesky_succeeds(shifted):
+            return _frozen(vh, np.linalg.inv(gram))
     u, s, wh = np.linalg.svd(v, full_matrices=False)
-    keep = s > cutoff * s[0]
+    keep = s > np.finfo(float).eps * max(rows, k) * s[0]
     return _frozen(u[:, keep].conj().T, wh[keep].conj().T / s[keep])
-
-
-@lru_cache(maxsize=1)
-def _gram_inverse(ch: Channel) -> np.ndarray | None:
-    """Read-only G^-1 for the Gram matrix G = V^dag V, or None unless a
-    Cholesky of G - ``GRAM_FLOOR`` tr(G) 1 proves kappa(V) < GRAM_FLOOR^(-1/2)
-    (see the tolerance table); k > d^2 is refused at once.  One entry is
-    kept, keyed by the channel object, as :func:`_factor` keeps one.
-    """
-    flat = ch.kraus.reshape(len(ch.kraus), -1)
-    k, rows = flat.shape
-    if k > rows:
-        return None
-    gram = flat.conj() @ flat.T
-    shifted = gram.copy()
-    shifted.reshape(-1)[:: k + 1] -= GRAM_FLOOR * gram.trace().real
-    if not _cholesky_succeeds(shifted):
-        return None
-    return _frozen(np.linalg.inv(gram))[0]
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -190,13 +157,10 @@ def _solve(ch: Channel, t):
     """Minimum-norm coefficients c = V^+ t, and the admissibility report
     they give.
 
-    Where :func:`_gram_inverse` certifies V, c = G^-1 V^dag t, refined once
-    by c += G^-1 V^dag (t - V c): the certificate makes c the one
-    minimum-norm solution, which lstsq gives too.  Every other V goes
-    through :func:`_factor`, c = M (B^dag t).  Each route keeps one entry,
-    so consecutive solves on one channel share it and a solve is a few
-    small products.  The range residual ||t - V c|| / ||t|| is computed from
-    V itself on both routes.
+    With (B^dag, M) from :func:`_factor`, c = M (B^dag t), refined once by
+    c += M B^dag (t - V c), on either route.  On the Gram route the
+    certificate makes c the one minimum-norm solution, which lstsq gives too.
+    The range residual ||t - V c|| / ||t|| is computed from V itself.
     """
     t = as_matrix(t)
     if t.shape != (ch.dim, ch.dim):
@@ -212,14 +176,9 @@ def _solve(ch: Channel, t):
         _overflows(t, "t", "a norm")
     if tnorm == 0.0:
         return AdmissibilityReport(True, 0.0, 0.0), np.zeros(v.shape[1], dtype=complex)
-    gram_inv = _gram_inverse(ch)
-    if gram_inv is None:
-        basis_dag, m = _factor(ch)
-        coeff = m @ (basis_dag @ tvec)
-    else:
-        vh = v.conj().T
-        coeff = gram_inv @ (vh @ tvec)
-        coeff += gram_inv @ (vh @ (tvec - v @ coeff))
+    basis_dag, m = _factor(ch)
+    coeff = m @ (basis_dag @ tvec)
+    coeff += m @ (basis_dag @ (tvec - v @ coeff))
     residual = float(np.linalg.norm(tvec - v @ coeff)) / tnorm
     qform = float(np.vdot(coeff, coeff).real)
     ok = residual <= RANGE_TOL and qform <= 1.0 + BOUND_TOL
@@ -236,7 +195,7 @@ def admissible(ch: Channel, t) -> AdmissibilityReport:
     dilation has ||env|| = 1, is refused once eps * kappa(V) nears
     ``BOUND_TOL``.  For the phase flip at p = 1e-28 (kappa(V) = 1e14) the T of
     the dilation with env = (0.6, 0.8j) reads quadratic form 1 + 1.5e-5, on
-    the QR and the SVD route alike.
+    the SVD route that such a V takes.
     """
     return _solve(ch, t)[0]
 

@@ -32,22 +32,19 @@ DEFAULT_TOL = 1e-9
 # admissible accepts.
 RANGE_TOL = 1e-8
 BOUND_TOL = 1e-8
-# implementations._factor keeps every singular value of V above the lstsq
-# cutoff eps * max(d^2, k) * s_max.  It factors V by QR instead only when
-# ||R||_F ||R^-1||_F, an upper bound on kappa(V), is QR_MARGIN times below
-# 1 / cutoff: the computed R and the computed singular values each move by a
-# few eps * s_max, a fraction of the cutoff well under 1 - 1 / QR_MARGIN, so
-# no singular value an SVD would keep can lie at the cutoff.
-QR_MARGIN = 10.0
-# implementations._solve solves on the Gram matrix G = V^dag V, for k <= d^2,
-# only when a Cholesky of G - GRAM_FLOOR tr(G) 1 succeeds.  s_max^2 <= tr G,
-# which is d for a channel (sum K^dag K = 1).  Success proves lambda_min(G)
-# above GRAM_FLOOR tr(G) less the rounding of the Gram product and the
-# Cholesky, a few k eps tr(G), five decades under it: so kappa(V)^2 <
-# 1 / GRAM_FLOOR, kappa(V) < 1e4, and V has full column rank far inside the
-# lstsq cutoff.  G^-1 V^dag t alone errs by about eps kappa(V)^2 relative;
-# one refinement step from the residual on V takes that to about
-# eps kappa(V), the QR's accuracy.
+# implementations._factor is the one factorization of the Kraus matrix V
+# (d^2 x k) behind admissible, realize and the random draws, on one of two
+# routes chosen by V alone.  Gram route: for k <= d^2, when a Cholesky of
+# G - GRAM_FLOOR tr(G) 1, G = V^dag V, succeeds, it keeps (V^dag, G^-1).
+# s_max^2 <= tr G, which is d for a channel (sum K^dag K = 1).  Success proves
+# lambda_min(G) above GRAM_FLOOR tr(G) less the rounding of the Gram product
+# and the Cholesky, a few k eps tr(G), five decades under it: so
+# kappa(V)^2 < 1 / GRAM_FLOOR, kappa(V) < 1e4, and V has full column rank far
+# inside the lstsq cutoff.  G^-1 V^dag t alone errs by about eps kappa(V)^2
+# relative; one refinement step from the residual on V takes that to about
+# eps kappa(V).  SVD route: every other V (k > d^2, dependent Kraus sets,
+# tiny Kraus weights) takes its economy SVD, kept to the singular values
+# above the lstsq cutoff eps * max(d^2, k) * s_max.
 GRAM_FLOOR = 1e-8
 # channels.remix takes K'_i = sum_r u_ir K_r as trace-preserving, without
 # forming sum K'^dag K', when

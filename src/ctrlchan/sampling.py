@@ -3,9 +3,9 @@ vectors and admissible interference matrices.
 
 Used by the property-test suites and by the randomised reproduction cases of
 the CLI; every function takes an explicit ``numpy.random.Generator``.
-Admissible matrices are drawn on the QR or SVD factorization of the Kraus
-matrix that ``admissible`` and ``realize`` solve against wherever their Gram
-route is not certified.
+Admissible matrices are drawn by the solve that ``admissible`` and
+``realize`` make, so a draw and the solves after it on one channel share one
+factorization of its Kraus matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import Channel
-from .implementations import ChannelImplementation, _factor
+from .implementations import ChannelImplementation, _solve
 
 
 def _complex_gaussian(shape, rng: np.random.Generator) -> np.ndarray:
@@ -67,25 +67,18 @@ def random_implementation(d: int, kraus_count: int, rng: np.random.Generator) ->
 def random_admissible_t(ch: Channel, rng: np.random.Generator) -> np.ndarray:
     """Random interference matrix satisfying the dilation constraint.
 
-    Draws Gaussian coefficients c on an orthonormal basis B of range(V), V
-    the Kraus matrix, scales them so that the quadratic form
-    ||V^+ |T>>||^2 = ||M c||^2 lands uniformly in [0, 1), and returns B c
-    unvectorised row by row, as the columns of V are.  (B^dag, M) is the
-    cached factorization of :func:`~ctrlchan.implementations._factor`,
-    V^+ = M B^dag: (Q, R^-1) of a QR when V provably has full column rank,
-    (U_r, W_r diag(1/s_r)) of the SVD otherwise.  The draws take it on every
-    channel, also where :func:`~ctrlchan.implementations.admissible` and
-    :func:`~ctrlchan.implementations.realize` solve on the Gram matrix
-    instead, so a draw then a solve on such a channel makes one QR and one
-    Gram inverse.  An isotropic complex Gaussian on range(V) does not depend
-    on the basis, so the draws have one distribution on either route.
+    Draws a d x d complex Gaussian g, takes the minimum-norm coefficients
+    c = V^+ g on the Kraus matrix V by the solve of
+    :func:`~ctrlchan.implementations.admissible`, scales them so that the
+    quadratic form ||c||^2 lands uniformly in [0, 1), and returns
+    T = sum_i c_i K_i, that is V c unvectorised.  V c is the projection of g
+    onto range(V), so the direction of T is isotropic on range(V), on either
+    route of the solve.  A draw consumes d^2 complex normals and one uniform.
     """
-    basis_dag, m = _factor(ch)
-    coeff = _complex_gaussian(basis_dag.shape[0], rng)
-    qform = float(np.sum(np.abs(m @ coeff) ** 2))
-    target = rng.uniform(0.0, 1.0)
-    coeff *= np.sqrt(target / qform)
-    return (basis_dag.conj().T @ coeff).reshape(ch.dim, ch.dim)
+    d = ch.dim
+    coeff = _solve(ch, _complex_gaussian((d, d), rng))[1]
+    coeff *= np.sqrt(rng.uniform(0.0, 1.0) / float(np.vdot(coeff, coeff).real))
+    return np.tensordot(coeff, ch.kraus, axes=1)
 
 
 def random_depolarising_t(

@@ -184,6 +184,30 @@ class TestSimulate:
             f"error: weights: expected two comma-separated floats, got {weights!r}\n"
         )
 
+    @pytest.mark.parametrize("mode, flag, value, message", [
+        ("control", "--weights", "0.1,0.9", "--weights: --mode control takes no mixture weights"),
+        ("switch", "--weights", "0.5,0.5", "--weights: --mode switch takes no mixture weights"),
+        ("classical", "--control", "zero", "--control: --mode classical takes no control state"),
+        ("classical", "--control", "plus", "--control: --mode classical takes no control state"),
+    ])
+    def test_flag_the_mode_does_not_use_refused(self, files, capsys, mode, flag, value, message):
+        arm = files["depol.json" if mode == "switch" else "depol_impl.json"]
+        code = main([
+            "simulate", "--mode", mode, flag, value, "--channel0", arm, "--channel1", arm,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_classical_weights_default_to_even(self, files, capsys):
+        base = ["simulate", "--mode", "classical", "--format", "json",
+                "--channel0", files["depol_impl.json"], "--channel1", files["ident_impl.json"]]
+        assert main(base) == 0
+        default = capsys.readouterr().out
+        assert main(base + ["--weights", "0.5,0.5"]) == 0
+        assert capsys.readouterr().out == default
+
     def test_malformed_file_reports_error(self, files, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

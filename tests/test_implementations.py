@@ -340,9 +340,9 @@ def random_inputs(d):
 
 
 def ill_conditioned_inputs():
-    """Kraus sets on both sides of the bound that lets V be factored by QR:
-    a phase flip at p = 1e-16, kappa(V) = 1e8, inside it; a phase flip at
-    p = 1e-32, kappa(V) = 1e16, beyond the lstsq cutoff itself; a partial
+    """Kraus sets far outside the Gram route, where V is factored by SVD:
+    a phase flip at p = 1e-16, kappa(V) = 1e8, inside the lstsq cutoff; a
+    phase flip at p = 1e-32, kappa(V) = 1e16, beyond it; a partial
     depolarising channel at q = 1 - 1e-30, which rounds to 1, so that its
     Weyl columns are exact zeros.  Between kappa(V) ~ 1e9 and the cutoff,
     lstsq is no reference at 1e-9 (see TestIllConditionedExact)."""
@@ -392,9 +392,9 @@ class TestLstsqParity:
         assert accepted > 0 and refused > 0
 
 
-def count_factorizations(monkeypatch, names=("qr", "svd", "eigh")):
+def count_factorizations(monkeypatch):
     """Record (name, shape) of every call to the ``np.linalg`` functions
-    ``names``, by default ``qr``, ``svd`` and ``eigh``."""
+    ``qr``, ``svd``, ``eigh``, ``cholesky`` and ``inv``."""
     calls = []
 
     def counting(name):
@@ -406,7 +406,7 @@ def count_factorizations(monkeypatch, names=("qr", "svd", "eigh")):
 
         monkeypatch.setattr(np.linalg, name, counted)
 
-    for name in names:
+    for name in ("qr", "svd", "eigh", "cholesky", "inv"):
         counting(name)
     return calls
 
@@ -462,6 +462,10 @@ class TestIllConditionedExact:
 
 
 class TestFactorization:
+    """One factorization of V per channel, shared by draws and solves: on
+    the Gram matrix G = V^dag V where a shifted Cholesky proves
+    kappa(V) < 1e4, an SVD of V elsewhere."""
+
     def test_one_factorization_for_many_solves_on_one_channel(self, monkeypatch):
         rng = np.random.default_rng(310)
         ch = random_channel(3, 4, rng)
@@ -474,22 +478,22 @@ class TestFactorization:
             # quadratic form 2.25: refused
             assert not admissible(ch, 1.5 * t / np.sqrt(rep.quadratic_form)).admissible
             realize(ch, t)
-        # a random V has full column rank, far inside the cutoff: QR alone
-        assert calls == [("qr", (9, 4))]
+        # a random V is far inside the certificate: the Gram route alone
+        assert calls == [("cholesky", (4, 4)), ("inv", (4, 4))]
 
     def test_dependent_set_takes_the_svd_route(self, monkeypatch):
         rng = np.random.default_rng(312)
-        # six Kraus operators spanning four dimensions: R has zero diagonal
-        # entries up to rounding, so the QR is set aside for the SVD
+        # six Kraus operators spanning four dimensions: G is singular, so the
+        # certificate fails and V is factored by SVD
         ch = remix(random_channel(3, 4, rng), haar_isometry(6, 4, rng))
         calls = count_factorizations(monkeypatch)
         for _ in range(3):
             t = random_admissible_t(ch, rng)
             assert admissible(ch, t).admissible
             assert np.max(np.abs(transformation_matrix(realize(ch, t)) - t)) <= 1e-10
-        assert calls == [("qr", (9, 6)), ("svd", (9, 6))]
+        assert calls == [("cholesky", (6, 6)), ("svd", (9, 6))]
 
-    def test_more_kraus_operators_than_d_squared_skip_the_qr(self, monkeypatch):
+    def test_more_kraus_operators_than_d_squared_make_one_svd(self, monkeypatch):
         rng = np.random.default_rng(313)
         ch = remix(random_channel(2, 4, rng), haar_isometry(6, 4, rng))
         calls = count_factorizations(monkeypatch)
@@ -497,16 +501,17 @@ class TestFactorization:
         assert admissible(ch, t).admissible
         assert calls == [("svd", (4, 6))]
 
-    @pytest.mark.parametrize("p, names", [
-        (1e-20, ["qr"]),  # kappa(V) = 1e10: well inside the cutoff 1 / (4 eps)
-        (1e-30, ["qr", "svd"]),  # kappa(V) = 1e15: kept by the cutoff, but too close to it
-        (1e-32, ["qr", "svd"]),  # kappa(V) = 1e16: beyond the cutoff
+    @pytest.mark.parametrize("p", [
+        2.5e-9,  # kappa(V) = sqrt((1 - p) / p) = 2e4: just outside the certificate
+        1e-20,  # kappa(V) = 1e10: well inside the cutoff 1 / (4 eps)
+        1e-30,  # kappa(V) = 1e15: kept by the cutoff
+        1e-32,  # kappa(V) = 1e16: beyond the cutoff
     ])
-    def test_condition_picks_the_route(self, monkeypatch, p, names):
+    def test_condition_picks_the_route(self, monkeypatch, p):
         impl = standard_implementation("phase_flip", p=p, alpha=0.0, beta=1.0)
         calls = count_factorizations(monkeypatch)
         admissible(impl.channel, transformation_matrix(impl))
-        assert [name for name, _ in calls] == names
+        assert calls == [("cholesky", (2, 2)), ("svd", (4, 2))]
 
     def test_second_channel_evicts_the_first(self):
         # one factorization is kept: the last channel solved on stays alive
@@ -526,12 +531,10 @@ class TestFactorization:
         assert ref() is None
 
 
-GRAM_COUNTED = ("qr", "svd", "eigh", "cholesky", "inv")
-
-
 class TestGramRoute:
-    """Solves on the Gram matrix G = V^dag V where a shifted Cholesky proves
-    kappa(V) < 1e4, on the QR or SVD factorization of V elsewhere."""
+    """Solves on G = V^dag V with one refinement step agree with lstsq at
+    the certificate's boundary, and a draw and the solves after it make one
+    Gram inverse."""
 
     @pytest.mark.parametrize("kind", ["phase_flip", "bit_flip"])
     @pytest.mark.parametrize("p, gram", [
@@ -543,10 +546,10 @@ class TestGramRoute:
         for alpha, beta in ((0.0, 1.0), (0.6, 0.8j), (1.0, 0.0)):
             impl = standard_implementation(kind, p=p, alpha=alpha, beta=beta)
             ch, t = impl.channel, transformation_matrix(impl)
-            calls = count_factorizations(monkeypatch, GRAM_COUNTED)
+            calls = count_factorizations(monkeypatch)
             admissible(ch, t)
             names = [name for name, _ in calls]
-            assert names == (["cholesky", "inv"] if gram else ["cholesky", "qr", "inv"])
+            assert names == (["cholesky", "inv"] if gram else ["cholesky", "svd"])
             for m in (t, 1.5 * t, off_range(ch, t, rng)):
                 ok, residual, qform = lstsq_route(ch, m)
                 rep = admissible(ch, m)
@@ -565,26 +568,26 @@ class TestGramRoute:
         ch = random_channel(4, 9, rng)
         t1, t2 = random_admissible_t(ch, rng), random_admissible_t(ch, rng)
         admissible(random_channel(4, 3, rng), t1)  # a solve on another channel evicts ch
-        calls = count_factorizations(monkeypatch, GRAM_COUNTED)
+        calls = count_factorizations(monkeypatch)
         realize(ch, t1)
         realize(ch, t2)
         assert calls == [("cholesky", (9, 9)), ("inv", (9, 9))]
 
-    def test_draw_then_realize_makes_one_qr_and_one_gram_inverse(self, monkeypatch):
+    def test_draw_then_realize_makes_one_gram_inverse(self, monkeypatch):
         rng = np.random.default_rng(332)
         ch = random_channel(4, 9, rng)
-        calls = count_factorizations(monkeypatch, GRAM_COUNTED)
+        calls = count_factorizations(monkeypatch)
         t = random_admissible_t(ch, rng)
         realize(ch, t)
         realize(ch, 0.5 * t)
-        # the draw's QR and its R^-1, then the certificate and G^-1
-        assert calls == [("qr", (16, 9)), ("inv", (9, 9)), ("cholesky", (9, 9)), ("inv", (9, 9))]
+        # the draw is a solve: it factors V, and both realize calls reuse it
+        assert calls == [("cholesky", (9, 9)), ("inv", (9, 9))]
 
     def test_more_kraus_operators_than_d_squared_never_take_it(self, monkeypatch):
         rng = np.random.default_rng(333)
         for d, k in ((2, 5), (3, 10), (3, 12)):
             ch = remix(random_channel(d, d * d, rng), haar_isometry(k, d * d, rng))
-            calls = count_factorizations(monkeypatch, GRAM_COUNTED)
+            calls = count_factorizations(monkeypatch)
             t = random_admissible_t(ch, rng)
             for m in (t, 1.5 * t, off_range(ch, t, rng)):
                 admissible(ch, m)
@@ -616,6 +619,51 @@ class TestRandomAdmissibleT:
         qforms = [admissible(ch, random_admissible_t(ch, rng)).quadratic_form for _ in range(400)]
         assert 160 <= sum(q < 0.5 for q in qforms) <= 240
         assert max(qforms) < 1.0
+
+
+DRAW_CHANNELS = {
+    "random-d3": lambda rng: random_channel(3, 4, rng),  # Gram route
+    # kappa(V) = 2e4, just outside the certificate: SVD route
+    "phase-flip-2e4": lambda rng: standard_implementation(
+        "phase_flip", p=2.5e-9, alpha=1.0, beta=0.0).channel,
+    # six Kraus operators spanning four dimensions: SVD route
+    "dependent": lambda rng: remix(random_channel(3, 4, rng), haar_isometry(6, 4, rng)),
+}
+
+
+class TestDrawDistribution:
+    """Draws lie in range(V), and their directions are isotropic there.
+
+    A draw is T = s P g for a Gaussian g, P the projector onto range(V) and
+    s > 0 a scale that depends on the direction of P g through V^+, so the
+    isotropy is that of T / ||T||.  Its squared overlaps w_i = |<b_i|T>|^2 /
+    ||T||^2 on an orthonormal basis b_1..b_r of range(V) are each
+    Beta(1, r - 1): mean 1/r and variance (r - 1) / (r^2 (r + 1)).  Over n
+    draws each sample mean is within 5 standard deviations of 1/r but with
+    probability below 1e-6.  A draw that favoured the large singular
+    directions of V, such as V c for Gaussian Kraus coefficients c, puts
+    nearly all the weight of the phase flip on one of its two directions."""
+
+    DRAWS = 2000
+
+    @pytest.mark.parametrize("name", sorted(DRAW_CHANNELS))
+    def test_draws_are_isotropic_on_the_range(self, name):
+        rng = np.random.default_rng(340)
+        ch = DRAW_CHANNELS[name](rng)
+        v = kraus_matrix(ch)
+        u, s, _ = np.linalg.svd(v, full_matrices=False)
+        basis = u[:, s > 1e-12 * s[0]]
+        r = basis.shape[1]
+        weights = np.empty((self.DRAWS, r))
+        for n in range(self.DRAWS):
+            t = random_admissible_t(ch, rng).reshape(-1)
+            overlaps = basis.conj().T @ t
+            norm = np.linalg.norm(t)
+            assert np.linalg.norm(t - basis @ overlaps) <= 1e-12 * norm
+            weights[n] = np.abs(overlaps) ** 2 / norm**2
+        sigma = np.sqrt((r - 1) / (r * r * (r + 1)))
+        bound = 5.0 * sigma / np.sqrt(self.DRAWS)
+        assert np.max(np.abs(weights.mean(axis=0) - 1.0 / r)) <= bound
 
 
 class TestStandardImplementation:
