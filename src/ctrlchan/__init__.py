@@ -60,7 +60,6 @@ from .linalg import (
     ket,
     partial_trace,
     projector,
-    pseudoinverse,
     spectral_norm,
     trace_norm,
     validate_density_matrix,

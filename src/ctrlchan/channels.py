@@ -137,12 +137,22 @@ def apply(ch: Channel, rho, *, validate: bool = True) -> np.ndarray:
     return row @ sides.reshape(rho.shape[:-2] + (d * k, d))
 
 
+def _choi_tensor(ch: Channel) -> np.ndarray:
+    """G[a, b, c, e] = sum_i K_i[a, b] conj(K_i[c, e]), one Gram product of the
+    flattened Kraus operators: the Choi matrix C[(b, a), (e, c)] of
+    :func:`choi_of` with its indices in Kraus order.  It is the one product
+    behind every Choi matrix and every switch map."""
+    k, d, _ = ch.kraus.shape
+    flat = ch.kraus.reshape(k, d * d)
+    return (flat.T @ flat.conj()).reshape(d, d, d, d)
+
+
 def choi_of(ch: Channel) -> np.ndarray:
     """Choi matrix C = sum_i |K_i>><<K_i| = V V^dag (positive semidefinite,
-    d^2 x d^2), with V the d^2 x k matrix of vectorised Kraus operators."""
-    k, d, _ = ch.kraus.shape
-    v = ch.kraus.transpose(2, 1, 0).reshape(d * d, k)
-    return v @ v.conj().T
+    d^2 x d^2), with V the d^2 x k matrix of vectorised Kraus operators: the
+    Choi tensor of :func:`_choi_tensor` with each index pair swapped."""
+    d = ch.dim
+    return _choi_tensor(ch).transpose(1, 0, 3, 2).reshape(d * d, d * d)
 
 
 def remix(ch: Channel, u) -> Channel:

@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import Channel, apply
+from .channels import Channel, _choi_tensor, apply
 from .implementations import ChannelImplementation
 from .linalg import (
     DEFAULT_TOL,
@@ -311,15 +311,6 @@ def classical_control(
     """
     rho = validate_density_matrix(rho)
     return ControlledOutput._fresh(classical_map(i0, i1, weights)(rho))
-
-
-def _choi_tensor(ch: Channel) -> np.ndarray:
-    """G[a, b, c, e] = sum_i K_i[a, b] conj(K_i[c, e]), one Gram product of the
-    flattened Kraus operators: the Choi matrix C[(b, a), (e, c)] of
-    :func:`~ctrlchan.channels.choi_of` with its indices in Kraus order."""
-    k, d, _ = ch.kraus.shape
-    flat = ch.kraus.reshape(k, d * d)
-    return (flat.T @ flat.conj()).reshape(d, d, d, d)
 
 
 def _transfer_matrix(g: np.ndarray) -> np.ndarray:

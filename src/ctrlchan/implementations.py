@@ -50,9 +50,6 @@ from .linalg import (
     readonly,
 )
 
-# Kept importable here for bench/test_bench.py::test_tracer_skips_names_that_no_longer_exist.
-from .linalg import pseudoinverse  # noqa: F401
-
 
 @dataclass(frozen=True, eq=False)
 class ChannelImplementation:

@@ -37,13 +37,6 @@ from .linalg import (
 )
 
 
-def shannon_entropy(probs) -> float:
-    """-sum p log2 p with 0 log 0 = 0."""
-    p = np.asarray(probs, dtype=float)
-    nz = p[p > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
-
-
 def entropy(rho):
     """Von Neumann entropy in bits of a density matrix or of a stack of them.
 
@@ -72,11 +65,11 @@ def _spectrum_bits(w: np.ndarray) -> np.ndarray:
 
 
 def binary_entropy(p: float) -> float:
-    """H2(p) = -p log2 p - (1-p) log2 (1-p) on [0, 1]."""
+    """H2(p) = -p log2 p - (1-p) log2 (1-p) on [0, 1], with 0 log 0 = 0."""
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
-    return shannon_entropy([p, 1.0 - p])
+    return float(_spectrum_bits(np.array([p, 1.0 - p])))
 
 
 @dataclass(frozen=True, eq=False)

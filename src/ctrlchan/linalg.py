@@ -96,7 +96,6 @@ DEGENERACY_TOL = 1e-10  # optimal_input: relative gap within which eigenvalues t
 COLUMN_WEIGHT = 1e-6  # optimal_input: least norm of a projected basis vector to take
 DISTANCE_WINDOW = 1e-12  # success_probability: rounding allowed outside [0, 1]
 SATURATION_TOL = 1e-10  # distinguish: distance this close to the diamond bound saturates it
-PINV_RANK_TOL = 1e-12  # pseudoinverse: eigenvalues this small relative to the top are 0
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -162,14 +161,6 @@ def partial_trace(m, dim_first: int, dim_second: int, keep: str = "first") -> np
     raise ValueError("keep must be 'first' or 'second'")
 
 
-def is_hermitian(m) -> bool:
-    """True when ``m`` is square and equals its adjoint within ``DEFAULT_TOL``."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.max(np.abs(m - m.conj().T)) <= DEFAULT_TOL)
-
-
 def _isometry_deviation(u: np.ndarray, name: str) -> float:
     """max |u^dag u - 1| of a complex matrix ``u``, whose columns are
     orthonormal within ``DEFAULT_TOL`` when it is at most that; inf when
@@ -186,28 +177,6 @@ def _isometry_deviation(u: np.ndarray, name: str) -> float:
     if not np.isfinite(dev):
         _overflows(u, name, "a Gram matrix u^dag u")
     return dev
-
-
-def pseudoinverse(m) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a Hermitian positive semidefinite matrix.
-
-    Eigenvalues at or below ``PINV_RANK_TOL`` times the largest eigenvalue
-    are treated as zero; a negative eigenvalue beyond ``DEFAULT_TOL`` is an
-    error.
-    """
-    m = as_matrix(m)
-    if not is_hermitian(m):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(m)
-    wmax = float(w[-1]) if w.size else 0.0
-    if w.size and float(w[0]) < -DEFAULT_TOL * max(wmax, 1.0):
-        raise ValueError(f"matrix has a negative eigenvalue {w[0]:.3e}")
-    cutoff = PINV_RANK_TOL * max(wmax, 0.0)
-    keep = w > cutoff
-    if not np.any(keep):
-        return np.zeros_like(m)
-    vk = v[:, keep]
-    return (vk / w[keep]) @ vk.conj().T
 
 
 def trace_norm(m) -> float:

@@ -20,7 +20,6 @@ from ctrlchan.linalg import (
     ket,
     partial_trace,
     projector,
-    pseudoinverse,
 )
 from ctrlchan.sampling import (
     haar_isometry,
@@ -206,10 +205,26 @@ class TestChoi:
         rng = np.random.default_rng(3)
         ch = random_channel(2, 3, rng)
         c = choi_of(ch)
-        proj = c @ pseudoinverse(c)
+        proj = c @ np.linalg.pinv(c, rcond=1e-12, hermitian=True)
         for k in ch.kraus:
             v = k.T.reshape(-1)
             assert np.max(np.abs(proj @ v - v)) <= 1e-10
+
+
+class TestChoiDefinition:
+    """The Choi matrix against its definition sum_i |K_i>><<K_i|, with
+    |K>> = vec(K) stacking columns, built here by explicit outer products."""
+
+    @pytest.mark.parametrize("d, k", [(2, 1), (2, 4), (3, 2), (3, 9), (4, 5)])
+    def test_sum_of_kraus_outer_products(self, d, k):
+        ch = random_channel(d, k, np.random.default_rng(40 + 10 * d + k))
+        c = choi_of(ch)
+        expected = sum(np.outer(m.T.reshape(-1), m.T.reshape(-1).conj()) for m in ch.kraus)
+        assert c.shape == (d * d, d * d)
+        assert np.max(np.abs(c - expected)) <= 1e-14
+        assert np.max(np.abs(c - dagger(c))) <= 1e-15
+        # trace preservation: tracing out the output leaves the identity
+        assert np.max(np.abs(partial_trace(c, d, d, keep="first") - np.eye(d))) <= 1e-13
 
 
 class TestRemix:

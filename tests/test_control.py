@@ -565,14 +565,18 @@ class TestSwitchContraction:
 
     def test_choi_tensor_is_the_choi_matrix(self):
         # G[a, b, c, e] = C[(b, a), (e, c)]: the numbers choi_of returns
-        from ctrlchan.channels import choi_of
-        from ctrlchan.control import _choi_tensor
+        from ctrlchan.channels import _choi_tensor, choi_of
 
         rng = np.random.default_rng(1050)
         for d, k in ((2, 1), (3, 5), (4, 16)):
             ch = random_channel(d, k, rng)
             choi = choi_of(ch).reshape(d, d, d, d).transpose(1, 0, 3, 2)
             assert np.max(np.abs(_choi_tensor(ch) - choi)) <= 1e-15
+
+    def test_switch_and_choi_share_one_gram_product(self):
+        from ctrlchan import channels, control
+
+        assert control._choi_tensor is channels._choi_tensor
 
     @pytest.mark.parametrize("k0, k1", [(2, 16), (16, 2), (8, 16), (16, 8)])
     @pytest.mark.parametrize("index", [0, 1])

@@ -7,13 +7,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ctrlchan"
 
-# Exported names that no program file uses, each with the reason it stays.
-UNUSED_EXPORTS = {
-    # bench/test_bench.py removes it from ctrlchan.linalg and
-    # ctrlchan.implementations with a raising monkeypatch.delattr
-    "pseudoinverse": "deleted by name in bench/test_bench.py",
-}
-
 
 def exported() -> set[str]:
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
@@ -43,8 +36,21 @@ def used() -> set[str]:
 
 
 def test_every_exported_name_is_used_by_the_program():
-    assert sorted(exported() - used() - UNUSED_EXPORTS.keys()) == []
+    assert sorted(exported() - used()) == []
 
 
-def test_allowlisted_names_are_exported_and_unused():
-    assert sorted(UNUSED_EXPORTS.keys() - (exported() - used())) == []
+def test_the_choi_pseudoinverse_and_second_shannon_sum_stay_out():
+    # one route per quantity: admissibility is solved on the Kraus matrix
+    # and binary entropy sums its bits through the spectrum helper
+    import ctrlchan
+    from ctrlchan import implementations, info, linalg
+
+    gone = [
+        (ctrlchan, "pseudoinverse"),
+        (implementations, "pseudoinverse"),
+        (linalg, "pseudoinverse"),
+        (linalg, "is_hermitian"),
+        (linalg, "PINV_RANK_TOL"),
+        (info, "shannon_entropy"),
+    ]
+    assert [f"{m.__name__}.{n}" for m, n in gone if hasattr(m, n)] == []

@@ -17,7 +17,7 @@ from ctrlchan.implementations import (
     standard_implementation,
     transformation_matrix,
 )
-from ctrlchan.linalg import SIGMA_X, SIGMA_Z, dagger, pseudoinverse
+from ctrlchan.linalg import SIGMA_X, SIGMA_Z, dagger
 from ctrlchan.sampling import (
     haar_isometry,
     random_admissible_t,
@@ -32,7 +32,7 @@ def choi_route(ch, t):
     """Range residual and quadratic form of ``t`` through the Choi pseudoinverse,
     <<T|C^+|T>>, sharing no code with the Kraus-space solve."""
     c = choi_of(ch)
-    c_pinv = pseudoinverse(c)
+    c_pinv = np.linalg.pinv(c, rcond=1e-12, hermitian=True)
     tvec = t.T.reshape(-1)
     residual = np.linalg.norm(tvec - c @ (c_pinv @ tvec)) / np.linalg.norm(tvec)
     return float(residual), float(np.real(tvec.conj() @ c_pinv @ tvec))
@@ -428,7 +428,7 @@ def exact_quadratic_form(ch, t):
 
 
 class TestIllConditionedExact:
-    """Phase flips at kappa(V) = 1e10 and 1e12, inside the QR bound.  Their
+    """Phase flips at kappa(V) = 1e10 and 1e12, on the SVD route.  Their
     quadratic forms are checked against the exact one, not against lstsq:
     lstsq misses it by up to about 3e-6 on the off-range inputs here."""
 
@@ -459,6 +459,33 @@ class TestIllConditionedExact:
             assert rep.admissible
             assert abs(rep.quadratic_form - float(np.vdot(env, env).real)) <= 1e-7
             assert np.max(np.abs(transformation_matrix(realize(ch, t)) - t)) <= 1e-12
+
+
+class TestConditioningLimit:
+    """The eps * kappa(V) limit the ``admissible`` docstring states: a genuine
+    phase-flip T, whose exact quadratic form is 1, is refused at
+    kappa(V) = 1e14 and accepted at 1e13."""
+
+    @staticmethod
+    def genuine(p):
+        impl = standard_implementation("phase_flip", p=p, alpha=0.6, beta=0.8j)
+        t = transformation_matrix(impl)
+        assert abs(exact_quadratic_form(impl.channel, t) - 1.0) <= 1e-15
+        return impl.channel, t
+
+    def test_refused_at_kappa_1e14(self):
+        ch, t = self.genuine(1e-28)
+        rep = admissible(ch, t)
+        assert 1e-6 < rep.quadratic_form - 1.0 < 1e-4
+        assert rep.range_residual <= RANGE_TOL and not rep.admissible
+        with pytest.raises(ValueError, match=r"quadratic form 1 \+ "):
+            realize(ch, t)
+
+    def test_accepted_at_kappa_1e13(self):
+        ch, t = self.genuine(1e-26)
+        rep = admissible(ch, t)
+        assert abs(rep.quadratic_form - 1.0) <= BOUND_TOL and rep.admissible
+        assert np.max(np.abs(transformation_matrix(realize(ch, t)) - t)) <= 1e-15
 
 
 class TestFactorization:

@@ -16,7 +16,6 @@ from ctrlchan.info import (
     coherent_info_bound,
     entropy,
     holevo_lower_bound,
-    shannon_entropy,
     switch_holevo_qubit,
     switch_holevo_qubit_gridsearch,
     _PARITY_TABLE,
@@ -113,6 +112,10 @@ class TestBinaryEntropy:
         with pytest.raises(ValueError):
             binary_entropy(1.2)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="must lie in"):
+            binary_entropy(float("nan"))
+
     @given(st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
     def test_symmetry_and_bounds(self, p):
@@ -120,8 +123,21 @@ class TestBinaryEntropy:
         assert 0.0 <= value <= 1.0
         assert abs(value - binary_entropy(1.0 - p)) <= 1e-12
 
-    def test_shannon_matches(self):
-        assert abs(shannon_entropy([0.25, 0.75]) - H2_QUARTER) <= 1e-15
+    def test_bitwise_the_shannon_sum(self):
+        # -(p log2 p + q log2 q) with its zero terms dropped, and the bound
+        # built on it, bit for bit (a sign of zero included) on a dense grid
+        def shannon(probs):
+            nz = probs[probs > 0.0]
+            return float(-(nz * np.log2(nz)).sum())
+
+        grid = np.concatenate((np.linspace(0.0, 1.0, 20001), [5e-324, 1e-300, 1.0 - 2.0**-53]))
+        got, want = [], []
+        for p in grid:
+            q = (1.0 - p) / 2.0
+            got += [binary_entropy(p), cc_dephasing_bound(p)]
+            h_p, h_q = shannon(np.array([p, 1.0 - p])), shannon(np.array([q, 1.0 - q]))
+            want += [h_p, p - h_p + h_q]
+        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
 
 
 class TestEnsemble:

@@ -17,13 +17,10 @@ from ctrlchan.linalg import (
     SIGMA_X,
     _checked_spectrum,
     _density_rules,
-    dagger,
-    is_hermitian,
     ket,
     maximally_entangled,
     partial_trace,
     projector,
-    pseudoinverse,
     spectral_norm,
     trace_norm,
     validate_density_matrix,
@@ -62,45 +59,6 @@ class TestPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             partial_trace(np.eye(5), 2, 2)
-
-
-class TestPseudoinverse:
-    def test_scaled_identity(self):
-        assert np.allclose(pseudoinverse(np.eye(4) / 2), 2 * np.eye(4), atol=1e-12)
-
-    def test_rank_one_projector(self):
-        rng = np.random.default_rng(5)
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        v /= np.linalg.norm(v)
-        p = projector(v)
-        assert np.allclose(pseudoinverse(p), p, atol=1e-12)
-
-    def test_moore_penrose_identities(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            g = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-            c = g @ dagger(g)  # PSD, rank 3
-            cp = pseudoinverse(c)
-            assert np.max(np.abs(cp @ c @ cp - cp)) <= 1e-10
-            assert np.max(np.abs(c @ cp @ c - c)) <= 1e-10
-            assert np.max(np.abs(c @ cp - dagger(c @ cp))) <= 1e-10
-            assert np.max(np.abs(cp @ c - dagger(cp @ c))) <= 1e-10
-
-    def test_projector_onto_range(self):
-        rng = np.random.default_rng(13)
-        g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        c = g @ dagger(g)
-        pi = c @ pseudoinverse(c)
-        assert np.max(np.abs(pi @ pi - pi)) <= 1e-10
-        assert np.max(np.abs(pi @ g - g)) <= 1e-10
-
-    def test_negative_eigenvalue_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            pseudoinverse(np.diag([1.0, -0.5]))
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            pseudoinverse(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestNorms:
@@ -186,10 +144,6 @@ class TestValidateDensityMatrix:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="negative"):
             validate_density_matrix(np.diag([1.5, -0.5]))
-
-    def test_is_hermitian_predicate(self):
-        assert is_hermitian(np.array([[0.0, -1.0j], [1.0j, 0.0]]))
-        assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def rotated_spectrum(w, rng):
