@@ -49,7 +49,9 @@ class Channel:
     ``kraus`` may be passed as any sequence of d x d matrices or as a
     ``(k, d, d)`` array; it is stored as a read-only complex ``(k, d, d)``
     array, so ``len``, iteration and ``kraus[i]`` address single operators.
-    Its deviation max |sum K^dag K - 1| is kept as ``_deviation``.
+    Its deviation max |sum K^dag K - 1| is kept as ``_deviation``, and the
+    first solve on it in :mod:`ctrlchan.implementations` keeps the factor of
+    its Kraus matrix as ``_kraus_factor``.
     """
 
     kraus: np.ndarray

@@ -24,16 +24,19 @@ rather than kappa(C).  Every solve and every random draw of an admissible T
 (:func:`ctrlchan.sampling.random_admissible_t`) goes through one
 factorization of V, :func:`_factor`, on one of the two routes of the
 tolerance table in ``linalg``: the Gram matrix G = V^dag V where a shifted
-Cholesky certifies it, an SVD of V otherwise.  It keeps one entry, keyed by
-the channel, shared by consecutive draws and solves on it: a cache held for
-each channel's lifetime raised the peak RSS of the ``dilation-d8``
-benchmark, which keeps many channels alive, by 12 %.
+Cholesky certifies it, an SVD of V otherwise.  The first draw or solve on a
+channel makes it, and the channel holds it, so it is shared by every later
+draw and solve on that channel, in any order, and freed with the channel.
+The Gram route holds G^-1 alone, k x k and so never larger than the Kraus
+stack, and forms V^dag t from the stack.  The ``dilation-d8`` benchmark
+keeps 64 drawn-on channels alive: holding V^dag as well raised its peak RSS
+by 11 to 13 %, and G^-1 alone by 4 to 5 % (``BENCH_26.json``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -120,25 +123,33 @@ def _kraus_matrix(ch: Channel) -> np.ndarray:
     return ch.kraus.reshape(len(ch.kraus), -1).T
 
 
-@lru_cache(maxsize=1)
-def _factor(ch: Channel) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (B^dag, M) with V^+ = M B^dag, for the Kraus matrix V of
-    ``ch``, on the route the tolerance table in ``linalg`` sets out:
-    (V^dag, G^-1) on the Gram route, (U_r^dag, W_r diag(1/s_r)) from the
+def _factor(ch: Channel) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """The factor of the Kraus matrix V of ``ch`` that :func:`_solve` applies
+    V^+ by, read-only, on the route the tolerance table in ``linalg`` sets
+    out: G^-1 alone on the Gram route, (U_r^dag, W_r diag(1/s_r)) from the
     economy SVD V = U s W^dag on the SVD route.
 
-    One entry is kept, keyed by the channel object: consecutive draws and
-    solves on a channel share it, and a call on another channel replaces it.
+    It is made on the first call for a channel and kept on the channel, as
+    ``_kraus_factor``, beside its ``_deviation``: every later call on that
+    channel returns it, and it is freed with the channel.
     """
-    v = _kraus_matrix(ch)
+    factor = ch.__dict__.get("_kraus_factor")
+    if factor is None:
+        factor = _factorize(_kraus_matrix(ch))
+        object.__setattr__(ch, "_kraus_factor", factor)
+    return factor
+
+
+def _factorize(v: np.ndarray) -> np.ndarray | tuple[np.ndarray, ...]:
     rows, k = v.shape
     if k <= rows:
-        vh = v.conj().T
-        gram = vh @ v
+        gram = v.conj().T @ v
         shifted = gram.copy()
         shifted.reshape(-1)[:: k + 1] -= GRAM_FLOOR * gram.trace().real
         if _cholesky_succeeds(shifted):
-            return _frozen(vh, np.linalg.inv(gram))
+            ginv = np.linalg.inv(gram)
+            ginv.setflags(write=False)
+            return ginv
     u, s, wh = np.linalg.svd(v, full_matrices=False)
     keep = s > np.finfo(float).eps * max(rows, k) * s[0]
     return _frozen(u[:, keep].conj().T, wh[keep].conj().T / s[keep])
@@ -150,14 +161,27 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+def _pinv_times(ch: Channel, x: np.ndarray) -> np.ndarray:
+    """V^+ x by the factor ``ch`` holds.  On the Gram route V^dag x is formed
+    as conj(F conj(x)) from the k x d^2 stack F of flattened Kraus
+    operators, whose conjugate is V^dag: bitwise the product with V^dag,
+    since conjugation flips signs only."""
+    factor = _factor(ch)
+    if isinstance(factor, tuple):
+        basis_dag, m = factor
+        return m @ (basis_dag @ x)
+    flat = ch.kraus.reshape(len(ch.kraus), -1)
+    return factor @ (flat @ x.conj()).conj()
+
+
 def _solve(ch: Channel, t):
     """Minimum-norm coefficients c = V^+ t, and the admissibility report
     they give.
 
-    With (B^dag, M) from :func:`_factor`, c = M (B^dag t), refined once by
-    c += M B^dag (t - V c), on either route.  On the Gram route the
-    certificate makes c the one minimum-norm solution, which lstsq gives too.
-    The range residual ||t - V c|| / ||t|| is computed from V itself.
+    c = V^+ t by the factor of :func:`_factor`, refined once by
+    c += V^+ (t - V c), on either route.  On the Gram route the certificate
+    makes c the one minimum-norm solution, which lstsq gives too.  The range
+    residual ||t - V c|| / ||t|| is computed from V itself.
     """
     t = as_matrix(t)
     if t.shape != (ch.dim, ch.dim):
@@ -173,9 +197,8 @@ def _solve(ch: Channel, t):
         _overflows(t, "t", "a norm")
     if tnorm == 0.0:
         return AdmissibilityReport(True, 0.0, 0.0), np.zeros(v.shape[1], dtype=complex)
-    basis_dag, m = _factor(ch)
-    coeff = m @ (basis_dag @ tvec)
-    coeff += m @ (basis_dag @ (tvec - v @ coeff))
+    coeff = _pinv_times(ch, tvec)
+    coeff += _pinv_times(ch, tvec - v @ coeff)
     residual = float(np.linalg.norm(tvec - v @ coeff)) / tnorm
     qform = float(np.vdot(coeff, coeff).real)
     ok = residual <= RANGE_TOL and qform <= 1.0 + BOUND_TOL

@@ -35,7 +35,8 @@ BOUND_TOL = 1e-8
 # implementations._factor is the one factorization of the Kraus matrix V
 # (d^2 x k) behind admissible, realize and the random draws, on one of two
 # routes chosen by V alone.  Gram route: for k <= d^2, when a Cholesky of
-# G - GRAM_FLOOR tr(G) 1, G = V^dag V, succeeds, it keeps (V^dag, G^-1).
+# G - GRAM_FLOOR tr(G) 1, G = V^dag V, succeeds, the channel holds G^-1 alone
+# (k x k, no larger than its Kraus stack) and V^dag t is formed from the stack.
 # s_max^2 <= tr G, which is d for a channel (sum K^dag K = 1).  Success proves
 # lambda_min(G) above GRAM_FLOOR tr(G) less the rounding of the Gram product
 # and the Cholesky, a few k eps tr(G), five decades under it: so

@@ -4,8 +4,8 @@ vectors and admissible interference matrices.
 Used by the property-test suites and by the randomised reproduction cases of
 the CLI; every function takes an explicit ``numpy.random.Generator``.
 Admissible matrices are drawn by the solve that ``admissible`` and
-``realize`` make, so a draw and the solves after it on one channel share one
-factorization of its Kraus matrix.
+``realize`` make, so a draw and every solve on the same channel share one
+factorization of its Kraus matrix, which the channel holds.
 """
 
 from __future__ import annotations
@@ -73,7 +73,10 @@ def random_admissible_t(ch: Channel, rng: np.random.Generator) -> np.ndarray:
     quadratic form ||c||^2 lands uniformly in [0, 1), and returns
     T = sum_i c_i K_i, that is V c unvectorised.  V c is the projection of g
     onto range(V), so the direction of T is isotropic on range(V), on either
-    route of the solve.  A draw consumes d^2 complex normals and one uniform.
+    route of the solve.  The first draw or solve on ``ch`` factors V and
+    ``ch`` keeps the factor, so later draws, and the ``realize`` calls that
+    use the drawn T, factor nothing, whatever runs in between.  A draw
+    consumes d^2 complex normals and one uniform.
     """
     d = ch.dim
     coeff = _solve(ch, _complex_gaussian((d, d), rng))[1]

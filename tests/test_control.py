@@ -17,9 +17,15 @@ from ctrlchan.control import (
     switch_map,
     switch_output,
 )
-from ctrlchan.implementations import ChannelImplementation, realize, standard_implementation
+from ctrlchan.implementations import (
+    ChannelImplementation,
+    admissible,
+    realize,
+    standard_implementation,
+)
 from ctrlchan.linalg import (
     SIGMA_X,
+    SIGMA_Z,
     dagger,
     ket,
     partial_trace,
@@ -674,6 +680,62 @@ class TestSwitchContraction:
         for x in (random_density_matrix(d, rng), _random_block(d, rng)):
             ref = _switch_reference(ch0, ch1, PLUS, x)
             assert np.max(np.abs(out_map(x) - ref)) <= 1e-12
+
+
+def _seeded_controls(rng, n):
+    controls = [PLUS, ControlState.basis(0)]
+    for _ in range(n):
+        amp = random_pure_state(2, rng)
+        controls.append(ControlState(amp[0], amp[1]))
+    return controls
+
+
+def _largest_gap(map_pairs, d, rng, states=5):
+    gap = 0.0
+    for first, second in map_pairs:
+        for _ in range(states):
+            rho = random_density_matrix(d, rng)
+            gap = max(gap, float(np.max(np.abs(first(rho) - second(rho)))))
+    return gap
+
+
+class TestDepolarisingSwitchIsCoherentControl:
+    """The switch of two completely depolarising channels is coherent control
+    of one dilation of each, the one with T = 1/d: both outputs are
+    [[|a|^2 1/d, a b* rho/d^2], [a* b rho/d^2, |b|^2 1/d]] for every control
+    and every d.  A Pauli qubit channel has no such T."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_switch_equals_controlled_map(self, d):
+        rng = np.random.default_rng(470 + d)
+        depol = standard_channel("depolarising", d)
+        impl = standard_implementation("depolarising", t=np.eye(d) / d)
+        pairs = [
+            (switch_map(depol, depol, c), controlled_map(impl, impl, c))
+            for c in _seeded_controls(rng, 5)
+        ]
+        assert _largest_gap(pairs, d, rng) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_t_sits_on_the_admissible_boundary(self, d):
+        depol = standard_channel("depolarising", d)
+        rep = admissible(depol, np.eye(d) / d)
+        assert rep.admissible
+        assert abs(rep.quadratic_form - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("c", [0.0, 0.15, 0.3, 0.45, 0.6])
+    def test_pauli_channel_is_not_coherent_control_of_a_scalar_t(self, c):
+        # weights (0.4, 0.2, 0.2, 0.2): T = c 1 is admissible for |c|^2 <= 0.4
+        weights = (0.4, 0.2, 0.2, 0.2)
+        paulis = (np.eye(2), SIGMA_X, np.array([[0, -1j], [1j, 0]]), SIGMA_Z)
+        pauli = Channel([np.sqrt(w) * s for w, s in zip(weights, paulis)])
+        impl = realize(pauli, c * np.eye(2))
+        rng = np.random.default_rng(480)
+        pairs = [
+            (switch_map(pauli, pauli, ctrl), controlled_map(impl, impl, ctrl))
+            for ctrl in _seeded_controls(rng, 5)
+        ]
+        assert _largest_gap(pairs, 2, rng) >= 0.05
 
 
 class TestControlMarginal:

@@ -12,6 +12,8 @@ from ctrlchan.implementations import (
     BOUND_TOL,
     RANGE_TOL,
     ChannelImplementation,
+    _factor,
+    _solve,
     admissible,
     realize,
     standard_implementation,
@@ -489,8 +491,8 @@ class TestConditioningLimit:
 
 
 class TestFactorization:
-    """One factorization of V per channel, shared by draws and solves: on
-    the Gram matrix G = V^dag V where a shifted Cholesky proves
+    """One factorization of V per channel, held by the channel and shared by
+    every draw and solve on it: on the Gram matrix G = V^dag V where a shifted Cholesky proves
     kappa(V) < 1e4, an SVD of V elsewhere."""
 
     def test_one_factorization_for_many_solves_on_one_channel(self, monkeypatch):
@@ -540,20 +542,14 @@ class TestFactorization:
         admissible(impl.channel, transformation_matrix(impl))
         assert calls == [("cholesky", (2, 2)), ("svd", (4, 2))]
 
-    def test_second_channel_evicts_the_first(self):
-        # one factorization is kept: the last channel solved on stays alive
-        # until a solve on another channel replaces it
+    def test_solved_channel_is_freed_with_its_caller(self):
+        # the factor lives on the channel: a channel solved on is not kept
+        # alive by it once its caller drops it
         rng = np.random.default_rng(311)
-        first = random_channel(3, 4, rng)
-        second = random_channel(3, 5, rng)
-        t_first = random_admissible_t(first, rng)
-        t_second = random_admissible_t(second, rng)
-        admissible(first, t_first)
-        ref = weakref.ref(first)
-        del first
-        gc.collect()
-        assert ref() is not None
-        admissible(second, t_second)
+        ch = random_channel(3, 4, rng)
+        admissible(ch, random_admissible_t(ch, rng))
+        ref = weakref.ref(ch)
+        del ch
         gc.collect()
         assert ref() is None
 
@@ -590,15 +586,17 @@ class TestGramRoute:
                     with pytest.raises(ValueError, match="not admissible"):
                         realize(ch, m)
 
-    def test_realize_pair_makes_one_gram_inverse(self, monkeypatch):
+    def test_realize_pair_after_another_solve_makes_no_factorization(self, monkeypatch):
+        # as in dilation-d8: T drawn on ch, a solve on another channel, then
+        # realize(ch, T); the factor the draws made is the one realize uses
         rng = np.random.default_rng(331)
         ch = random_channel(4, 9, rng)
         t1, t2 = random_admissible_t(ch, rng), random_admissible_t(ch, rng)
-        admissible(random_channel(4, 3, rng), t1)  # a solve on another channel evicts ch
+        admissible(random_channel(4, 3, rng), t1)
         calls = count_factorizations(monkeypatch)
         realize(ch, t1)
         realize(ch, t2)
-        assert calls == [("cholesky", (9, 9)), ("inv", (9, 9))]
+        assert calls == []
 
     def test_draw_then_realize_makes_one_gram_inverse(self, monkeypatch):
         rng = np.random.default_rng(332)
@@ -619,6 +617,30 @@ class TestGramRoute:
             for m in (t, 1.5 * t, off_range(ch, t, rng)):
                 admissible(ch, m)
             assert [name for name, _ in calls] == ["svd"]
+
+
+class TestHeldFactor:
+    """On the Gram route a channel holds G^-1 alone, and the solve forms
+    V^dag t from the Kraus stack, bitwise as a product with V^dag would."""
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    @pytest.mark.parametrize("kraus", ["1", "d", "d^2"])
+    def test_gram_factor_is_one_small_array_and_solves_bitwise(self, d, kraus):
+        k = {"1": 1, "d": d, "d^2": d * d}[kraus]
+        rng = np.random.default_rng(350 + d * d + k)
+        ch = random_channel(d, k, rng)
+        ts = [random_admissible_t(ch, rng), rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))]
+        ginv = _factor(ch)
+        assert isinstance(ginv, np.ndarray) and ginv.shape == (k, k)
+        assert not ginv.flags.writeable
+        assert ginv.nbytes <= ch.kraus.nbytes
+        v = kraus_matrix(ch)
+        vh = v.conj().T
+        for t in ts:
+            tvec = t.reshape(-1)
+            coeff = ginv @ (vh @ tvec)
+            coeff += ginv @ (vh @ (tvec - v @ coeff))
+            assert _solve(ch, t)[1].tobytes() == coeff.tobytes()
 
 
 class TestRandomAdmissibleT:
