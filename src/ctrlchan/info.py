@@ -7,10 +7,12 @@ classical baseline, or any bare channel.  A map takes a ``(..., d, d)`` stack
 and maps it matrix by matrix, as the maps from ``control`` and
 :func:`ctrlchan.channels.apply` do; each quantity calls it once.
 
-The qubit switch grid search ranks its grid on closed-form spectra of the
-control-parity sectors of each output, averaged with the grid's weights, and
-scores only its leaders, in one ``eigvalsh`` call, so it returns bit for bit
-what scoring every point with :func:`entropy` returns.
+The qubit switch grid search applies the depolarising qubit switch as one
+product with its matrix, tabulated at import.  It ranks its grid on
+closed-form spectra of the control-parity sectors of each output, averaged
+with the grid's weights, and scores only its leaders, in one ``eigvalsh``
+call, so it returns bit for bit what scoring every point with
+:func:`entropy` returns.
 """
 
 from __future__ import annotations
@@ -171,9 +173,22 @@ def cc_dephasing_bound(p: float) -> float:
 
 
 # The depolarising qubit pair in the switch under a |+> control: a constant of
-# switch_holevo_qubit_gridsearch, built once per process, at import.
+# switch_holevo_qubit_gridsearch.  The map is evaluated once per process, at
+# import, on the four 2x2 matrix units, and held as the read-only (4, 16)
+# matrix whose row k is its output on the k-th unit of a row-major rho.
 _DEPOLARISING_QUBIT = standard_channel("depolarising", 2)
-_QUBIT_SWITCH = switch_map(_DEPOLARISING_QUBIT, _DEPOLARISING_QUBIT, ControlState.plus())
+_QUBIT_SWITCH_MATRIX = readonly(
+    switch_map(_DEPOLARISING_QUBIT, _DEPOLARISING_QUBIT, ControlState.plus())(
+        np.eye(4, dtype=complex).reshape(4, 2, 2)
+    ).reshape(4, 16)
+)
+
+
+def _QUBIT_SWITCH(rho: np.ndarray) -> np.ndarray:
+    """The held switch on a qubit state ``(2, 2)`` or a stack ``(..., 2, 2)``,
+    giving ``(..., 4, 4)``: one product with the held matrix."""
+    lead = rho.shape[:-2]
+    return (rho.reshape(lead + (4,)) @ _QUBIT_SWITCH_MATRIX).reshape(lead + (4, 4))
 
 
 def _parity_numbers(m: np.ndarray) -> np.ndarray:
@@ -215,7 +230,11 @@ def _parity_entropies(
 
     Each output's sector numbers (:func:`_parity_numbers`) are averaged with
     the weights of the matrices, so no average is built; weight 0 gives the
-    output itself.  The result is None unless three things hold.  Every
+    output itself.  The averages are laid out [number, sector, output,
+    weight], so the weighting and each sector's radius, the hypotenuse of its
+    three other numbers, run on whole rows; the four eigenvalues of each
+    matrix are then stacked last, in the order in which the entropy sums
+    them.  The result is None unless three things hold.  Every
     output's Hermitian deviation and trace error is at most
     ``DEFAULT_TOL - AVERAGE_ROUNDING``, so every average passes
     :func:`ctrlchan.linalg._density_rules` too.  Every output's ||E||_F is
@@ -228,7 +247,7 @@ def _parity_entropies(
     table).
     """
     n = outputs.shape[0]
-    p = np.concatenate(([0.0], probs))[:, None, None]
+    p = np.concatenate(([0.0], probs))
     # an entry that is not finite, or whose square is not, fails a test below,
     # each written so that a NaN fails it
     with np.errstate(invalid="ignore", over="ignore"):
@@ -236,11 +255,14 @@ def _parity_entropies(
         trace = np.abs(np.trace(outputs, axis1=-2, axis2=-1) - 1.0).max(initial=0.0)
         numbers = np.ascontiguousarray(outputs).view(float).reshape(n, 32) @ _PARITY_TABLE
         residue = np.sqrt((numbers[:, 8:] ** 2).sum(axis=-1)).max()
-        sectors = numbers[:, :8].reshape(n, 4, 2)
-        sectors = p * sectors[0] + (1.0 - p) * sectors[:, None]
+        # laid out [number, sector, output, weight], so each step runs on whole rows
+        sectors = numbers[:, :8].T.reshape(4, 2, n, 1)
+        mean, s1, s2, s3 = p * sectors[:, :, :1] + (1.0 - p) * sectors
         # a sector's eigenvalues are its mean -+ the hypotenuse of the rest of its column
-        mean, radius = sectors[..., 0, :], np.sqrt((sectors[..., 1:, :] ** 2).sum(axis=-2))
-        w = np.concatenate((mean - radius, mean + radius), axis=-1)
+        radius = np.sqrt(s1**2 + s2**2 + s3**2)
+        lo, hi = mean - radius, mean + radius
+        # [output, weight, eigenvalue], as _spectrum_bits sums each spectrum
+        w = np.stack((lo[0], lo[1], hi[0], hi[1]), axis=-1)
     limit = DEFAULT_TOL - AVERAGE_ROUNDING
     if not (
         herm <= limit
@@ -268,8 +290,10 @@ def switch_holevo_qubit_gridsearch(
     and keeps the value, and every difference of two grid angles is itself a
     grid angle, so the pairs (0, theta) already carry every value of the full
     (theta0, theta1) grid.  The switch map does not depend on the grid, so it
-    is built once per process, at import, and each call evaluates it once, on
-    the stack of all grid states.  Returns (best value, (0.0, theta1, p0)).
+    is tabulated once per process, at import, as its (4, 16) matrix on the
+    four 2x2 matrix units, and each call applies it once, as one product
+    with the stack of all grid states.  Returns (best value, (0.0, theta1,
+    p0)).
 
     The two channels under the switch are one and the same, so swapping the
     two orders maps every output to itself: each output, and each average

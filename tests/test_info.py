@@ -21,6 +21,7 @@ from ctrlchan.info import (
     _PARITY_TABLE,
     _parity_entropies,
     _parity_numbers,
+    _spectrum_bits,
 )
 from ctrlchan.linalg import (
     AVERAGE_ROUNDING,
@@ -320,7 +321,8 @@ class TestAnalyticBounds:
 
 def literal_gridsearch(angle_step, prob_step, out_map=None):
     """The grid search as a literal triple loop, with numpy's own spectra,
-    through ``out_map`` (by default the depolarising qubit switch)."""
+    through ``out_map`` (by default the held depolarising qubit switch, so
+    that an exact tie between two points is broken on the same outputs)."""
 
     def bits(rho):
         w = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
@@ -328,8 +330,9 @@ def literal_gridsearch(angle_step, prob_step, out_map=None):
         return float(-(w * np.log2(w)).sum())
 
     if out_map is None:
-        ch = standard_channel("depolarising", 2)
-        out_map = switch_map(ch, ch, PLUS)
+        import ctrlchan.info
+
+        out_map = ctrlchan.info._QUBIT_SWITCH
     thetas = np.arange(0.0, np.pi + angle_step / 2.0, angle_step)
     states = [np.array([np.cos(th / 2.0), np.sin(th / 2.0)], dtype=complex) for th in thetas]
     outputs = [out_map(np.outer(s, s.conj())) for s in states]
@@ -414,13 +417,33 @@ class TestSwitchGridSearch:
         assert abs(value - switch_holevo_qubit()) <= 1e-9
 
     def test_held_map_is_the_depolarising_qubit_switch(self):
+        # The held map is the product with the fresh map's outputs on the four
+        # matrix units, bit for bit, and agrees with the fresh map itself up
+        # to rounding.  The product rounds each entry, the four-term sum
+        # sum_k rho_k M_kj, within gamma_4 sum_k |rho_k| max|M|.  The bound
+        # allows the fresh map's own evaluations, on the units for the rows
+        # M_k and again at rho, three times as much between them: 4 gamma_4
+        # sum_k |rho_k| max|M| in all, about 30 times the largest gap seen.
         import ctrlchan.info
 
         depol = standard_channel("depolarising", 2)
         fresh = switch_map(depol, depol, PLUS)
+        table = fresh(np.eye(4, dtype=complex).reshape(4, 2, 2)).reshape(4, 16)
         rng = np.random.default_rng(41)
-        rho = np.array([random_density_matrix(2, rng) for _ in range(5)])
-        assert np.array_equal(ctrlchan.info._QUBIT_SWITCH(rho), fresh(rho))
+        thetas = np.arange(0.0, np.pi + np.pi / 120.0, np.pi / 60.0)
+        plane = np.stack((np.cos(thetas / 2.0), np.sin(thetas / 2.0)), axis=-1).astype(complex)
+        rho = np.concatenate((
+            np.array([random_density_matrix(2, rng) for _ in range(200)]),
+            plane[:, :, None] * plane[:, None, :].conj(),
+        ))
+        held = ctrlchan.info._QUBIT_SWITCH(rho)
+        assert np.array_equal(held, (rho.reshape(-1, 4) @ table).reshape(-1, 4, 4))
+        eps = np.finfo(float).eps
+        gamma4 = 4.0 * eps / (1.0 - 4.0 * eps)
+        bound = 4.0 * gamma4 * np.abs(rho).sum(axis=(-2, -1)) * np.abs(table).max()
+        assert (np.abs(held - fresh(rho)).max(axis=(-2, -1)) <= bound).all()
+        # one matrix maps as a stack of one does
+        assert np.array_equal(ctrlchan.info._QUBIT_SWITCH(rho[3]), held[3])
 
     def test_bench_grids_match_the_kraus_pair_sum(self, monkeypatch):
         # Every (n, m) grid of the holevo-grid-qubit workload, angle step
@@ -509,6 +532,32 @@ def _outcome(grid):
         return switch_holevo_qubit_gridsearch(*grid)
     except ValueError as exc:
         return str(exc)
+
+
+def _parity_entropies_reference(outputs, probs):
+    """``_parity_entropies`` in its earlier [output, weight, number, sector]
+    layout, with the radius a reduction over the number axis."""
+    n = outputs.shape[0]
+    p = np.concatenate(([0.0], probs))[:, None, None]
+    with np.errstate(invalid="ignore", over="ignore"):
+        herm = np.abs(outputs - outputs.swapaxes(-2, -1).conj()).max(initial=0.0)
+        trace = np.abs(np.trace(outputs, axis1=-2, axis2=-1) - 1.0).max(initial=0.0)
+        numbers = np.ascontiguousarray(outputs).view(float).reshape(n, 32) @ _PARITY_TABLE
+        residue = np.sqrt((numbers[:, 8:] ** 2).sum(axis=-1)).max()
+        sectors = numbers[:, :8].reshape(n, 4, 2)
+        sectors = p * sectors[0] + (1.0 - p) * sectors[:, None]
+        mean, radius = sectors[..., 0, :], np.sqrt((sectors[..., 1:, :] ** 2).sum(axis=-2))
+        w = np.concatenate((mean - radius, mean + radius), axis=-1)
+    limit = DEFAULT_TOL - AVERAGE_ROUNDING
+    if not (
+        herm <= limit
+        and trace <= limit
+        and residue <= PARITY_RESIDUE
+        and w.min() - residue - PARITY_RESIDUE >= -ENTROPY_CLAMP
+    ):
+        return None
+    bits = _spectrum_bits(w)
+    return bits[:, 0], bits[:, 1:]
 
 
 class TestParityRanking:
@@ -719,6 +768,25 @@ class TestParityEntropies:
         # each entropy within a fifth of the window, as the tolerance table states
         assert np.abs(out_bits - entropy(outputs)).max() <= LEADER_WINDOW / 5.0
         assert np.abs(avg_bits - entropy(averages)).max() <= LEADER_WINDOW / 5.0
+
+    def test_bitwise_the_earlier_layout(self):
+        # On the workload's grids and the literal loop's, through the held
+        # map and a fresh switch_map, the [number, sector, output, weight]
+        # layout gives the earlier layout's entropies bit for bit.
+        import ctrlchan.info
+
+        depol = standard_channel("depolarising", 2)
+        maps = [ctrlchan.info._QUBIT_SWITCH, switch_map(depol, depol, PLUS)]
+        for angle_step, prob_step in BENCH_GRIDS + LITERAL_GRIDS:
+            thetas = np.arange(0.0, np.pi + angle_step / 2.0, angle_step)
+            states = np.stack((np.cos(thetas / 2.0), np.sin(thetas / 2.0)), axis=-1).astype(complex)
+            probs = np.arange(prob_step, 1.0, prob_step)
+            for out_map in maps:
+                outputs = out_map(states[:, :, None] * states[:, None, :].conj())
+                out_bits, avg_bits = _parity_entropies(outputs, probs)
+                ref_bits, ref_avg = _parity_entropies_reference(outputs, probs)
+                assert out_bits.tobytes() == ref_bits.tobytes(), (angle_step, prob_step)
+                assert avg_bits.tobytes() == ref_avg.tobytes(), (angle_step, prob_step)
 
     @pytest.mark.parametrize("low", [-1e-6, -ENTROPY_CLAMP + PARITY_RESIDUE / 2.0])
     def test_no_ranking_near_the_clamping_window(self, low):
