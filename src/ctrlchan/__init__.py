@@ -18,8 +18,6 @@ from .channels import (
 from .control import (
     ControlState,
     ControlledOutput,
-    classical_control,
-    classical_map,
     controlled_map,
     controlled_output,
     stinespring_oracle,

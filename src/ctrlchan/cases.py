@@ -17,7 +17,6 @@ from . import sampling
 from .channels import remix, standard_channel
 from .control import (
     ControlState,
-    classical_control,
     controlled_map,
     controlled_output,
     stinespring_oracle,
@@ -295,13 +294,13 @@ def _classical_control_null(options: CaseOptions) -> _Result:
     i1 = ChannelImplementation(
         standard_channel("depolarising", d), sampling.random_env(d * d, rng)
     )
-    weights = (0.3, 0.7)
-    reference = classical_control(i0, i1, weights, projector(ket(0, d))).matrix
+    classical = np.diag([0.3, 0.7])
+    reference = controlled_output(i0, i1, classical, projector(ket(0, d))).matrix
 
     def one(trial: int) -> float:
         trial_rng = _trial_rng(options, trial + 1)
         rho = sampling.random_density_matrix(d, trial_rng)
-        out = classical_control(i0, i1, weights, rho).matrix
+        out = controlled_output(i0, i1, classical, rho).matrix
         return float(np.max(np.abs(out - reference)))
 
     computed = max(one(i) for i in range(trials))

@@ -70,6 +70,8 @@ class Channel:
         if ops.shape[1] != ops.shape[2]:
             raise ValueError(f"kraus[0] is not square: shape {ops.shape[1:]}")
         d = ops.shape[1]
+        if d == 0:
+            raise ValueError("kraus operators must be at least 1 x 1, got shape (0, 0)")
         flat = ops.reshape(-1, d)
         # A NaN or infinite entry makes its column of sum K^dag K, and so dev,
         # non-finite; only then is the whole stack scanned, to name the entry.
@@ -174,15 +176,15 @@ def remix(ch: Channel, u) -> Channel:
     as that check would, and holds the same numbers.
     """
     u = as_matrix(u)
-    mu = _isometry_deviation(u, "remix matrix")
-    if not mu <= DEFAULT_TOL:
-        raise ValueError("remix matrix must have orthonormal columns")
     n, n_old = u.shape
     if n_old < len(ch.kraus):
         raise ValueError(
             f"remix matrix has {n_old} columns but the channel has "
             f"{len(ch.kraus)} Kraus operators"
         )
+    mu = _isometry_deviation(u, "remix matrix")
+    if not mu <= DEFAULT_TOL:
+        raise ValueError("remix matrix must have orthonormal columns")
     # Columns past the Kraus count would multiply zero padding operators.
     # K' = u K is one product of u with the k x d^2 matrix of flattened K_r.
     k, d, _ = ch.kraus.shape
@@ -228,6 +230,8 @@ def standard_channel(kind: str, d: int = 2, param=None) -> Channel:
         ``unitary`` with ``param`` the unitary matrix; ``constant`` with
         ``param`` the fixed output density matrix.
     """
+    if d < 1:
+        raise ValueError(f"dimension d must be at least 1, got {d}")
     if kind == "identity":
         return Channel((np.eye(d, dtype=complex),))
     if kind == "depolarising":

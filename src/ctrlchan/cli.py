@@ -23,7 +23,6 @@ from .cases import CaseOptions, case_ids, run_cases
 from .control import (
     ControlledOutput,
     ControlState,
-    classical_control,
     controlled_map,
     controlled_output,
     switch_output,
@@ -165,7 +164,7 @@ def _cmd_simulate(args) -> int:
             raise SchemaError(
                 "weights", f"expected two comma-separated floats, got {weights!r}"
             ) from exc
-        out = classical_control(arm0, arm1, (w0, w1), rho)
+        out = controlled_output(arm0, arm1, np.diag([w0, w1]), rho)
     else:
         out = controlled_output(arm0, arm1, control, rho)
     doc = {"mode": args.mode, **_matrix_report(out)}

@@ -1,20 +1,24 @@
 """Joint control-target outputs for channel pairs under a quantum control.
 
-Three global maps are provided, all returning the (2d x 2d) joint state of
+The control is a pure :class:`ControlState` a|0> + b|1> or a 2 x 2 density
+matrix rho_c, checked once when a map is built: its diagonal weights the two
+arms, its coherence (a b* or rho_c[0, 1]) the interference blocks.  Classical
+control is the control with no coherence, diag(w0, w1), whose interference
+blocks are exact +0.0, made without the T products.
+
+Two global maps are provided, both returning the (2d x 2d) joint state of
 the control qubit and the target in 2 x 2 block form.  Each comes as a map
-factory (:func:`controlled_map`, :func:`classical_map`, :func:`switch_map`)
-whose map takes one d x d matrix or a ``(..., d, d)`` stack, writing the four
-blocks of each output into one preallocated array (:mod:`ctrlchan.info` maps
-whole stacks in one call), and as a function that validates one density
-matrix and wraps the output:
+factory (:func:`controlled_map`, :func:`switch_map`) whose map takes one
+d x d matrix or a ``(..., d, d)`` stack, writing the four blocks of each
+output into one preallocated array (:mod:`ctrlchan.info` maps whole stacks
+in one call), and as a function that validates one density matrix and wraps
+the output:
 
 * :func:`controlled_output` routes the target through one of two channel
   boxes in superposition.  The diagonal blocks are the individual channel
   outputs; the off-diagonal (interference) blocks are governed by the
   transformation matrices of the two implementations, so the result depends
   on *how* each channel is realised, not just on the CPTP maps.
-* :func:`classical_control` is the decohered baseline: a statistical mixture
-  of the two arms, with no interference blocks.
 * :func:`switch_output` applies the two channels in an order entangled with
   the control.  Its output depends only on the CPTP maps; remixing the Kraus
   lists leaves it invariant.  So :func:`switch_map` reads each channel through
@@ -28,7 +32,8 @@ matrix and wraps the output:
 
 :func:`stinespring_oracle` recomputes the controlled output by brute force,
 evolving an explicit control x target x environments pure state and tracing
-the environments out.  It exists to cross-check the closed-form blocks.
+the environments out, so it takes a pure control only.  It exists to
+cross-check the closed-form blocks.
 """
 
 from __future__ import annotations
@@ -159,7 +164,7 @@ def _map_input(rho, d: int) -> np.ndarray:
 def controlled_map(
     i0: ChannelImplementation,
     i1: ChannelImplementation,
-    control: ControlState,
+    control: ControlState | np.ndarray,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Linear map rho -> joint output matrix, as a plain function.
 
@@ -170,7 +175,9 @@ def controlled_map(
 
     and accepts arbitrary square matrices: it is linear in rho, so it can be
     applied to operator blocks as well as to density matrices.  A stack
-    ``(..., d, d)`` is mapped matrix by matrix into ``(..., 2d, 2d)``.
+    ``(..., d, d)`` is mapped matrix by matrix into ``(..., 2d, 2d)``.  A
+    control density matrix puts rho_c[0, 0], rho_c[1, 1] and rho_c[0, 1] in
+    place of |a|^2, |b|^2 and a b*.
     """
     d = _common_dim(i0, i1)
     t0, t1 = i0.t, i1.t
@@ -183,11 +190,20 @@ def controlled_map(
     return output
 
 
-def _weights(control: ControlState) -> tuple[float, float, complex]:
-    """The weights |a|^2 and |b|^2 of the diagonal blocks and the factor a b*
-    of the block 01."""
-    a, b = control.a, control.b
-    return abs(a) ** 2, abs(b) ** 2, a * np.conj(b)
+def _weights(control: ControlState | np.ndarray) -> tuple[float, float, complex]:
+    """The one reader of a control: the weights of the diagonal blocks and the
+    coherence, the factor of the block 01; |a|^2, |b|^2 and a b* of a pure
+    control, or rho_c[0, 0], rho_c[1, 1] and rho_c[0, 1], checked here."""
+    if isinstance(control, ControlState):
+        a, b = control.a, control.b
+        return abs(a) ** 2, abs(b) ** 2, a * np.conj(b)
+    try:
+        rho_c = validate_density_matrix(control)
+    except ValueError as exc:
+        raise ValueError(f"control {exc}") from exc
+    if rho_c.shape != (2, 2):
+        raise ValueError(f"control density matrix must be 2 x 2, got shape {rho_c.shape}")
+    return rho_c[0, 0].real, rho_c[1, 1].real, rho_c[0, 1]
 
 
 def _diagonal(impl: ChannelImplementation, weight: float, rho: np.ndarray) -> np.ndarray:
@@ -197,7 +213,10 @@ def _diagonal(impl: ChannelImplementation, weight: float, rho: np.ndarray) -> np
 
 def _joint(diag0, diag1, cross: complex, t0, t1, rho: np.ndarray) -> np.ndarray:
     """Joint outputs with the given diagonal blocks and the interference blocks
-    cross T0 rho T1^dag and cross* T1 rho T0^dag, for one matrix or a stack."""
+    cross T0 rho T1^dag and cross* T1 rho T0^dag, for one matrix or a stack;
+    with no coherence, cross = 0, they are exact +0.0, without the T products."""
+    if cross == 0:
+        return _blocks(diag0, 0.0, 0.0, diag1)
     off01 = cross * (t0 @ rho @ dagger(t1))
     off10 = np.conj(cross) * (t1 @ rho @ dagger(t0))
     return _blocks(diag0, off01, off10, diag1)
@@ -219,7 +238,7 @@ def _blocks(b00, b01, b10, b11) -> np.ndarray:
 def controlled_output(
     i0: ChannelImplementation,
     i1: ChannelImplementation,
-    control: ControlState,
+    control: ControlState | np.ndarray,
     rho,
 ) -> ControlledOutput:
     """Coherently control between two channel implementations on input ``rho``."""
@@ -254,6 +273,8 @@ def stinespring_oracle(
     Both environments are then traced out and the results mixed with the
     eigenvalues of ``rho``.
     """
+    if not isinstance(control, ControlState):
+        raise ValueError("stinespring_oracle needs a pure ControlState control")
     d = _common_dim(i0, i1)
     rho = _map_input(validate_density_matrix(rho), d)
     kraus0 = i0.channel.kraus
@@ -276,41 +297,6 @@ def stinespring_oracle(
         joint = amp.reshape(2 * d, -1)
         out += lam * (joint @ joint.conj().T)
     return ControlledOutput._fresh(out)
-
-
-def classical_map(
-    i0: ChannelImplementation,
-    i1: ChannelImplementation,
-    weights: tuple[float, float],
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Linear map for the decohered-control mixture of the two arms; like
-    :func:`controlled_map`, it takes one matrix or a ``(..., d, d)`` stack."""
-    d = _common_dim(i0, i1)
-    w0, w1 = float(weights[0]), float(weights[1])
-    if not (w0 >= -DEFAULT_TOL and w1 >= -DEFAULT_TOL and abs(w0 + w1 - 1.0) <= DEFAULT_TOL):
-        _finite(np.array([w0, w1]), "weight pair (w0, w1)")
-        raise ValueError(f"weights must be nonnegative and sum to 1, got {weights}")
-
-    def output(rho) -> np.ndarray:
-        rho = _map_input(rho, d)
-        return _blocks(_diagonal(i0, w0, rho), 0.0, 0.0, _diagonal(i1, w1, rho))
-
-    return output
-
-
-def classical_control(
-    i0: ChannelImplementation,
-    i1: ChannelImplementation,
-    weights: tuple[float, float],
-    rho,
-) -> ControlledOutput:
-    """Classically control between the two arms: w0 |0><0| (x) C0(rho) + w1 |1><1| (x) C1(rho).
-
-    Equivalently, the coherently controlled output with the interference
-    blocks zeroed; no implementation dependence survives.
-    """
-    rho = validate_density_matrix(rho)
-    return ControlledOutput._fresh(classical_map(i0, i1, weights)(rho))
 
 
 def _transfer_matrix(g: np.ndarray) -> np.ndarray:
@@ -364,7 +350,7 @@ def _sandwich_order(outer: np.ndarray, r_inner: np.ndarray):
 def switch_map(
     ch0: Channel,
     ch1: Channel,
-    control: ControlState,
+    control: ControlState | np.ndarray,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Linear map for the order superposition of two channels.
 
@@ -372,6 +358,8 @@ def switch_map(
 
         diag:      |a|^2 C1(C0(rho))            |b|^2 C0(C1(rho))
         offdiag:   a b* sum_ij L_j K_i rho L_j^dag K_i^dag    (and h.c.)
+
+    with a control density matrix read as in :func:`controlled_map`.
 
     The off-diagonal sums are invariant under remixing either Kraus list, so
     the map depends only on the two CPTP maps, that is on their Choi
@@ -432,6 +420,10 @@ def switch_map(
         rho = _map_input(rho, d)
         lead = rho.shape[:-2]
         vec = rho.reshape(lead + (d * d,))
+        diag0 = w0 * (vec @ r0 @ r1).reshape(lead + (d, d))
+        diag1 = w1 * (vec @ r1 @ r0).reshape(lead + (d, d))
+        if cross == 0:
+            return _blocks(diag0, 0.0, 0.0, diag1)
         adjoint = rho.conj().swapaxes(-1, -2)
         if not (rho != adjoint).any():
             # block(rho^dag) would repeat block(rho) on the same numbers
@@ -441,17 +433,14 @@ def switch_map(
             both = block(np.array((rho, adjoint)))
             direct, mirrored = both[0], both[1].conj().swapaxes(-1, -2)
         off01, off10 = (mirrored, direct) if swap else (direct, mirrored)
-        return _blocks(
-            w0 * (vec @ r0 @ r1).reshape(lead + (d, d)),
-            cross * off01,
-            np.conj(cross) * off10,
-            w1 * (vec @ r1 @ r0).reshape(lead + (d, d)),
-        )
+        return _blocks(diag0, cross * off01, np.conj(cross) * off10, diag1)
 
     return output
 
 
-def switch_output(ch0: Channel, ch1: Channel, control: ControlState, rho) -> ControlledOutput:
+def switch_output(
+    ch0: Channel, ch1: Channel, control: ControlState | np.ndarray, rho
+) -> ControlledOutput:
     """Send ``rho`` through the two channels in a controlled order superposition."""
     rho = validate_density_matrix(rho)
     return ControlledOutput._fresh(switch_map(ch0, ch1, control)(rho))

@@ -62,11 +62,14 @@ def trace_distance(rho, sigma) -> float:
     return 0.5 * trace_norm(rho - sigma)
 
 
-def output_distance(inst: DiscriminationInstance, control: ControlState, rho) -> float:
+def output_distance(
+    inst: DiscriminationInstance, control: ControlState | np.ndarray, rho
+) -> float:
     """Trace distance between the two joint outputs on input ``rho``.
 
     Computed twice: directly on the two controlled outputs, and through the
-    closed form |a b| * || tau rho T0^dag ||_1 with tau the difference of the
+    closed form |a b| * || tau rho T0^dag ||_1, |rho_c[0, 1]| in place of
+    |a b| for a control density matrix, with tau the difference of the
     candidate transformation matrices.  The two routes must agree within
     ``AGREE_TOL``; the direct value is returned.  ``rho`` is validated once,
     and each joint output is checked as a :class:`ControlledOutput`.
@@ -91,7 +94,7 @@ def output_distance(inst: DiscriminationInstance, control: ControlState, rho) ->
     direct = 0.5 * trace_norm(out_a.matrix - out_b.matrix)
 
     tau = ta - tb
-    closed = abs(control.a * np.conj(control.b)) * trace_norm(tau @ rho @ dagger(t0))
+    closed = abs(cross) * trace_norm(tau @ rho @ dagger(t0))
     if abs(direct - closed) > AGREE_TOL:
         raise ValueError(
             f"closed form {closed:.12g} and direct distance {direct:.12g} disagree"
@@ -99,14 +102,21 @@ def output_distance(inst: DiscriminationInstance, control: ControlState, rho) ->
     return direct
 
 
-def diamond_bound(t1, t1p) -> float:
-    """(1/2) || T - T' ||_2, an upper bound on the distance between the two
-    global channels in the worst case over inputs and reference systems."""
+def _difference(t1, t1p) -> np.ndarray:
+    """tau = T - T' of two transformation matrices of one shape, not empty."""
     t1 = as_matrix(t1)
     t1p = as_matrix(t1p)
     if t1.shape != t1p.shape:
         raise ValueError(f"shape mismatch: {t1.shape} vs {t1p.shape}")
-    return 0.5 * spectral_norm(t1 - t1p)
+    if t1.size == 0:
+        raise ValueError(f"t1 and t1p are empty: shape {t1.shape}")
+    return t1 - t1p
+
+
+def diamond_bound(t1, t1p) -> float:
+    """(1/2) || T - T' ||_2, an upper bound on the distance between the two
+    global channels in the worst case over inputs and reference systems."""
+    return 0.5 * spectral_norm(_difference(t1, t1p))
 
 
 def optimal_input(t1, t1p) -> np.ndarray:
@@ -118,11 +128,7 @@ def optimal_input(t1, t1p) -> np.ndarray:
     with nonzero overlap onto the top eigenspace, which also fixes the phase
     (that component comes out real positive).
     """
-    t1 = as_matrix(t1)
-    t1p = as_matrix(t1p)
-    if t1.shape != t1p.shape:
-        raise ValueError(f"shape mismatch: {t1.shape} vs {t1p.shape}")
-    tau = t1 - t1p
+    tau = _difference(t1, t1p)
     if float(np.max(np.abs(tau))) == 0.0:
         raise ValueError("transformation matrices are identical")
     gram = dagger(tau) @ tau

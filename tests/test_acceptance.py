@@ -11,7 +11,6 @@ import numpy as np
 from ctrlchan.channels import remix, standard_channel
 from ctrlchan.control import (
     ControlState,
-    classical_control,
     controlled_output,
     stinespring_oracle,
     switch_output,
@@ -250,13 +249,13 @@ def test_criterion_8_classical_control_null():
     depol = standard_channel("depolarising", 2)
     i0 = ChannelImplementation(depol, random_env(4, rng))
     i1 = ChannelImplementation(depol, random_env(4, rng))
-    weights = (0.3, 0.7)
-    reference = classical_control(i0, i1, weights, projector(ket(0, 2))).matrix
+    classical = np.diag([0.3, 0.7])
+    reference = controlled_output(i0, i1, classical, projector(ket(0, 2))).matrix
     worst = 0.0
     for trial in range(50):
         trial_rng = np.random.default_rng([8, trial + 1])
         rho = random_density_matrix(2, trial_rng)
-        out = classical_control(i0, i1, weights, rho).matrix
+        out = controlled_output(i0, i1, classical, rho).matrix
         worst = max(worst, float(np.max(np.abs(out - reference))))
     report(
         "criterion 8 (classical control transmits nothing)",

@@ -60,6 +60,11 @@ class TestValidateChannel:
         with pytest.raises(ValueError, match="at least one"):
             Channel([])
 
+    def test_zero_dimension_rejected(self):
+        # numpy's reshape of the empty stack once raised "cannot reshape array of size 0"
+        with pytest.raises(ValueError, match=r"^kraus operators must be at least 1 x 1, got shape \(0, 0\)$"):
+            Channel(np.zeros((1, 0, 0)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0)])
     def test_non_finite_kraus_rejected(self, bad):
         k = np.eye(2, dtype=complex) / np.sqrt(2)
@@ -228,6 +233,13 @@ class TestChoiDefinition:
 
 
 class TestRemix:
+    def test_empty_matrix_refused_by_its_column_count(self):
+        # the isometry check came first and raised numpy's "zero-size array" error
+        with pytest.raises(
+            ValueError, match=r"^remix matrix has 0 columns but the channel has 1 Kraus operators$"
+        ):
+            remix(standard_channel("identity", 2), np.zeros((0, 0)))
+
     def test_identity_remix(self):
         ch = standard_channel("phase_flip", 2, 0.3)
         out = remix(ch, np.eye(2))
@@ -496,6 +508,11 @@ def _weyl_by_powers(d):
 
 
 class TestStandardChannel:
+    @pytest.mark.parametrize("kind", ["identity", "depolarising"])
+    def test_zero_dimension_rejected(self, kind):
+        with pytest.raises(ValueError, match=r"^dimension d must be at least 1, got 0$"):
+            standard_channel(kind, 0)
+
     def test_depolarising_kraus_choice(self):
         ch = standard_channel("depolarising", 2)
         expected = [u / 2 for u in weyl_basis(2)]

@@ -9,8 +9,6 @@ from ctrlchan.control import (
     ControlState,
     ControlledOutput,
     _blocks,
-    classical_control,
-    classical_map,
     controlled_map,
     controlled_output,
     stinespring_oracle,
@@ -33,6 +31,7 @@ from ctrlchan.linalg import (
 )
 from ctrlchan.sampling import (
     haar_isometry,
+    random_admissible_t,
     random_channel,
     random_density_matrix,
     random_depolarising_t,
@@ -148,7 +147,7 @@ class TestControlledOutputType:
         outputs = [
             controlled_output(i0, i1, PLUS, rho),
             stinespring_oracle(i0, i1, PLUS, rho),
-            classical_control(i0, i1, (0.3, 0.7), rho),
+            controlled_output(i0, i1, np.diag([0.3, 0.7]), rho),
             switch_output(i0.channel, i1.channel, PLUS, rho),
         ]
         # the checked array is the one each output holds: no copy
@@ -354,9 +353,10 @@ class TestClassicalControl:
         depol = standard_channel("depolarising", 2)
         i0 = ChannelImplementation(depol, random_env(4, rng))
         i1 = ChannelImplementation(depol, random_env(4, rng))
-        ref = classical_control(i0, i1, (0.25, 0.75), random_density_matrix(2, rng))
+        classical = np.diag([0.25, 0.75])
+        ref = controlled_output(i0, i1, classical, random_density_matrix(2, rng))
         for _ in range(10):
-            out = classical_control(i0, i1, (0.25, 0.75), random_density_matrix(2, rng))
+            out = controlled_output(i0, i1, classical, random_density_matrix(2, rng))
             assert np.max(np.abs(out.matrix - ref.matrix)) <= 1e-12
 
     def test_degenerate_weights(self):
@@ -364,7 +364,7 @@ class TestClassicalControl:
         i0 = random_implementation(2, 2, rng)
         i1 = random_implementation(2, 2, rng)
         rho = random_density_matrix(2, rng)
-        out = classical_control(i0, i1, (1.0, 0.0), rho)
+        out = controlled_output(i0, i1, np.diag([1.0, 0.0]), rho)
         from ctrlchan.channels import apply
         expected = np.zeros((4, 4), dtype=complex)
         expected[:2, :2] = apply(i0.channel, rho)
@@ -380,7 +380,7 @@ class TestClassicalControl:
         coherent = controlled_output(i0, i1, c, rho).matrix.copy()
         coherent[:2, 2:] = 0.0
         coherent[2:, :2] = 0.0
-        mixed = classical_control(i0, i1, (w0, 1 - w0), rho)
+        mixed = controlled_output(i0, i1, np.diag([w0, 1 - w0]), rho)
         assert np.max(np.abs(mixed.matrix - coherent)) <= 1e-12
 
     def test_interference_blocks_are_positive_zeros(self):
@@ -388,7 +388,7 @@ class TestClassicalControl:
         rng = np.random.default_rng(12)
         d = 3
         i0, i1 = random_implementation(d, 2, rng), random_implementation(d, 4, rng)
-        out_map = classical_map(i0, i1, (0.4, 0.6))
+        out_map = controlled_map(i0, i1, np.diag([0.4, 0.6]))
         for rho in (_random_block(d, rng), np.stack([_random_block(d, rng) for _ in range(2)])):
             out = out_map(rho)
             off = np.stack([out[..., :d, d:], out[..., d:, :d]]).view(float)
@@ -396,8 +396,10 @@ class TestClassicalControl:
 
     def test_invalid_weights(self):
         i0 = standard_implementation("identity", d=2, alpha=1.0)
-        with pytest.raises(ValueError, match="weights"):
-            classical_control(i0, i0, (0.5, 0.6), np.eye(2) / 2)
+        with pytest.raises(
+            ValueError, match=r"^control density matrix has trace 1 \+ 1\.000e-01, expected 1$"
+        ):
+            controlled_output(i0, i0, np.diag([0.5, 0.6]), np.eye(2) / 2)
 
     @pytest.mark.parametrize(
         "weights, index",
@@ -407,9 +409,96 @@ class TestClassicalControl:
     def test_non_finite_weights_rejected(self, weights, index):
         i0 = standard_implementation("identity", d=2, alpha=1.0)
         with pytest.raises(
-            ValueError, match=rf"^weight pair \(w0, w1\) has a non-finite entry .* at index \({index},\)$"
+            ValueError,
+            match=rf"^control density matrix has a non-finite entry .* at index \({index}, {index}\)$",
         ):
-            classical_map(i0, i0, weights)
+            controlled_map(i0, i0, np.diag(weights))
+
+
+class TestControlDensityMatrix:
+    """One control model: a pure ControlState or a 2 x 2 control density
+    matrix, whose diagonal weights the arms and whose coherence weights the
+    interference blocks."""
+
+    @pytest.mark.parametrize("kind", ["controlled", "switch"])
+    def test_pure_density_matrix_gives_the_control_state_map(self, kind):
+        rng = np.random.default_rng(2800)
+        d = 3
+        i0, i1 = random_implementation(d, 2, rng), random_implementation(d, 5, rng)
+        amp = random_pure_state(2, rng)
+        control = ControlState(amp[0], amp[1])
+        rho_c = np.outer(amp, amp.conj())
+        if kind == "controlled":
+            pure, mixed = controlled_map(i0, i1, control), controlled_map(i0, i1, rho_c)
+        else:
+            pure = switch_map(i0.channel, i1.channel, control)
+            mixed = switch_map(i0.channel, i1.channel, rho_c)
+        x = np.stack([random_density_matrix(d, rng), _random_block(d, rng)])
+        # |a|^2 and a a* round differently, by an ulp
+        assert np.max(np.abs(mixed(x) - pure(x))) <= 1e-14
+
+    @pytest.mark.parametrize("index", [0, 1])
+    @pytest.mark.parametrize("kind", ["controlled", "switch"])
+    def test_basis_control_has_positive_zero_interference(self, kind, index):
+        rng = np.random.default_rng(2810)
+        d = 3
+        i0, i1 = random_implementation(d, 2, rng), random_implementation(d, 4, rng)
+        control = ControlState.basis(index)
+        if kind == "controlled":
+            out_map = controlled_map(i0, i1, control)
+        else:
+            out_map = switch_map(i0.channel, i1.channel, control)
+        out = out_map(np.stack([_random_block(d, rng) for _ in range(2)]))
+        off = np.stack([out[..., :d, d:], out[..., d:, :d]]).view(float)
+        assert not off.any() and not np.signbit(off).any()
+
+    def test_dephasing_scales_the_interference(self):
+        rng = np.random.default_rng(2820)
+        i0, i1 = random_implementation(2, 3, rng), random_implementation(2, 2, rng)
+        rho = random_density_matrix(2, rng)
+        coherent = controlled_output(i0, i1, np.full((2, 2), 0.5), rho).matrix
+        for lam in (0.25, 0.5, 1.0):
+            c = (1.0 - lam) / 2.0
+            out = controlled_output(i0, i1, np.array([[0.5, c], [c, 0.5]]), rho).matrix
+            assert np.array_equal(out[:2, :2], coherent[:2, :2])
+            assert np.max(np.abs(out[:2, 2:] - (1.0 - lam) * coherent[:2, 2:])) <= 1e-16
+
+    @pytest.mark.parametrize(
+        "rho_c, message",
+        [
+            (np.eye(3) / 3, r"^control density matrix must be 2 x 2, got shape \(3, 3\)$"),
+            ([[0.5, 0.6], [0.6, 0.5]], r"^control density matrix has a negative eigenvalue -1\.000e-01$"),
+            ([[0.5, 0.5j], [0.5j, 0.5]], r"^control density matrix is not Hermitian within tolerance$"),
+        ],
+        ids=["3x3", "negative", "not-hermitian"],
+    )
+    def test_bad_control_refused_when_the_map_is_built(self, rho_c, message):
+        i0 = standard_implementation("identity", d=2, alpha=1.0)
+        with pytest.raises(ValueError, match=message):
+            controlled_map(i0, i0, rho_c)
+        with pytest.raises(ValueError, match=message):
+            switch_map(i0.channel, i0.channel, rho_c)
+
+    def test_oracle_refuses_a_control_density_matrix(self):
+        i0 = standard_implementation("identity", d=2, alpha=1.0)
+        with pytest.raises(ValueError, match="^stinespring_oracle needs a pure ControlState control$"):
+            stinespring_oracle(i0, i0, np.full((2, 2), 0.5), np.eye(2) / 2)
+
+    def test_output_distance_reads_the_coherence(self):
+        from ctrlchan.discrimination import DiscriminationInstance, output_distance
+
+        rng = np.random.default_rng(2830)
+        ch = random_channel(2, 3, rng)
+        fixed = random_implementation(2, 2, rng)
+        inst = DiscriminationInstance(
+            fixed, realize(ch, random_admissible_t(ch, rng)), realize(ch, random_admissible_t(ch, rng))
+        )
+        rho = random_density_matrix(2, rng)
+        plus = output_distance(inst, PLUS, rho)
+        assert abs(output_distance(inst, np.full((2, 2), 0.5), rho) - plus) <= 1e-15
+        half = np.array([[0.5, 0.25], [0.25, 0.5]])
+        assert abs(output_distance(inst, half, rho) - plus / 2.0) <= 1e-12
+        assert output_distance(inst, np.diag([0.5, 0.5]), rho) <= 1e-12
 
 
 def _random_block(d, rng):
@@ -804,7 +893,7 @@ class TestMapStacks:
         control = ControlState(amp[0], amp[1])
         return {
             "controlled": controlled_map(i0, i1, control),
-            "classical": classical_map(i0, i1, (0.3, 0.7)),
+            "classical": controlled_map(i0, i1, np.diag([0.3, 0.7])),
             "switch": switch_map(i0.channel, i1.channel, control),
         }
 

@@ -210,6 +210,11 @@ class TestOutputDistance:
 
 
 class TestDiamondBound:
+    def test_empty_matrices_rejected(self):
+        # the spectral norm of a 0 x 0 matrix raised a bare IndexError
+        with pytest.raises(ValueError, match=r"^t1 and t1p are empty: shape \(0, 0\)$"):
+            diamond_bound(np.zeros((0, 0)), np.zeros((0, 0)))
+
     def test_plus_minus_identity(self):
         assert abs(diamond_bound(np.eye(2), -np.eye(2)) - 1.0) <= 1e-14
 
@@ -240,6 +245,10 @@ class TestOptimalInput:
         # tau^dag tau proportional to the identity: lowest-index convention
         v = optimal_input(SIGMA_X, -SIGMA_X)
         assert np.allclose(v, ket(0, 2))
+
+    def test_empty_matrices_rejected(self):
+        with pytest.raises(ValueError, match=r"^t1 and t1p are empty: shape \(0, 0\)$"):
+            optimal_input(np.zeros((0, 0)), np.zeros((0, 0)))
 
     def test_zero_difference_rejected(self):
         with pytest.raises(ValueError, match="identical"):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctrlchan.channels import apply, standard_channel
-from ctrlchan.control import ControlState, classical_map, controlled_map, switch_map
+from ctrlchan.control import ControlState, controlled_map, switch_map
 from ctrlchan.implementations import ChannelImplementation, standard_implementation
 from ctrlchan.info import (
     Ensemble,
@@ -173,6 +173,26 @@ class TestHolevoLowerBound:
         value = holevo_lower_bound(controlled_map(impl, impl, PLUS), ens)
         assert abs(value - 0.5 * np.log2(1.25)) <= 1e-9
 
+    def test_dephased_control_gives_less(self):
+        # the plus control dephased by lam keeps (1 - lam) of its coherence;
+        # dephasing is a channel on the control, so by data processing the
+        # bound does not increase with lam, and at lam = 1 the control is the
+        # classical diag(1/2, 1/2)
+        t = np.zeros((2, 2), dtype=complex)
+        t[0, 0] = 1.0 / np.sqrt(2.0)
+        impl = standard_implementation("depolarising", t=t)
+        ens = Ensemble(((0.6, projector(ket(0, 2))), (0.4, projector(ket(1, 2)))))
+
+        def value(lam):
+            c = (1.0 - lam) / 2.0
+            return holevo_lower_bound(controlled_map(impl, impl, np.array([[0.5, c], [c, 0.5]])), ens)
+
+        pinned = [value(lam) for lam in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        assert np.abs(np.array(pinned) - [0.160964, 0.061205, 0.023651, 0.005524, 0.0]).max() <= 1e-6
+        assert pinned[-1] == holevo_lower_bound(controlled_map(impl, impl, np.diag([0.5, 0.5])), ens)
+        values = [value(lam) for lam in np.linspace(0.0, 1.0, 41)]
+        assert all(np.diff(values) <= 0.0)
+
     def test_constant_map_gives_zero(self):
         rng = np.random.default_rng(1)
         sigma = random_density_matrix(2, rng)
@@ -191,7 +211,7 @@ class TestHolevoLowerBound:
             (0.3, projector(ket(1, 2))),
             (0.4, random_density_matrix(2, rng)),
         ))
-        value = holevo_lower_bound(classical_map(i0, i1, (0.5, 0.5)), ens)
+        value = holevo_lower_bound(controlled_map(i0, i1, np.diag([0.5, 0.5])), ens)
         assert abs(value) <= 1e-10
 
     def test_bounded_by_log_ensemble_size(self):
@@ -771,8 +791,9 @@ class TestParityEntropies:
 
     def test_bitwise_the_earlier_layout(self):
         # On the workload's grids and the literal loop's, through the held
-        # map and a fresh switch_map, the [number, sector, output, weight]
-        # layout gives the earlier layout's entropies bit for bit.
+        # map and a fresh switch_map, and on states off the x-z plane through
+        # the held map, the [number, sector, output, weight] layout gives the
+        # earlier layout's entropies bit for bit.
         import ctrlchan.info
 
         depol = standard_channel("depolarising", 2)
@@ -787,6 +808,19 @@ class TestParityEntropies:
                 ref_bits, ref_avg = _parity_entropies_reference(outputs, probs)
                 assert out_bits.tobytes() == ref_bits.tobytes(), (angle_step, prob_step)
                 assert avg_bits.tobytes() == ref_avg.tobytes(), (angle_step, prob_step)
+        # states off the x-z plane, (cos theta/2, e^(i phi) sin theta/2): their
+        # third sector number is not negligible, so the order of the radius sum
+        # s1^2 + s2^2 + s3^2 shows in the bits (s3^2 + s2^2 + s1^2 moves about
+        # one radius in eight here)
+        rng = np.random.default_rng(66)
+        theta, phi = rng.uniform(0.0, np.pi, 200), rng.uniform(0.0, 2.0 * np.pi, 200)
+        states = np.stack((np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)), axis=-1)
+        outputs = maps[0](states[:, :, None] * states[:, None, :].conj())
+        probs = np.arange(0.05, 1.0, 0.05)
+        out_bits, avg_bits = _parity_entropies(outputs, probs)
+        ref_bits, ref_avg = _parity_entropies_reference(outputs, probs)
+        assert out_bits.tobytes() == ref_bits.tobytes()
+        assert avg_bits.tobytes() == ref_avg.tobytes()
 
     @pytest.mark.parametrize("low", [-1e-6, -ENTROPY_CLAMP + PARITY_RESIDUE / 2.0])
     def test_no_ranking_near_the_clamping_window(self, low):
