@@ -36,7 +36,13 @@ from .discrimination import (
 )
 from .implementations import admissible, realize, standard_implementation
 from .info import Ensemble, coherent_info_bound, holevo_lower_bound
-from .linalg import SATURATION_TOL, ket, maximally_entangled, projector
+from .linalg import (
+    SATURATION_TOL,
+    ket,
+    maximally_entangled,
+    projector,
+    validate_density_matrix,
+)
 from .serialization import (
     SchemaError,
     channel_from_json,
@@ -162,9 +168,14 @@ def _cmd_simulate(args) -> int:
             w0, w1 = (float(x) for x in weights.split(","))
         except ValueError as exc:
             raise SchemaError(
-                "weights", f"expected two comma-separated floats, got {weights!r}"
+                "--weights", f"expected two comma-separated floats, got {weights!r}"
             ) from exc
-        out = controlled_output(arm0, arm1, np.diag([w0, w1]), rho)
+        # the map checks the control once, when it is built, before any input
+        try:
+            output_map = controlled_map(arm0, arm1, np.diag([w0, w1]))
+        except ValueError as exc:
+            raise SchemaError("--weights", str(exc)) from exc
+        out = ControlledOutput(output_map(validate_density_matrix(rho)))
     else:
         out = controlled_output(arm0, arm1, control, rho)
     doc = {"mode": args.mode, **_matrix_report(out)}

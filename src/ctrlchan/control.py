@@ -22,13 +22,10 @@ the output:
 * :func:`switch_output` applies the two channels in an order entangled with
   the control.  Its output depends only on the CPTP maps; remixing the Kraus
   lists leaves it invariant.  So :func:`switch_map` reads each channel through
-  its Choi tensor, made once per map, and contracts the interference blocks
-  in the cheaper of two orders, chosen once per map from (d, k0, k1): the two
-  Choi tensors with the input, 2 d^5 multiply-adds per contraction, when
-  min(k0, k1) >= 2d, and otherwise the channel with fewer Kraus operators
-  around the other's transfer matrix, min(k0, k1) (d^4 + 2 d^3).  An input
-  that equals its adjoint exactly, as a density matrix does, takes one
-  contraction for both interference blocks; any other input takes two.
+  its Choi tensor, made once per map, and contracts the two Choi tensors with
+  the input, 2 d^5 multiply-adds per contraction whatever the Kraus counts.
+  An input that equals its adjoint exactly, as a density matrix does, takes
+  one contraction for both interference blocks; any other input takes two.
 
 :func:`stinespring_oracle` recomputes the controlled output by brute force,
 evolving an explicit control x target x environments pure state and tracing
@@ -328,25 +325,6 @@ def _choi_order(g_inner: np.ndarray, g_outer: np.ndarray):
     return block
 
 
-def _sandwich_order(outer: np.ndarray, r_inner: np.ndarray):
-    """The same block as sum_j M_j C_inner(X M_j^dag), with the Kraus operators
-    {M_j} of the channel applied second around the transfer matrix of the
-    one applied first: k (d^4 + 2 d^3) multiply-adds for k operators M_j."""
-    d = outer.shape[1]
-    # sum_j M_j X_j = [M_1 ... M_k] [X_1; ...; X_k], and
-    # X [M_1^dag ... M_k^dag] holds every X M_j^dag side by side
-    row = outer.transpose(1, 0, 2).reshape(d, -1)
-    side = outer.conj().transpose(2, 0, 1).reshape(d, -1)
-
-    def block(x):
-        lead = x.shape[:-2]
-        blocks = (x @ side).reshape(lead + (d, -1, d))
-        vecs = np.swapaxes(blocks, -3, -2).reshape(lead + (-1, d * d))
-        return row @ (vecs @ r_inner).reshape(lead + (-1, d))
-
-    return block
-
-
 def switch_map(
     ch0: Channel,
     ch1: Channel,
@@ -375,46 +353,21 @@ def switch_map(
     rho equals rho^dag bit for bit, as a density matrix does, the contraction
     of rho alone does.
 
-    Cost per input matrix, in multiply-adds, with k_min = min(k0, k1); the
-    contraction order is chosen once per map from (d, k0, k1):
-
-    * Choi order, when k_min >= 2d: the two Choi tensors contracted with rho
-      in two matrix products, 2 d^5 per block contraction;
-    * sandwich order, otherwise: the channel with fewer Kraus operators
-      around the other's transfer matrix, k_min (d^4 + 2 d^3) per block
-      contraction.
-
-    An exactly Hermitian input, or a stack of them, costs one block
-    contraction per matrix; any other input costs two.
-
-    Either is at most the (k0 + k1)(d^4 + 2 d^3) of a sandwich around each
-    channel in turn, and the crossover 2d sits a little above the flop
-    balance 2 d^2 / (d + 2).  The diagonal blocks add 4 d^4, and building the
-    map (k0 + k1) d^4 for the two Choi tensors, against k0 k1 d^3 per input
-    for the double sum over Kraus pairs.  Like the other maps, it takes one
-    matrix or a stack ``(..., d, d)``, mapped matrix by matrix.
+    Cost per input matrix, in multiply-adds: the two Choi tensors contracted
+    with rho in two matrix products, 2 d^5 per block contraction, one for an
+    exactly Hermitian input, or a stack of them, and two for any other.  The
+    diagonal blocks add 4 d^4, and building the map (k0 + k1) d^4 for the two
+    Choi tensors, against k0 k1 d^3 per input for the double sum over Kraus
+    pairs.  Like the other maps, it takes one matrix or a stack
+    ``(..., d, d)``, mapped matrix by matrix.
     """
     if ch0.dim != ch1.dim:
         raise ValueError(f"channels act on different dimensions: {ch0.dim} vs {ch1.dim}")
     d = ch0.dim
     w0, w1, cross = _weights(control)
-    k0, k1 = len(ch0.kraus), len(ch1.kraus)
-    # block gives the block 01 (ch0 first, then ch1), or the block 10 when
-    # the sandwich order puts ch0 outside because it has fewer Kraus operators
-    if min(k0, k1) >= 2 * d:
-        swap = False
-        g0 = _choi_tensor(ch0)
-        g1 = _choi_tensor(ch1)
-        block = _choi_order(g0, g1)
-        r0 = _transfer_matrix(g0)
-        r1 = _transfer_matrix(g1)
-    else:
-        swap = k0 < k1
-        # no Choi tensor outlives its transfer matrix, as the d^4 temporaries
-        # set the build time at d = 16
-        r0 = _transfer_matrix(_choi_tensor(ch0))
-        r1 = _transfer_matrix(_choi_tensor(ch1))
-        block = _sandwich_order(ch0.kraus, r1) if swap else _sandwich_order(ch1.kraus, r0)
+    g0, g1 = _choi_tensor(ch0), _choi_tensor(ch1)
+    block = _choi_order(g0, g1)
+    r0, r1 = _transfer_matrix(g0), _transfer_matrix(g1)
 
     def output(rho) -> np.ndarray:
         rho = _map_input(rho, d)
@@ -432,8 +385,7 @@ def switch_map(
         else:
             both = block(np.array((rho, adjoint)))
             direct, mirrored = both[0], both[1].conj().swapaxes(-1, -2)
-        off01, off10 = (mirrored, direct) if swap else (direct, mirrored)
-        return _blocks(diag0, cross * off01, np.conj(cross) * off10, diag1)
+        return _blocks(diag0, cross * direct, np.conj(cross) * mirrored, diag1)
 
     return output
 

@@ -181,8 +181,42 @@ class TestSimulate:
         ])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: weights: expected two comma-separated floats, got {weights!r}\n"
+            f"error: --weights: expected two comma-separated floats, got {weights!r}\n"
         )
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--weights", "0.5,0.6"], "trace 1 + 1.000e-01"),
+            (["--weights=-0.2,1.2"], "negative eigenvalue"),
+            (["--weights", "nan,0.5"], "non-finite"),
+        ],
+        ids=["trace", "negative", "nan"],
+    )
+    def test_weights_that_make_no_control_refused_under_the_flag(
+        self, files, capsys, flag, message
+    ):
+        code = main([
+            "simulate", "--mode", "classical", *flag,
+            "--channel0", files["depol_impl.json"], "--channel1", files["depol_impl.json"],
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: --weights: ")
+        assert message in captured.err
+
+    def test_classical_mode_refuses_a_bad_input_under_its_own_message(
+        self, files, tmp_path, capsys
+    ):
+        state = tmp_path / "rho_trace2.json"
+        state.write_text(json.dumps(state_to_json(np.eye(2, dtype=complex))))
+        code = main([
+            "simulate", "--mode", "classical", "--input", str(state),
+            "--channel0", files["depol_impl.json"], "--channel1", files["depol_impl.json"],
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: density matrix has trace ")
 
     @pytest.mark.parametrize("mode, flag, value, message", [
         ("control", "--weights", "0.1,0.9", "--weights: --mode control takes no mixture weights"),

@@ -40,10 +40,11 @@ def test_every_exported_name_is_used_by_the_program():
 
 
 def test_the_choi_pseudoinverse_and_second_shannon_sum_stay_out():
-    # one route per quantity: admissibility is solved on the Kraus matrix
-    # and binary entropy sums its bits through the spectrum helper
+    # one route per quantity: admissibility is solved on the Kraus matrix,
+    # binary entropy sums its bits through the spectrum helper and the switch
+    # contracts its interference blocks in the Choi order only
     import ctrlchan
-    from ctrlchan import implementations, info, linalg
+    from ctrlchan import control, implementations, info, linalg
 
     gone = [
         (ctrlchan, "pseudoinverse"),
@@ -52,5 +53,6 @@ def test_the_choi_pseudoinverse_and_second_shannon_sum_stay_out():
         (linalg, "is_hermitian"),
         (linalg, "PINV_RANK_TOL"),
         (info, "shannon_entropy"),
+        (control, "_sandwich_order"),
     ]
     assert [f"{m.__name__}.{n}" for m, n in gone if hasattr(m, n)] == []
