@@ -60,7 +60,14 @@ def _json_dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _parse_control(text: str) -> ControlState:
+_CONTROL_HELP = (
+    "'plus' (default), 'zero', 'one', the amplitudes aRe,aIm,bRe,bIm of a|0> + b|1>, "
+    "or the weights w0,w1 of classical control, the control diag(w0, w1)"
+)
+
+
+def _parse_control(text: str) -> ControlState | np.ndarray:
+    """The control a ``--control`` value names; every refusal is named by the flag."""
     named = {
         "plus": ControlState.plus(),
         "zero": ControlState.basis(0),
@@ -68,17 +75,29 @@ def _parse_control(text: str) -> ControlState:
     }
     if text in named:
         return named[text]
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise SchemaError(
-            "control",
-            f"expected 'plus', 'zero', 'one' or four comma-separated floats, got {text!r}",
-        )
     try:
-        values = [float(x) for x in parts]
+        values = [float(x) for x in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) not in (2, 4):
+        raise SchemaError("--control", "expected 'plus', 'zero', 'one', two comma-separated "
+                          f"floats w0,w1 or four aRe,aIm,bRe,bIm, got {text!r}")
+    try:
+        if len(values) == 2:
+            return validate_density_matrix(np.diag(values))
+        return ControlState(complex(values[0], values[1]), complex(values[2], values[3]))
     except ValueError as exc:
-        raise SchemaError("control", f"non-numeric amplitude in {text!r}") from exc
-    return ControlState(complex(values[0], values[1]), complex(values[2], values[3]))
+        raise SchemaError("--control", str(exc)) from exc
+
+
+def _read(reader, path: str, flag: str):
+    """The document at ``path`` as ``reader`` reads it; every refusal is named by ``flag``."""
+    try:
+        return reader(load_json(path, flag), flag)
+    except SchemaError:
+        raise
+    except (ValueError, OSError) as exc:
+        raise SchemaError(flag, str(exc)) from exc
 
 
 def _matrix_report(out: ControlledOutput) -> dict:
@@ -140,44 +159,18 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    # a flag the mode does not use is refused rather than ignored
-    if args.mode == "classical" and args.control is not None:
-        raise SchemaError("--control", "--mode classical takes no control state")
-    if args.mode != "classical" and args.weights is not None:
-        raise SchemaError("--weights", f"--mode {args.mode} takes no mixture weights")
-    control = _parse_control("plus" if args.control is None else args.control)
-    rho = state_from_json(load_json(args.input)) if args.input else None
+    control = _parse_control(args.control)
     if args.mode == "switch":
-        kind = "channel"
-        arm0 = channel_from_json(load_json(args.channel0))
-        arm1 = channel_from_json(load_json(args.channel1))
+        kind, reader, build = "channel", channel_from_json, switch_output
     else:
-        kind = "implementation"
-        arm0 = implementation_from_json(load_json(args.channel0), "channel0")
-        arm1 = implementation_from_json(load_json(args.channel1), "channel1")
+        kind, reader, build = "implementation", implementation_from_json, controlled_output
+    arm0 = _read(reader, args.channel0, "--channel0")
+    arm1 = _read(reader, args.channel1, "--channel1")
     d = arm0.dim
     _same_dimension("--channel1", kind, arm1.dim, d, "--channel0's")
-    if rho is None:
-        rho = projector(ket(0, d))
+    rho = _read(state_from_json, args.input, "--input") if args.input else projector(ket(0, d))
     _same_dimension("--input", "state", rho.shape[0], d, "the channels'")
-    if args.mode == "switch":
-        out = switch_output(arm0, arm1, control, rho)
-    elif args.mode == "classical":
-        weights = "0.5,0.5" if args.weights is None else args.weights
-        try:
-            w0, w1 = (float(x) for x in weights.split(","))
-        except ValueError as exc:
-            raise SchemaError(
-                "--weights", f"expected two comma-separated floats, got {weights!r}"
-            ) from exc
-        # the map checks the control once, when it is built, before any input
-        try:
-            output_map = controlled_map(arm0, arm1, np.diag([w0, w1]))
-        except ValueError as exc:
-            raise SchemaError("--weights", str(exc)) from exc
-        out = ControlledOutput(output_map(validate_density_matrix(rho)))
-    else:
-        out = controlled_output(arm0, arm1, control, rho)
+    out = build(arm0, arm1, control, rho)
     doc = {"mode": args.mode, **_matrix_report(out)}
     if args.format == "json":
         print(_json_dumps(doc))
@@ -195,8 +188,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_validate_t(args) -> int:
-    ch = channel_from_json(load_json(args.channel))
-    t = tmatrix_from_json(load_json(args.t))
+    ch = _read(channel_from_json, args.channel, "--channel")
+    t = _read(tmatrix_from_json, args.t, "--t")
     _same_dimension("--t", "matrix", t.shape[0], ch.dim, "the channel's")
     report = admissible(ch, t)
     doc = {
@@ -230,8 +223,8 @@ def _default_ensemble(d: int) -> Ensemble:
 
 
 def _cmd_info(args) -> int:
-    i0 = implementation_from_json(load_json(args.channel0), "channel0")
-    i1 = implementation_from_json(load_json(args.channel1), "channel1")
+    i0 = _read(implementation_from_json, args.channel0, "--channel0")
+    i1 = _read(implementation_from_json, args.channel1, "--channel1")
     d = i0.dim
     _same_dimension("--channel1", "implementation", i1.dim, d, "--channel0's")
     control = _parse_control(args.control)
@@ -239,14 +232,14 @@ def _cmd_info(args) -> int:
     doc = {}
     if args.metric in ("holevo", "both"):
         if args.ensemble:
-            ens = ensemble_from_json(load_json(args.ensemble))
+            ens = _read(ensemble_from_json, args.ensemble, "--ensemble")
             _same_dimension("--ensemble", "ensemble", ens.dim, d, "the channels'")
         else:
             ens = _default_ensemble(d)
         doc["holevo_lower_bound"] = holevo_lower_bound(output_map, ens)
     if args.metric in ("coherent", "both"):
         if args.input:
-            nu0 = state_from_json(load_json(args.input))
+            nu0 = _read(state_from_json, args.input, "--input")
             if nu0.shape != (d * d, d * d):
                 raise SchemaError(
                     "--input",
@@ -273,20 +266,20 @@ def _realize(ch, t, field: str):
 
 
 def _cmd_distinguish(args) -> int:
-    ch = channel_from_json(load_json(args.channel))
-    t_a = tmatrix_from_json(load_json(args.t_a), "t_a")
-    t_b = tmatrix_from_json(load_json(args.t_b), "t_b")
+    ch = _read(channel_from_json, args.channel, "--channel")
+    t_a = _read(tmatrix_from_json, args.t_a, "--t-a")
+    t_b = _read(tmatrix_from_json, args.t_b, "--t-b")
     _same_dimension("--t-a", "matrix", t_a.shape[0], ch.dim, "the channel's")
     _same_dimension("--t-b", "matrix", t_b.shape[0], ch.dim, "the channel's")
     if args.fixed:
-        fixed = implementation_from_json(load_json(args.fixed), "fixed")
+        fixed = _read(implementation_from_json, args.fixed, "--fixed")
         _same_dimension("--fixed", "implementation", fixed.dim, ch.dim, "the channel's")
     else:
         fixed = standard_implementation("identity", d=ch.dim, alpha=1.0)
-    inst = DiscriminationInstance(fixed, _realize(ch, t_a, "t_a"), _realize(ch, t_b, "t_b"))
+    inst = DiscriminationInstance(fixed, _realize(ch, t_a, "--t-a"), _realize(ch, t_b, "--t-b"))
     best_input = optimal_input(t_a, t_b)
     if args.input:
-        rho = state_from_json(load_json(args.input))
+        rho = _read(state_from_json, args.input, "--input")
         _same_dimension("--input", "state", rho.shape[0], ch.dim, "the channel's")
     else:
         rho = projector(best_input)
@@ -339,13 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="joint control-target output for a channel pair")
     sim.add_argument("--channel0", required=True, help="channel JSON for the |0> arm")
     sim.add_argument("--channel1", required=True, help="channel JSON for the |1> arm")
-    sim.add_argument("--control", default=None,
-                     help="'plus' (default), 'zero', 'one', or aRe,aIm,bRe,bIm; "
-                          "not with --mode classical")
+    sim.add_argument("--control", default="plus", help=_CONTROL_HELP)
     sim.add_argument("--input", default=None, help="state JSON (default |0><0|)")
-    sim.add_argument("--mode", choices=("control", "switch", "classical"), default="control")
-    sim.add_argument("--weights", default=None,
-                     help="mixture weights for --mode classical (default 0.5,0.5)")
+    sim.add_argument("--mode", choices=("control", "switch"), default="control")
     sim.add_argument("--format", choices=("pretty", "json"), default="pretty")
     sim.set_defaults(func=_cmd_simulate)
 
@@ -360,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     inf = sub.add_parser("info", help="communication figures of merit for a controlled pair")
     inf.add_argument("--channel0", required=True, help="implementation JSON for the |0> arm")
     inf.add_argument("--channel1", required=True, help="implementation JSON for the |1> arm")
-    inf.add_argument("--control", default="plus")
+    inf.add_argument("--control", default="plus", help=_CONTROL_HELP)
     inf.add_argument("--metric", choices=("holevo", "coherent", "both"), default="both")
     inf.add_argument("--ensemble", default=None,
                      help="ensemble JSON (default: uniform computational-basis ensemble)")
@@ -378,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="implementation JSON for the reference arm "
                           "(default: transparent identity arm)")
     dis.add_argument("--input", default=None, help="state JSON (default: the optimal input)")
-    dis.add_argument("--control", default="plus")
+    dis.add_argument("--control", default="plus", help=_CONTROL_HELP)
     dis.add_argument("--format", choices=("pretty", "json"), default="pretty")
     dis.set_defaults(func=_cmd_distinguish)
 

@@ -167,8 +167,6 @@ def cc_dephasing_bound(p: float) -> float:
     sqrt(p) sigma_x on a maximally entangled input; it is positive for all p.
     """
     p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
     return p - binary_entropy(p) + binary_entropy((1.0 - p) / 2.0)
 
 

@@ -130,8 +130,8 @@ def parse_channel(doc, field: str = "channel") -> tuple[Channel, np.ndarray | No
     return Channel(tuple(kraus)), env
 
 
-def channel_from_json(doc) -> Channel:
-    return parse_channel(doc)[0]
+def channel_from_json(doc, field: str = "channel") -> Channel:
+    return parse_channel(doc, field)[0]
 
 
 def implementation_from_json(doc, field: str = "channel") -> ChannelImplementation:
@@ -192,12 +192,13 @@ def ensemble_from_json(doc, field: str = "ensemble") -> Ensemble:
     return Ensemble(tuple(items))
 
 
-def load_json(path) -> dict:
-    """Read a JSON document, reporting syntax errors with line and column."""
+def load_json(path, field: str = "document") -> dict:
+    """Read a JSON document, refusing a syntax error under ``field`` with the
+    path, line and column."""
     text = Path(path).read_text()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(
-            str(path), f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            field, f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -140,9 +141,9 @@ class TestSimulate:
         expected[0, 2] = expected[2, 0] = 0.125
         assert np.allclose(got, expected, atol=1e-12)
 
-    def test_classical_mode_blocks(self, files, capsys):
+    def test_classical_control_blocks(self, files, capsys):
         code = main([
-            "simulate", "--mode", "classical", "--weights", "0.25,0.75",
+            "simulate", "--control", "0.25,0.75",
             "--channel0", files["depol_impl.json"], "--channel1", files["depol_impl.json"],
             "--format", "json",
         ])
@@ -176,20 +177,21 @@ class TestSimulate:
     @pytest.mark.parametrize("weights", ["a,b", "0.5", "0.2,0.3,0.5"])
     def test_bad_weights_named(self, files, capsys, weights):
         code = main([
-            "simulate", "--mode", "classical", "--weights", weights,
+            "simulate", "--control", weights,
             "--channel0", files["depol_impl.json"], "--channel1", files["depol_impl.json"],
         ])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: --weights: expected two comma-separated floats, got {weights!r}\n"
+            "error: --control: expected 'plus', 'zero', 'one', two comma-separated floats "
+            f"w0,w1 or four aRe,aIm,bRe,bIm, got {weights!r}\n"
         )
 
     @pytest.mark.parametrize(
         "flag, message",
         [
-            (["--weights", "0.5,0.6"], "trace 1 + 1.000e-01"),
-            (["--weights=-0.2,1.2"], "negative eigenvalue"),
-            (["--weights", "nan,0.5"], "non-finite"),
+            (["--control", "0.5,0.6"], "trace 1 + 1.000e-01"),
+            (["--control=-0.2,1.2"], "negative eigenvalue"),
+            (["--control", "nan,0.5"], "non-finite"),
         ],
         ids=["trace", "negative", "nan"],
     )
@@ -197,50 +199,26 @@ class TestSimulate:
         self, files, capsys, flag, message
     ):
         code = main([
-            "simulate", "--mode", "classical", *flag,
+            "simulate", *flag,
             "--channel0", files["depol_impl.json"], "--channel1", files["depol_impl.json"],
         ])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith("error: --weights: ")
+        assert captured.err.startswith("error: --control: ")
         assert message in captured.err
 
-    def test_classical_mode_refuses_a_bad_input_under_its_own_message(
+    def test_classical_control_refuses_a_bad_input_under_its_own_message(
         self, files, tmp_path, capsys
     ):
         state = tmp_path / "rho_trace2.json"
         state.write_text(json.dumps(state_to_json(np.eye(2, dtype=complex))))
         code = main([
-            "simulate", "--mode", "classical", "--input", str(state),
+            "simulate", "--control", "0.5,0.5", "--input", str(state),
             "--channel0", files["depol_impl.json"], "--channel1", files["depol_impl.json"],
         ])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: density matrix has trace ")
-
-    @pytest.mark.parametrize("mode, flag, value, message", [
-        ("control", "--weights", "0.1,0.9", "--weights: --mode control takes no mixture weights"),
-        ("switch", "--weights", "0.5,0.5", "--weights: --mode switch takes no mixture weights"),
-        ("classical", "--control", "zero", "--control: --mode classical takes no control state"),
-        ("classical", "--control", "plus", "--control: --mode classical takes no control state"),
-    ])
-    def test_flag_the_mode_does_not_use_refused(self, files, capsys, mode, flag, value, message):
-        arm = files["depol.json" if mode == "switch" else "depol_impl.json"]
-        code = main([
-            "simulate", "--mode", mode, flag, value, "--channel0", arm, "--channel1", arm,
-        ])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
-
-    def test_classical_weights_default_to_even(self, files, capsys):
-        base = ["simulate", "--mode", "classical", "--format", "json",
-                "--channel0", files["depol_impl.json"], "--channel1", files["ident_impl.json"]]
-        assert main(base) == 0
-        default = capsys.readouterr().out
-        assert main(base + ["--weights", "0.5,0.5"]) == 0
-        assert capsys.readouterr().out == default
 
     def test_malformed_file_reports_error(self, files, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -376,20 +354,19 @@ class TestDistinguish:
         doc = json.loads(capsys.readouterr().out)
         assert abs(doc["output_distance"] - 1.0 / np.sqrt(2.0)) <= 1e-9
 
-    @pytest.mark.parametrize("flag", ["t_a", "t_b"])
+    @pytest.mark.parametrize("flag", ["--t-a", "--t-b"])
     def test_refusal_names_its_flag(self, tmp_path, capsys, flag):
         depol = tmp_path / "depol3.json"
         depol.write_text(json.dumps(channel_to_json(standard_channel("depolarising", 3))))
         # the qutrit depolarising channel admits T iff Tr[T^dag T] <= 1/3
         p0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        paths = {"t_a": tmp_path / "t_a.json", "t_b": tmp_path / "t_b.json"}
-        for name, path in paths.items():
+        args = ["distinguish", "--channel", str(depol)]
+        for name in ("--t-a", "--t-b"):
             t = p0 if name == flag else p0 / np.sqrt(3.0)
+            path = tmp_path / f"{name.strip('-')}.json"
             path.write_text(json.dumps(tmatrix_to_json(t)))
-        code = main([
-            "distinguish", "--channel", str(depol),
-            "--t-a", str(paths["t_a"]), "--t-b", str(paths["t_b"]),
-        ])
+            args += [name, str(path)]
+        code = main(args)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -397,6 +374,51 @@ class TestDistinguish:
             f"error: {flag}: matrix is not admissible for this channel: quadratic form "
             "1 + 2.000e+00, above 1 + 1e-08 = 1 + BOUND_TOL; no dilation holds it\n"
         )
+
+
+class TestControlFlag:
+    """``--control`` is read by one parser in every subcommand that takes it:
+    a named state, a pair of weights or four amplitudes."""
+
+    @staticmethod
+    def argv(files, command):
+        if command == "distinguish":
+            return ["distinguish", "--channel", files["depol.json"],
+                    "--t-a", files["t.json"], "--t-b", files["t_neg.json"]]
+        return [command, "--channel0", files["depol_impl.json"],
+                "--channel1", files["depol_impl.json"]]
+
+    @pytest.mark.parametrize("value", [
+        "foo", "1,2,3", "a,b", "0.5,0.6", "-0.2,1.2", "nan,0.5", "1,0,1,0",
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "info", "distinguish"])
+    def test_refused_under_the_flag(self, files, capsys, command, value):
+        code = main(self.argv(files, command) + [f"--control={value}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: --control: ")
+        assert captured.err.count("\n") == 1
+
+    def test_classical_control_carries_no_information(self, files, capsys):
+        # two depolarising arms carry information only through the coherence
+        # of the control, as in the classical-control-null case
+        holevo = {}
+        for control in ("plus", "0.5,0.5"):
+            assert main(self.argv(files, "info") + ["--control", control, "--format", "json"]) == 0
+            holevo[control] = json.loads(capsys.readouterr().out)["holevo_lower_bound"]
+        assert abs(holevo["0.5,0.5"]) <= 1e-12
+        assert holevo["plus"] > 0.15
+
+    @pytest.mark.parametrize("control, distance", [
+        ("plus", 1.0 / np.sqrt(2.0)), ("0.5,0.5", 0.0),
+    ])
+    def test_classical_control_cannot_tell_dilations_apart(self, files, capsys, control, distance):
+        code = main(self.argv(files, "distinguish") + ["--control", control, "--format", "json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert abs(doc["output_distance"] - distance) <= 1e-12
+        assert abs(doc["success_probability"] - (1.0 + distance) / 2.0) <= 1e-12
 
 
 def _documents(d: int) -> dict:
@@ -434,7 +456,9 @@ _MATRIX_PATH = {
 
 def _malformed(kind: str, fault: str):
     """The qubit document of ``kind`` with one ``fault``; a string is written as
-    it is, anything else as JSON."""
+    it is, None not at all, anything else as JSON."""
+    if fault == "absent":
+        return None
     if fault == "syntax":
         return "{not json"
     if fault == "foreign d":
@@ -455,6 +479,8 @@ def _malformed(kind: str, fault: str):
             holder[field] = {"re": 1.0}
         elif fault == "non-finite":
             holder[field][0][0][0] = float("nan")
+        elif fault == "doubled":
+            holder[field] = [[[2 * re, 2 * im] for re, im in row] for row in holder[field]]
         else:  # ragged rows
             holder[field][0].pop()
     return doc
@@ -468,7 +494,7 @@ _COMMANDS = {
     "simulate-switch": (["simulate", "--mode", "switch"], {
         "--channel0": "channel", "--channel1": "channel", "--input": "state",
     }),
-    "simulate-classical": (["simulate", "--mode", "classical"], {
+    "simulate-classical": (["simulate", "--control", "0.5,0.5"], {
         "--channel0": "implementation", "--channel1": "implementation", "--input": "state",
     }),
     "validate-t": (["validate-t", "--realize"], {"--channel": "channel", "--t": "t"}),
@@ -481,7 +507,7 @@ _COMMANDS = {
         "--fixed": "implementation", "--input": "state",
     }),
 }
-_FAULTS = ["syntax", "wrong type", "missing key", "non-finite", "ragged rows", "wrong d", "foreign d"]
+_FAULTS = ["absent", "syntax", "wrong type", "missing key", "non-finite", "ragged rows", "wrong d", "foreign d"]
 
 # Each file flag given a qutrit document among qubit ones, and the refusal.  It
 # names a flag and the dimension a document gives, not a stack of mapped
@@ -531,7 +557,8 @@ class TestNoTraceback:
         for name, kind in flags.items():
             doc = _malformed(kind, fault) if name == flag else valid[kind]
             path = tmp_path / f"{name.strip('-')}.json"
-            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+            if doc is not None:
+                path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
             args += [name, str(path)]
         return main(args)
 
@@ -552,6 +579,27 @@ class TestNoTraceback:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("fault", [fault for fault in _FAULTS if fault != "foreign d"])
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, (_, flags) in _COMMANDS.items() for flag in flags
+    ])
+    def test_refusal_names_the_flag(self, tmp_path, capsys, command, flag, fault):
+        # a foreign dimension may be refused under another flag; see below
+        assert self.run(tmp_path, command, flag, fault) == 2
+        assert re.match(rf"error: {flag}[.:\[]", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, (_, flags) in _COMMANDS.items()
+        for flag, kind in flags.items() if kind in ("channel", "implementation", "ensemble")
+    ])
+    def test_document_its_constructor_refuses_names_the_flag(self, tmp_path, capsys, command, flag):
+        # the document parses, and the channel or ensemble built from it is refused
+        assert self.run(tmp_path, command, flag, "doubled") == 2
+        assert re.match(
+            rf"error: {flag}: (kraus operators are not trace-preserving|density matrix has trace)",
+            capsys.readouterr().err,
+        )
 
     @pytest.mark.parametrize("command, flag, message", _FOREIGN_DIMENSION)
     def test_foreign_dimension_names_the_flag(self, tmp_path, capsys, command, flag, message):
