@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    CONSTANT_CUTOFF,
     DEFAULT_TOL,
     REMIX_ROUNDING,
     SIGMA_X,
@@ -26,7 +25,6 @@ from .linalg import (
     _isometry_deviation,
     _overflows,
     as_matrix,
-    validate_density_matrix,
 )
 
 _EPS = 2.0**-52  # np.finfo(float).eps, without its lookup at import
@@ -37,8 +35,6 @@ STANDARD_KINDS = (
     "partial_depolarising",
     "phase_flip",
     "bit_flip",
-    "unitary",
-    "constant",
 )
 
 
@@ -208,7 +204,10 @@ def weyl_basis(d: int) -> list[np.ndarray]:
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     a, b, r, c = np.ogrid[:d, :d, :d, :d]
-    phase = np.exp(2j * np.pi * ((b * c) % d) / d)
+    m = (b * c) % d
+    # the quarter turns w^0, w^(d/4), w^(d/2), w^(3d/4) are exactly 1, i, -1, -i
+    quarter = np.array([1.0, 1j, -1.0, -1j])[4 * m // d]
+    phase = np.where(4 * m % d == 0, quarter, np.exp(2j * np.pi * m / d))
     return list(np.where(r == (c + a) % d, phase, 0.0).reshape(d * d, d, d))
 
 
@@ -220,18 +219,19 @@ def _check_mixing_param(p, name: str) -> float:
 
 
 def standard_channel(kind: str, d: int = 2, param=None) -> Channel:
-    """Build one of the named channel families.
+    """Build one of the named channel families, the kinds of ``STANDARD_KINDS``.
 
     kind:
-        ``identity``; ``depolarising`` (maps everything to 1/d, Kraus
-        ``{U_i/d}`` over the Weyl basis); ``partial_depolarising`` with
-        ``param=q`` mixing identity (weight q) into the depolarising channel;
-        ``phase_flip`` / ``bit_flip`` with ``param=p`` (qubit only);
-        ``unitary`` with ``param`` the unitary matrix; ``constant`` with
-        ``param`` the fixed output density matrix.
+        ``identity`` and ``depolarising`` (maps everything to 1/d, Kraus
+        ``{U_i/d}`` over the Weyl basis) take no ``param``;
+        ``partial_depolarising`` takes ``param=q``, the weight of the identity
+        mixed into the depolarising channel; ``phase_flip`` and ``bit_flip``
+        take ``param=p``, the flip probability, and ``d = 2`` only.
     """
     if d < 1:
         raise ValueError(f"dimension d must be at least 1, got {d}")
+    if kind in ("identity", "depolarising") and param is not None:
+        raise ValueError(f"{kind} channel takes no param")
     if kind == "identity":
         return Channel((np.eye(d, dtype=complex),))
     if kind == "depolarising":
@@ -248,25 +248,4 @@ def standard_channel(kind: str, d: int = 2, param=None) -> Channel:
         p = _check_mixing_param(param, "p")
         pauli = SIGMA_Z if kind == "phase_flip" else SIGMA_X
         return Channel((np.sqrt(1.0 - p) * np.eye(2, dtype=complex), np.sqrt(p) * pauli))
-    if kind == "unitary":
-        u = as_matrix(param)
-        if u.shape != (d, d) or not _isometry_deviation(u, "parameter") <= DEFAULT_TOL:
-            raise ValueError(f"parameter must be a {d} x {d} unitary matrix")
-        return Channel((u,))
-    if kind == "constant":
-        sigma = validate_density_matrix(as_matrix(param))
-        if sigma.shape != (d, d):
-            raise ValueError(
-                f"constant output of shape {sigma.shape} does not match dimension {d}"
-            )
-        w, v = np.linalg.eigh(sigma)
-        ops = []
-        for j in reversed(range(d)):
-            if w[j] <= CONSTANT_CUTOFF:
-                continue
-            for m in range(d):
-                k = np.zeros((d, d), dtype=complex)
-                k[:, m] = np.sqrt(w[j]) * v[:, j]
-                ops.append(k)
-        return Channel(tuple(ops))
     raise ValueError(f"unknown channel kind '{kind}'; known kinds: {STANDARD_KINDS}")

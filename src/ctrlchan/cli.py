@@ -66,6 +66,14 @@ _CONTROL_HELP = (
 )
 
 
+def _named(flag: str, fn, *args):
+    """``fn(*args)``, with a refusal named by ``flag``."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise SchemaError(flag, str(exc)) from exc
+
+
 def _parse_control(text: str) -> ControlState | np.ndarray:
     """The control a ``--control`` value names; every refusal is named by the flag."""
     named = {
@@ -82,12 +90,10 @@ def _parse_control(text: str) -> ControlState | np.ndarray:
     if len(values) not in (2, 4):
         raise SchemaError("--control", "expected 'plus', 'zero', 'one', two comma-separated "
                           f"floats w0,w1 or four aRe,aIm,bRe,bIm, got {text!r}")
-    try:
-        if len(values) == 2:
-            return validate_density_matrix(np.diag(values))
-        return ControlState(complex(values[0], values[1]), complex(values[2], values[3]))
-    except ValueError as exc:
-        raise SchemaError("--control", str(exc)) from exc
+    if len(values) == 2:
+        return _named("--control", validate_density_matrix, np.diag(values))
+    a, b = complex(values[0], values[1]), complex(values[2], values[3])
+    return _named("--control", ControlState, a, b)
 
 
 def _read(reader, path: str, flag: str):
@@ -98,6 +104,11 @@ def _read(reader, path: str, flag: str):
         raise
     except (ValueError, OSError) as exc:
         raise SchemaError(flag, str(exc)) from exc
+
+
+def _density_from_json(doc, field: str) -> np.ndarray:
+    """A state document, refused unless it holds a density matrix."""
+    return validate_density_matrix(state_from_json(doc, field))
 
 
 def _matrix_report(out: ControlledOutput) -> dict:
@@ -136,12 +147,6 @@ def _cmd_reproduce(args) -> int:
             "all_passed": all(r.passed for r in reports),
         }
         print(_json_dumps(doc))
-    elif args.format == "csv":
-        print("case_id,computed,expected,abs_error,tolerance,passed")
-        for r in reports:
-            expected = "n/a" if r.expected is None else repr(r.expected)
-            err = "n/a" if r.abs_error is None else repr(r.abs_error)
-            print(f"{r.case_id},{r.computed!r},{expected},{err},{r.tolerance!r},{r.passed}")
     else:
         width = max(len(cid) for cid in selected)
         for r in reports:
@@ -168,7 +173,7 @@ def _cmd_simulate(args) -> int:
     arm1 = _read(reader, args.channel1, "--channel1")
     d = arm0.dim
     _same_dimension("--channel1", kind, arm1.dim, d, "--channel0's")
-    rho = _read(state_from_json, args.input, "--input") if args.input else projector(ket(0, d))
+    rho = _read(_density_from_json, args.input, "--input") if args.input else projector(ket(0, d))
     _same_dimension("--input", "state", rho.shape[0], d, "the channels'")
     out = build(arm0, arm1, control, rho)
     doc = {"mode": args.mode, **_matrix_report(out)}
@@ -191,7 +196,7 @@ def _cmd_validate_t(args) -> int:
     ch = _read(channel_from_json, args.channel, "--channel")
     t = _read(tmatrix_from_json, args.t, "--t")
     _same_dimension("--t", "matrix", t.shape[0], ch.dim, "the channel's")
-    report = admissible(ch, t)
+    report = _named("--t", admissible, ch, t)
     doc = {
         "admissible": report.admissible,
         "range_residual": report.range_residual,
@@ -239,7 +244,7 @@ def _cmd_info(args) -> int:
         doc["holevo_lower_bound"] = holevo_lower_bound(output_map, ens)
     if args.metric in ("coherent", "both"):
         if args.input:
-            nu0 = _read(state_from_json, args.input, "--input")
+            nu0 = _read(_density_from_json, args.input, "--input")
             if nu0.shape != (d * d, d * d):
                 raise SchemaError(
                     "--input",
@@ -257,14 +262,6 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _realize(ch, t, field: str):
-    """:func:`realize`, with a refusal prefixed by the field of ``t``."""
-    try:
-        return realize(ch, t)
-    except ValueError as exc:
-        raise ValueError(f"{field}: {exc}") from exc
-
-
 def _cmd_distinguish(args) -> int:
     ch = _read(channel_from_json, args.channel, "--channel")
     t_a = _read(tmatrix_from_json, args.t_a, "--t-a")
@@ -276,10 +273,12 @@ def _cmd_distinguish(args) -> int:
         _same_dimension("--fixed", "implementation", fixed.dim, ch.dim, "the channel's")
     else:
         fixed = standard_implementation("identity", d=ch.dim, alpha=1.0)
-    inst = DiscriminationInstance(fixed, _realize(ch, t_a, "--t-a"), _realize(ch, t_b, "--t-b"))
+    inst = DiscriminationInstance(
+        fixed, _named("--t-a", realize, ch, t_a), _named("--t-b", realize, ch, t_b)
+    )
     best_input = optimal_input(t_a, t_b)
     if args.input:
-        rho = _read(state_from_json, args.input, "--input")
+        rho = _read(_density_from_json, args.input, "--input")
         _same_dimension("--input", "state", rho.shape[0], ch.dim, "the channel's")
     else:
         rho = projector(best_input)
@@ -326,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--d", type=_int_at_least(2), default=2, help="target dimension, at least 2")
     rep.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for randomised suites")
     rep.add_argument("--trials", type=_int_at_least(1), help="override per-case trial count")
-    rep.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
+    rep.add_argument("--format", choices=("pretty", "json"), default="pretty")
     rep.set_defaults(func=_cmd_reproduce)
 
     sim = sub.add_parser("simulate", help="joint control-target output for a channel pair")

@@ -246,10 +246,10 @@ def realize(ch: Channel, t) -> ChannelImplementation:
 
 _KEYWORDS = {
     "identity": ("d", "alpha"),
-    "depolarising": ("d", "t"),
-    "partial_depolarising": ("d", "q", "t"),
-    "phase_flip": ("d", "p", "alpha", "beta"),
-    "bit_flip": ("d", "p", "alpha", "beta"),
+    "depolarising": ("t",),
+    "partial_depolarising": ("q", "t"),
+    "phase_flip": ("p", "alpha", "beta"),
+    "bit_flip": ("p", "alpha", "beta"),
 }
 
 
@@ -266,8 +266,8 @@ def standard_implementation(
     """Dilations for the worked channel families.
 
     kind:
-        ``identity``: transformation matrix alpha * 1 with |alpha| <= 1, in
-        dimension ``d`` (default 2).
+        ``identity``: transformation matrix ``alpha`` * 1 with |alpha| <= 1,
+        in dimension ``d`` (default 2).
         ``depolarising``: target ``t``; ``partial_depolarising``: mixing
         weight ``q`` and target ``t``.  Both are :func:`realize` on
         ``standard_channel(kind, d, q)`` with d the side of ``t``, so they
@@ -277,11 +277,10 @@ def standard_implementation(
         <env|i> = Tr[U_i^dag T], divided for ``partial_depolarising`` by the
         square roots of the Kraus weights, (d^2 q + 1 - q) and (1 - q).
         ``phase_flip`` / ``bit_flip``: flip probability ``p`` and amplitudes
-        (alpha, beta) on the (identity, Pauli) Kraus pair, giving
+        ``alpha``, ``beta`` on the (identity, Pauli) Kraus pair, giving
         T = alpha sqrt(1-p) 1 + beta sqrt(p) sigma; qubits only.
 
-    A keyword the kind does not use is refused rather than ignored, and so is
-    a ``d`` other than the side of ``t``.
+    Each kind takes exactly the keywords named here; any other is refused.
     """
     if kind not in _KEYWORDS:
         raise ValueError(f"unknown implementation kind '{kind}'")
@@ -303,8 +302,6 @@ def standard_implementation(
             needs = "t" if kind == "depolarising" else "q and t"
             raise ValueError(f"{kind} implementation needs {needs}")
         t = as_matrix(t)
-        if d is not None and d != t.shape[0]:
-            raise ValueError(f"d = {d} does not match the side {t.shape[0]} of t")
         return realize(standard_channel(kind, t.shape[0], q), t)
 
     if p is None or alpha is None or beta is None:
@@ -313,5 +310,5 @@ def standard_implementation(
     weight = abs(alpha) * abs(alpha) + abs(beta) * abs(beta)
     if weight > 1.0 + DEFAULT_TOL:
         raise ValueError(f"|alpha|^2 + |beta|^2 = {_one_plus(weight)} exceeds 1")
-    ch = standard_channel(kind, 2 if d is None else d, p)
+    ch = standard_channel(kind, 2, p)
     return ChannelImplementation(ch, np.array([np.conj(alpha), np.conj(beta)]))

@@ -91,7 +91,6 @@ LEADER_WINDOW = 1e-11
 # DEFAULT_TOL, and the grid search checks the outputs' rules only.
 AVERAGE_ROUNDING = 1e-14
 ORACLE_SKIP = 1e-12  # stinespring_oracle: input eigenvectors of smaller weight are skipped
-CONSTANT_CUTOFF = 1e-14  # constant channel: no Kraus operators for smaller eigenvalues
 AGREE_TOL = 1e-10  # output_distance: direct and closed-form values must agree
 DEGENERACY_TOL = 1e-10  # optimal_input: relative gap within which eigenvalues tie at the top
 COLUMN_WEIGHT = 1e-6  # optimal_input: least norm of a projected basis vector to take

@@ -148,10 +148,6 @@ def channel_to_json(ch: Channel, env=None) -> dict:
     return doc
 
 
-def implementation_to_json(impl: ChannelImplementation) -> dict:
-    return channel_to_json(impl.channel, impl.env)
-
-
 def tmatrix_from_json(doc, field: str = "t_matrix") -> np.ndarray:
     _require_keys(doc, ("d", "t"), field)
     d = _dimension(doc, field)

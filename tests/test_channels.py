@@ -170,7 +170,6 @@ class TestApply:
             standard_channel("partial_depolarising", 2, 0.4),
             standard_channel("phase_flip", 2, 0.3),
             standard_channel("bit_flip", 2, 0.7),
-            standard_channel("constant", 2, random_density_matrix(2, rng)),
             random_channel(2, 3, rng),
         ]
         for ch in library:
@@ -312,8 +311,6 @@ class TestRemix:
         ch = random_channel(2, 2, np.random.default_rng(8))
         with pytest.raises(ValueError, match=message):
             remix(ch, np.array([[entry, 0.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError, match=message.replace("remix matrix", "parameter")):
-            standard_channel("unitary", 2, np.array([[entry, 0.0], [0.0, 1.0]]))
 
     def test_wide_non_finite_u_refused_as_not_orthonormal(self):
         # more columns than rows: refused by shape, with no Gram matrix
@@ -469,10 +466,14 @@ class TestWeylBasis:
         with pytest.raises(ValueError):
             weyl_basis(1)
 
-    def test_qubit_basis_bitwise_equal_to_matrix_powers(self):
+    def test_qubit_basis_is_exactly_the_pauli_products(self):
+        # the phase w = -1 is exact, so 1, Z, X and XZ are too, with no
+        # rounding in their imaginary parts
         basis = weyl_basis(2)
         assert isinstance(basis, list)
-        assert all(np.array_equal(u, v) for u, v in zip(basis, _weyl_by_powers(2), strict=True))
+        exact = [np.eye(2), SIGMA_Z, SIGMA_X, SIGMA_X @ SIGMA_Z]
+        assert all(np.array_equal(u, v) for u, v in zip(basis, exact, strict=True))
+        assert all(np.all(u.imag == 0.0) for u in basis)
 
     @pytest.mark.parametrize("d", [3, 4, 5, 8, 16])
     def test_matches_matrix_powers(self, d):
@@ -535,43 +536,22 @@ class TestStandardChannel:
         c = choi_of(standard_channel("phase_flip", 2, 0.0))
         assert np.max(np.abs(c - choi_of(standard_channel("identity", 2)))) <= 1e-14
 
-    def test_constant_channel(self):
-        rng = np.random.default_rng(9)
-        sigma = random_density_matrix(3, rng)
-        ch = standard_channel("constant", 3, sigma)
-        for _ in range(5):
-            out = apply(ch, random_density_matrix(3, rng))
-            assert np.max(np.abs(out - sigma)) <= 1e-12
-
-    def test_constant_kraus_order(self):
-        # sqrt(w_j) |v_j><m|, eigenvalues descending, then m ascending; the
-        # zero eigenvalue contributes no operators
-        sigma = np.diag([0.2, 0.5, 0.0, 0.3])
-        ch = standard_channel("constant", 4, sigma)
-        expected = [
-            np.sqrt(w) * np.outer(ket(j, 4), ket(m, 4))
-            for w, j in ((0.5, 1), (0.3, 3), (0.2, 0))
-            for m in range(4)
-        ]
-        assert ch.kraus.shape == (12, 4, 4)
-        assert np.max(np.abs(np.abs(ch.kraus) - np.abs(expected))) <= 1e-15
-
-    def test_unitary_channel(self):
-        rng = np.random.default_rng(10)
-        u = haar_isometry(2, 2, rng)
-        ch = standard_channel("unitary", 2, u)
-        rho = random_density_matrix(2, rng)
-        assert np.allclose(apply(ch, rho), u @ rho @ dagger(u), atol=1e-12)
-
     def test_out_of_range_parameter(self):
         with pytest.raises(ValueError):
             standard_channel("phase_flip", 2, 1.5)
         with pytest.raises(ValueError):
             standard_channel("partial_depolarising", 2, -0.1)
 
-    def test_unknown_kind(self):
+    @pytest.mark.parametrize("kind", ["amplitude_damping", "unitary", "constant"])
+    def test_unknown_kind(self, kind):
         with pytest.raises(ValueError, match="unknown"):
-            standard_channel("amplitude_damping", 2, 0.5)
+            standard_channel(kind, 2, 0.5)
+
+    @pytest.mark.parametrize("kind", ["identity", "depolarising"])
+    @pytest.mark.parametrize("param", [0.0, 0.3])
+    def test_param_refused_where_the_kind_takes_none(self, kind, param):
+        with pytest.raises(ValueError, match=f"^{kind} channel takes no param$"):
+            standard_channel(kind, 2, param)
 
     def test_qudit_restriction_for_flips(self):
         with pytest.raises(ValueError, match="qubit"):

@@ -86,11 +86,12 @@ class TestReproduce:
         assert first["all_passed"] and second["all_passed"]
         assert not np.array_equal(first_draw, drawn[0].kraus)
 
-    def test_csv_format(self, capsys):
-        assert main(["reproduce", "--case", "depolarising-discrimination", "--format", "csv"]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out[0].startswith("case_id,")
-        assert out[1].startswith("depolarising-discrimination,")
+    def test_csv_format_refused(self, capsys):
+        # pretty and json are the two report formats
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "--case", "depolarising-discrimination", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "argument --format: invalid choice" in capsys.readouterr().err
 
     def test_unknown_case_rejected(self):
         with pytest.raises(SystemExit):
@@ -171,7 +172,7 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith("error: density matrix has ")
+        assert captured.err.startswith("error: --input: density matrix has ")
         assert message in captured.err
 
     @pytest.mark.parametrize("weights", ["a,b", "0.5", "0.2,0.3,0.5"])
@@ -218,7 +219,7 @@ class TestSimulate:
             "--channel0", files["depol_impl.json"], "--channel1", files["depol_impl.json"],
         ])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: density matrix has trace ")
+        assert capsys.readouterr().err.startswith("error: --input: density matrix has trace ")
 
     def test_malformed_file_reports_error(self, files, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -273,7 +274,9 @@ class TestValidateT:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == "error: t has a norm that overflows, though every entry is finite\n"
+        assert captured.err == (
+            "error: --t: t has a norm that overflows, though every entry is finite\n"
+        )
 
     @pytest.mark.parametrize("fmt", ["json", "pretty"])
     def test_realize_beyond_the_dilation_cap_reports_not_admissible(self, tmp_path, capsys, fmt):
@@ -591,10 +594,11 @@ class TestNoTraceback:
 
     @pytest.mark.parametrize("command, flag", [
         (command, flag) for command, (_, flags) in _COMMANDS.items()
-        for flag, kind in flags.items() if kind in ("channel", "implementation", "ensemble")
+        for flag, kind in flags.items() if kind not in ("t", "-t")
     ])
     def test_document_its_constructor_refuses_names_the_flag(self, tmp_path, capsys, command, flag):
-        # the document parses, and the channel or ensemble built from it is refused
+        # the document parses, and the channel, ensemble or state built from it
+        # is refused: every matrix doubled, a trace of 2
         assert self.run(tmp_path, command, flag, "doubled") == 2
         assert re.match(
             rf"error: {flag}: (kraus operators are not trace-preserving|density matrix has trace)",

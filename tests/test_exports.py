@@ -42,9 +42,10 @@ def test_every_exported_name_is_used_by_the_program():
 def test_the_choi_pseudoinverse_and_second_shannon_sum_stay_out():
     # one route per quantity: admissibility is solved on the Kraus matrix,
     # binary entropy sums its bits through the spectrum helper and the switch
-    # contracts its interference blocks in the Choi order only
+    # contracts its interference blocks in the Choi order only; a channel or
+    # implementation is built and written by the one route the program uses
     import ctrlchan
-    from ctrlchan import control, implementations, info, linalg
+    from ctrlchan import control, implementations, info, linalg, serialization
 
     gone = [
         (ctrlchan, "pseudoinverse"),
@@ -54,5 +55,7 @@ def test_the_choi_pseudoinverse_and_second_shannon_sum_stay_out():
         (linalg, "PINV_RANK_TOL"),
         (info, "shannon_entropy"),
         (control, "_sandwich_order"),
+        (serialization, "implementation_to_json"),
+        (linalg, "CONSTANT_CUTOFF"),
     ]
     assert [f"{m.__name__}.{n}" for m, n in gone if hasattr(m, n)] == []

@@ -722,17 +722,13 @@ class TestStandardImplementation:
         with pytest.raises(ValueError, match=r"shape \(2, 3\) does not match channel dimension 2"):
             standard_implementation(kind, q=q, t=0.1 * np.ones((2, 3)))
 
-    @pytest.mark.parametrize("kind, q", [("depolarising", None), ("partial_depolarising", 0.3)])
-    def test_d_must_match_the_side_of_t(self, kind, q):
-        t = np.eye(2) / 2
-        with pytest.raises(ValueError, match=r"^d = 5 does not match the side 2 of t$"):
-            standard_implementation(kind, d=5, q=q, t=t)
-        impl = standard_implementation(kind, d=2, q=q, t=t)
-        assert impl.dim == 2
-
     @pytest.mark.parametrize("kind, kwargs, unused", [
         ("depolarising", {"q": 0.3, "t": np.eye(2) / 2}, "q"),
-        ("depolarising", {"d": 5, "q": 0.3, "t": np.eye(2) / 2}, "q"),
+        ("depolarising", {"d": 5, "q": 0.3, "t": np.eye(2) / 2}, "d or q"),
+        ("depolarising", {"d": 2, "t": np.eye(2) / 2}, "d"),
+        ("partial_depolarising", {"d": 2, "q": 0.3, "t": np.eye(2) / 2}, "d"),
+        ("phase_flip", {"d": 2, "p": 0.5, "alpha": 1.0, "beta": 0.0}, "d"),
+        ("bit_flip", {"d": 3, "p": 0.5, "alpha": 1.0, "beta": 0.0}, "d"),
         ("identity", {"alpha": 1.0, "t": np.eye(2)}, "t"),
         ("phase_flip", {"p": 0.5, "alpha": 1.0, "beta": 0.0, "q": 0.5}, "q"),
         ("partial_depolarising", {"q": 0.3, "t": np.eye(2) / 2, "alpha": 1.0}, "alpha"),
@@ -743,9 +739,7 @@ class TestStandardImplementation:
 
     @pytest.mark.parametrize("kind", ["phase_flip", "bit_flip"])
     def test_flip_families_are_qubit_only(self, kind):
-        with pytest.raises(ValueError, match="qubits only"):
-            standard_implementation(kind, d=3, p=0.5, alpha=1.0, beta=0.0)
-        assert standard_implementation(kind, d=2, p=0.5, alpha=1.0, beta=0.0).dim == 2
+        assert standard_implementation(kind, p=0.5, alpha=1.0, beta=0.0).dim == 2
 
     def test_depolarising_spike_env_pattern(self):
         impl = standard_implementation("depolarising", t=spike(2))

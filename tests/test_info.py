@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctrlchan.channels import apply, standard_channel
+from ctrlchan.channels import Channel, apply, standard_channel
 from ctrlchan.control import ControlState, controlled_map, switch_map
 from ctrlchan.implementations import ChannelImplementation, standard_implementation
 from ctrlchan.info import (
@@ -194,9 +194,13 @@ class TestHolevoLowerBound:
         assert all(np.diff(values) <= 0.0)
 
     def test_constant_map_gives_zero(self):
-        rng = np.random.default_rng(1)
-        sigma = random_density_matrix(2, rng)
-        ch = standard_channel("constant", 2, sigma)
+        # sqrt(w_j) |j><m| sends every state to sigma = diag(0.3, 0.7)
+        weights = (0.3, 0.7)
+        ch = Channel([
+            np.sqrt(w) * np.outer(ket(j, 2), ket(m, 2))
+            for j, w in enumerate(weights)
+            for m in range(2)
+        ])
         ens = Ensemble(((0.5, projector(ket(0, 2))), (0.5, projector(ket(1, 2)))))
         value = holevo_lower_bound(lambda rho: apply(ch, rho), ens)
         assert abs(value) <= 1e-10

@@ -25,7 +25,6 @@ from ctrlchan.serialization import (
     channel_to_json,
     ensemble_from_json,
     implementation_from_json,
-    implementation_to_json,
     load_json,
     matrix_from_json,
     matrix_to_json,
@@ -77,7 +76,7 @@ class TestChannelSchema:
     def test_roundtrip_with_env(self):
         rng = np.random.default_rng(2)
         impl = ChannelImplementation(random_channel(2, 2, rng), random_env(2, rng))
-        rebuilt = implementation_from_json(implementation_to_json(impl))
+        rebuilt = implementation_from_json(channel_to_json(impl.channel, impl.env))
         assert np.array_equal(rebuilt.env, impl.env)
 
     def test_missing_env_rejected_for_implementation(self):
@@ -238,7 +237,7 @@ def dilation_documents(draw):
     t = impl.t if draw(st.booleans()) else random_admissible_t(impl.channel, rng)
     if draw(st.booleans()):
         t = t * draw(ENTRY)  # |T_ij| <= 1, so every entry stays finite
-    impl_doc = implementation_to_json(impl)
+    impl_doc = channel_to_json(impl.channel, impl.env)
     t_doc = tmatrix_to_json(t)
     matrices = impl_doc["kraus"] + [[impl_doc["env"]], t_doc["t"]]
     pairs = [pair for m in matrices for row in m for pair in row]
