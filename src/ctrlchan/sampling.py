@@ -87,7 +87,7 @@ def random_admissible_t(ch: Channel, rng: np.random.Generator) -> np.ndarray:
 def random_depolarising_t(
     d: int, rng: np.random.Generator, hs_norm_sq: float | None = None
 ) -> np.ndarray:
-    """Random matrix with Tr[T^dag T] = hs_norm_sq (default uniform in (0, 1/d])."""
+    """Random matrix with Tr[T^dag T] = hs_norm_sq (default uniform in [0, 1/d))."""
     g = _complex_gaussian((d, d), rng)
     g /= np.linalg.norm(g)
     if hs_norm_sq is None:

@@ -27,6 +27,8 @@ from ctrlchan.sampling import (
     random_density_matrix,
 )
 
+from reference import _weyl_by_powers
+
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
 
@@ -493,19 +495,6 @@ class TestWeylBasis:
             phase = np.exp(2j * np.pi * ((b * cols[on]) % d) / d)
             assert np.max(np.abs(u[on] - phase)) <= 2e-15
             assert np.max(np.abs(dagger(u) @ u - np.eye(d))) <= 1e-13
-
-
-def _weyl_by_powers(d):
-    """X^a Z^b as products of matrix powers of the shift and the clock."""
-    omega = np.exp(2j * np.pi / d)
-    x = np.zeros((d, d), dtype=complex)
-    x[(np.arange(d) + 1) % d, np.arange(d)] = 1.0
-    z = np.diag(omega ** np.arange(d))
-    return [
-        np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
-        for a in range(d)
-        for b in range(d)
-    ]
 
 
 class TestStandardChannel:

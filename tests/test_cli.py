@@ -40,10 +40,11 @@ class TestReproduce:
         assert code == 0
         assert "PASS" in out and "0.160964" in out
 
-    def test_every_registered_case_passes_quickly(self):
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_every_registered_case_passes_quickly(self, d):
         from ctrlchan.cases import CaseOptions, case_ids, run_cases
 
-        reports = run_cases(case_ids(), CaseOptions())
+        reports = run_cases(case_ids(), CaseOptions(d=d))
         assert len(reports) == 11
         for report in reports:
             assert report.passed, report

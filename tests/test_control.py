@@ -40,6 +40,8 @@ from ctrlchan.sampling import (
     random_pure_state,
 )
 
+from reference import _oracle_per_kraus, _switch_dilation, _switch_double_sum
+
 PLUS = ControlState.plus()
 
 
@@ -217,31 +219,6 @@ class TestControlledOutput:
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         assert np.allclose(f(a + 2.0j * b), f(a) + 2.0j * f(b), atol=1e-12)
-
-
-def _oracle_per_kraus(i0, i1, control, rho):
-    """The dilation oracle filled one Kraus operator at a time: for each
-    eigenvector of rho, an explicit control x target x env0 x env1 amplitude
-    tensor, with env slot 0 holding the weight outside the dilation basis."""
-    d = i0.dim
-
-    def embedded(env):
-        return np.concatenate(([np.sqrt(max(1.0 - float(np.sum(np.abs(env) ** 2)), 0.0))], env))
-
-    e0, e1 = embedded(i0.env), embedded(i1.env)
-    w, vecs = np.linalg.eigh(rho)
-    out = np.zeros((2 * d, 2 * d), dtype=complex)
-    for lam, psi in zip(w, vecs.T):
-        if lam < 1e-12:
-            continue
-        amp = np.zeros((2, d, e0.size, e1.size), dtype=complex)
-        for i, k in enumerate(i0.channel.kraus):
-            amp[0, :, i + 1, :] += control.a * np.outer(k @ psi, e1)
-        for j, l in enumerate(i1.channel.kraus):
-            amp[1, :, :, j + 1] += control.b * np.outer(l @ psi, e0)
-        joint = amp.reshape(2 * d, -1)
-        out += lam * (joint @ joint.conj().T)
-    return out
 
 
 class TestStinespringOracle:
@@ -506,32 +483,6 @@ def _random_block(d, rng):
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
-def _switch_double_sum(ch0, ch1, joint_in):
-    p0 = projector(ket(0, 2))
-    p1 = projector(ket(1, 2))
-    out = np.zeros_like(joint_in)
-    for k in ch0.kraus:
-        for l in ch1.kraus:
-            w = np.kron(p0, l @ k) + np.kron(p1, k @ l)
-            out += w @ joint_in @ dagger(w)
-    return out
-
-
-def _switch_dilation(ch0, ch1, joint_in):
-    d = ch0.dim
-    k0, k1 = len(ch0.kraus), len(ch1.kraus)
-    # isometry (control x target) -> (control x target x env0 x env1)
-    v = np.zeros((2 * d * k0 * k1, 2 * d), dtype=complex)
-    for i, k in enumerate(ch0.kraus):
-        for j, l in enumerate(ch1.kraus):
-            env = np.kron(ket(i, k0)[:, None], ket(j, k1)[:, None])
-            v += np.kron(np.kron(projector(ket(0, 2)), l @ k), env)
-            v += np.kron(np.kron(projector(ket(1, 2)), k @ l), env)
-    # trace out both environments without forming the full joint matrix
-    blocks = v.reshape(2 * d, k0 * k1, 2 * d)
-    return np.einsum("aeb,bc,dec->ad", blocks, joint_in, blocks.conj())
-
-
 class TestSwitch:
     def test_depolarising_pair_structure(self):
         # fully noisy arms still pass the input through the interference block
@@ -611,12 +562,10 @@ class TestSwitch:
             ch0 = random_channel(d, k0, rng)
             ch1 = random_channel(d, k1, rng)
             out_map = switch_map(ch0, ch1, control)
-            c = np.array([control.a, control.b])
             for x in (random_density_matrix(d, rng), _random_block(d, rng)):
-                joint_in = np.kron(np.outer(c, c.conj()), x)
                 got = out_map(x)
-                assert np.max(np.abs(got - _switch_double_sum(ch0, ch1, joint_in))) <= 1e-12
-                assert np.max(np.abs(got - _switch_dilation(ch0, ch1, joint_in))) <= 1e-12
+                assert np.max(np.abs(got - _switch_double_sum(ch0, ch1, control, x))) <= 1e-12
+                assert np.max(np.abs(got - _switch_dilation(ch0, ch1, control, x))) <= 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -626,11 +575,6 @@ class TestSwitch:
                 PLUS,
                 np.eye(2) / 2,
             )
-
-
-def _switch_reference(ch0, ch1, control, x):
-    c = np.array([control.a, control.b])
-    return _switch_double_sum(ch0, ch1, np.kron(np.outer(c, c.conj()), x))
 
 
 def _with_faint_operator(ch, rng, weight=1e-8):
@@ -655,7 +599,7 @@ class TestSwitchContraction:
         control = ControlState(amp[0], amp[1])
         out_map = switch_map(ch0, ch1, control)
         for x in (random_density_matrix(d, rng), _random_block(d, rng)):
-            ref = _switch_reference(ch0, ch1, control, x)
+            ref = _switch_double_sum(ch0, ch1, control, x)
             assert np.max(np.abs(out_map(x) - ref)) <= 1e-12
 
     def test_choi_tensor_is_the_choi_matrix(self):
@@ -684,7 +628,7 @@ class TestSwitchContraction:
         out_map = switch_map(ch0, ch1, control)
         for x in (random_density_matrix(d, rng), _random_block(d, rng)):
             got = out_map(x)
-            assert np.max(np.abs(got - _switch_reference(ch0, ch1, control, x))) <= 1e-12
+            assert np.max(np.abs(got - _switch_double_sum(ch0, ch1, control, x))) <= 1e-12
             keep = slice(index * d, (index + 1) * d)
             zeroed = got.copy()
             zeroed[keep, keep] = 0.0
@@ -752,7 +696,7 @@ class TestSwitchContraction:
             got = out_map(x)
             assert contractions == [shape]
             for idx in np.ndindex(x.shape[:-2]):
-                ref = _switch_reference(ch0, ch1, PLUS, x[idx])
+                ref = _switch_double_sum(ch0, ch1, PLUS, x[idx])
                 assert np.max(np.abs(got[idx] - ref)) <= 1e-12
 
     @pytest.mark.parametrize("k0, k1", [(2, 16), (16, 2), (9, 16), (16, 9)])
@@ -766,7 +710,7 @@ class TestSwitchContraction:
         ch1 = random_channel(d, k1, rng) if faint0 else _with_faint_operator(random_channel(d, k1 - 1, rng), rng)
         out_map = switch_map(ch0, ch1, PLUS)
         for x in (random_density_matrix(d, rng), _random_block(d, rng)):
-            ref = _switch_reference(ch0, ch1, PLUS, x)
+            ref = _switch_double_sum(ch0, ch1, PLUS, x)
             assert np.max(np.abs(out_map(x) - ref)) <= 1e-12
 
 

@@ -28,13 +28,9 @@ from ctrlchan.sampling import (
     random_pure_state,
 )
 
+from reference import spike
+
 PLUS = ControlState.plus()
-
-
-def spike(d):
-    t = np.zeros((d, d), dtype=complex)
-    t[0, 0] = 1.0 / np.sqrt(d)
-    return t
 
 
 def depolarising_instance(d):

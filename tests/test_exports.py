@@ -1,11 +1,14 @@
 """Every name the package exports is used by the program: by a module of the
-package, by a script or by the benchmark."""
+package, by a script or by the benchmark.  The references of
+``tests/reference.py`` share no code with the package and have no second
+copy in a test module."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ctrlchan"
+TESTS = ROOT / "tests"
 
 
 def exported() -> set[str]:
@@ -59,3 +62,31 @@ def test_the_choi_pseudoinverse_and_second_shannon_sum_stay_out():
         (linalg, "CONSTANT_CUTOFF"),
     ]
     assert [f"{m.__name__}.{n}" for m, n in gone if hasattr(m, n)] == []
+
+
+def test_the_reference_module_imports_only_the_input_data_classes():
+    allowed = {"Channel", "ChannelImplementation", "ControlState"}
+    imported = set()
+    for node in ast.walk(ast.parse((TESTS / "reference.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ctrlchan":
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.split(".")[0] == "ctrlchan")
+    assert sorted(imported - allowed) == []
+
+
+def test_no_test_module_defines_a_reference_again():
+    def defined(path):
+        return {
+            node.name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+
+    references = defined(TESTS / "reference.py")
+    copies = [
+        f"{path.name}:{name}"
+        for path in sorted(TESTS.glob("test_*.py"))
+        for name in sorted(defined(path) & references)
+    ]
+    assert copies == []

@@ -19,6 +19,7 @@ from ctrlchan.info import (
     switch_holevo_qubit,
     switch_holevo_qubit_gridsearch,
     _PARITY_TABLE,
+    _QUBIT_SWITCH,
     _parity_entropies,
     _parity_numbers,
     _spectrum_bits,
@@ -35,6 +36,8 @@ from ctrlchan.linalg import (
     projector,
 )
 from ctrlchan.sampling import random_density_matrix, random_env, random_pure_state
+
+from reference import literal_gridsearch
 
 PLUS = ControlState.plus()
 
@@ -343,36 +346,6 @@ class TestAnalyticBounds:
             assert cc_dephasing_bound(p) > single
 
 
-def literal_gridsearch(angle_step, prob_step, out_map=None):
-    """The grid search as a literal triple loop, with numpy's own spectra,
-    through ``out_map`` (by default the held depolarising qubit switch, so
-    that an exact tie between two points is broken on the same outputs)."""
-
-    def bits(rho):
-        w = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-        w = w[w > 0.0]
-        return float(-(w * np.log2(w)).sum())
-
-    if out_map is None:
-        import ctrlchan.info
-
-        out_map = ctrlchan.info._QUBIT_SWITCH
-    thetas = np.arange(0.0, np.pi + angle_step / 2.0, angle_step)
-    states = [np.array([np.cos(th / 2.0), np.sin(th / 2.0)], dtype=complex) for th in thetas]
-    outputs = [out_map(np.outer(s, s.conj())) for s in states]
-    entropies = [bits(out) for out in outputs]
-    best, best_point = -np.inf, None
-    for idx0 in range(len(thetas)):
-        for idx1 in range(idx0, len(thetas)):
-            for p0 in np.arange(prob_step, 1.0, prob_step):
-                avg = p0 * outputs[idx0] + (1.0 - p0) * outputs[idx1]
-                value = bits(avg) - p0 * entropies[idx0] - (1.0 - p0) * entropies[idx1]
-                if value > best:
-                    best = value
-                    best_point = (float(thetas[idx0]), float(thetas[idx1]), float(p0))
-    return best, best_point
-
-
 class TestSwitchGridSearch:
     # 0.3 and 0.77 do not divide pi and 3.5 leaves the single angle 0; the
     # probability steps 0.2 and 0.3 leave out 1/2, and 0.2 ties p with 1 - p.
@@ -385,7 +358,8 @@ class TestSwitchGridSearch:
                              ids=["1/4", "1/10", "1/20", "0.2", "0.3"])
     def test_matches_literal_loop(self, angle_step, prob_step):
         value, point = switch_holevo_qubit_gridsearch(angle_step, prob_step)
-        ref_value, ref_point = literal_gridsearch(angle_step, prob_step)
+        # through the held switch, so that an exact tie is broken on the same outputs
+        ref_value, ref_point = literal_gridsearch(angle_step, prob_step, _QUBIT_SWITCH)
         assert abs(value - ref_value) <= 1e-12
         assert point == ref_point
 
@@ -659,7 +633,7 @@ class TestParityRanking:
         verdicts = _recorded_verdicts(monkeypatch)
         value, point = switch_holevo_qubit_gridsearch(*grid)
         assert verdicts == [None]
-        ref_value, ref_point = literal_gridsearch(*grid, out_map=tilted)
+        ref_value, ref_point = literal_gridsearch(*grid, tilted)
         assert abs(value - ref_value) <= 1e-12
         assert point == ref_point
 
