@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from ctrlchan.cases import CaseOptions, case_ids, run_case
 from ctrlchan.channels import standard_channel
 from ctrlchan.cli import main
 from ctrlchan.linalg import maximally_entangled
@@ -40,15 +41,15 @@ class TestReproduce:
         assert code == 0
         assert "PASS" in out and "0.160964" in out
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_every_registered_case_passes_quickly(self, d):
-        from ctrlchan.cases import CaseOptions, case_ids, run_cases
+    def test_registry_holds_eleven_cases(self):
+        assert len(case_ids()) == 11
 
-        reports = run_cases(case_ids(), CaseOptions(d=d))
-        assert len(reports) == 11
-        for report in reports:
-            assert report.passed, report
-            assert report.runtime_ms < 10_000, report
+    @pytest.mark.parametrize("case_id", case_ids())
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_registered_case_passes_quickly(self, d, case_id):
+        report = run_case(case_id, CaseOptions(d=d))
+        assert report.passed, report
+        assert report.runtime_ms < 10_000, report
 
     def test_json_reports_are_byte_identical(self, capsys):
         args = [
