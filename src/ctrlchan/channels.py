@@ -47,7 +47,8 @@ class Channel:
     array, so ``len``, iteration and ``kraus[i]`` address single operators.
     Its deviation max |sum K^dag K - 1| is kept as ``_deviation``, and the
     first solve on it in :mod:`ctrlchan.implementations` keeps the factor of
-    its Kraus matrix as ``_kraus_factor``.
+    its Kraus matrix: ``_kraus_gram``, the Gram matrix G, until a second
+    solve on the Gram route inverts it, then ``_kraus_factor``.
     """
 
     kraus: np.ndarray

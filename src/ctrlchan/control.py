@@ -249,7 +249,7 @@ def _embedded_env(env: np.ndarray) -> np.ndarray:
     Slot 0 carries the part of the initial state outside the span of the
     dilation basis states, so subnormalised amplitude vectors embed exactly.
     """
-    weight = float(np.sum(np.abs(env) ** 2))
+    weight = float(np.vdot(env, env).real)
     rest = np.sqrt(max(1.0 - weight, 0.0))
     return np.concatenate(([rest], env))
 
@@ -280,10 +280,13 @@ def stinespring_oracle(
     e1 = _embedded_env(i1.env)
     w, vecs = np.linalg.eigh(rho)
     out = np.zeros((2 * d, 2 * d), dtype=complex)
-    # amp[c, x, m, n]: control c, target x, env0 slot m, env1 slot n; the
-    # slots a branch never writes stay zero for every eigenvector; a branch
-    # is multiplied into its slots, with no joint-sized temporary
-    amp = np.zeros((2, d, e0.size, e1.size), dtype=complex)
+    # amp[c, x, m, n]: control c, target x, env0 slot m, env1 slot n; a
+    # branch is multiplied into its slots, with no joint-sized temporary, and
+    # the two planes no branch writes, env0 slot 0 of |0> and env1 slot 0 of
+    # |1>, are zeroed once and stay zero for every eigenvector
+    amp = np.empty((2, d, e0.size, e1.size), dtype=complex)
+    amp[0, :, 0, :] = 0.0
+    amp[1, :, :, 0] = 0.0
     for lam, psi in zip(w, vecs.T):
         if lam < ORACLE_SKIP:
             continue

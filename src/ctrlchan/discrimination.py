@@ -9,6 +9,7 @@ closed form and bounded by the spectral norm of tau = T - T'.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,7 +139,7 @@ def optimal_input(t1, t1p) -> np.ndarray:
     proj = vtop @ vtop.conj().T
     for k in range(proj.shape[0]):
         column = proj[:, k]
-        weight = float(np.linalg.norm(column))
+        weight = math.sqrt(np.vdot(column, column).real)
         if weight > COLUMN_WEIGHT:
             return column / weight
     raise RuntimeError("projector onto the top eigenspace is numerically zero")

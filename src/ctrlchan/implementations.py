@@ -22,21 +22,27 @@ as |T>> in range(C) and <<T|C^+|T>> <= 1, but a solve on V decides it and
 yields the environment amplitudes, and it is conditioned by sqrt(kappa(C))
 rather than kappa(C).  Every solve and every random draw of an admissible T
 (:func:`ctrlchan.sampling.random_admissible_t`) goes through one
-factorization of V, :func:`_factor`, on one of the two routes of the
-tolerance table in ``linalg``: the Gram matrix G = V^dag V where a shifted
-Cholesky certifies it, an SVD of V otherwise.  The first draw or solve on a
-channel makes it, and the channel holds it, so it is shared by every later
-draw and solve on that channel, in any order, and freed with the channel.
-The Gram route holds G^-1 alone, k x k and so never larger than the Kraus
-stack, and forms V^dag t from the stack.  The ``dilation-d8`` benchmark
-keeps 64 drawn-on channels alive: holding V^dag as well raised its peak RSS
-by 11 to 13 %, and G^-1 alone by 4 to 5 % (``BENCH_26.json``).
+factorization of V, on one of the two routes of the tolerance table in
+``linalg``: the Gram matrix G = V^dag V where a shifted Cholesky certifies
+it, an SVD of V otherwise.  The first draw or solve on a channel makes it,
+and the channel holds it, so it is shared by every later draw and solve on
+that channel, in any order, and freed with the channel.  The Gram route
+holds G after a channel's first solve and G^-1 from its second: a channel
+solved on once, as most are in ``admissible`` calls, takes c from G by two
+LU solves and forms no inverse, while one solved on again inverts G once,
+holds G^-1 in its place and multiplies by it from then on (:func:`_factor`).
+Either is one k x k array, never larger than the Kraus stack, and V^dag t is
+formed from the stack.  The ``dilation-d8`` benchmark keeps 64 drawn-on
+channels alive: holding V^dag as well raised its peak RSS by 11 to 13 %,
+and G^-1 alone by 4 to 5 % (``BENCH_26.json``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -124,32 +130,38 @@ def _kraus_matrix(ch: Channel) -> np.ndarray:
 
 
 def _factor(ch: Channel) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """The factor of the Kraus matrix V of ``ch`` that :func:`_solve` applies
+    """The factor of the Kraus matrix V of ``ch`` that repeated solves apply
     V^+ by, read-only, on the route the tolerance table in ``linalg`` sets
-    out: G^-1 alone on the Gram route, (U_r^dag, W_r diag(1/s_r)) from the
+    out: G^-1 on the Gram route, (U_r^dag, W_r diag(1/s_r)) from the
     economy SVD V = U s W^dag on the SVD route.
 
     It is made on the first call for a channel and kept on the channel, as
     ``_kraus_factor``, beside its ``_deviation``: every later call on that
-    channel returns it, and it is freed with the channel.
+    channel returns it, and it is freed with the channel.  A channel that
+    holds G from its first solve (:func:`_solve`) has G inverted here, and
+    holds G^-1 in its place, so the channel holds one k x k array either way.
     """
     factor = ch.__dict__.get("_kraus_factor")
     if factor is None:
-        factor = _factorize(_kraus_matrix(ch))
+        factor = ch.__dict__.pop("_kraus_gram", None)
+        if factor is None:
+            factor = _factorize(_kraus_matrix(ch))
+        if not isinstance(factor, tuple):
+            factor = _frozen(np.linalg.inv(factor))[0]
         object.__setattr__(ch, "_kraus_factor", factor)
     return factor
 
 
 def _factorize(v: np.ndarray) -> np.ndarray | tuple[np.ndarray, ...]:
+    """G = V^dag V, read-only, where the shifted Cholesky certifies it;
+    otherwise the SVD factor pair of :func:`_factor`."""
     rows, k = v.shape
     if k <= rows:
         gram = v.conj().T @ v
         shifted = gram.copy()
         shifted.reshape(-1)[:: k + 1] -= GRAM_FLOOR * gram.trace().real
         if _cholesky_succeeds(shifted):
-            ginv = np.linalg.inv(gram)
-            ginv.setflags(write=False)
-            return ginv
+            return _frozen(gram)[0]
     u, s, wh = np.linalg.svd(v, full_matrices=False)
     keep = s > np.finfo(float).eps * max(rows, k) * s[0]
     return _frozen(u[:, keep].conj().T, wh[keep].conj().T / s[keep])
@@ -161,27 +173,41 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _pinv_times(ch: Channel, x: np.ndarray) -> np.ndarray:
-    """V^+ x by the factor ``ch`` holds.  On the Gram route V^dag x is formed
-    as conj(F conj(x)) from the k x d^2 stack F of flattened Kraus
-    operators, whose conjugate is V^dag: bitwise the product with V^dag,
-    since conjugation flips signs only."""
+def _pinv(ch: Channel) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> V^+ x for one solve on ``ch``.
+
+    A channel's first solve factors V.  On the Gram route it holds G, as
+    ``_kraus_gram``, and takes V^+ x = G^-1 V^dag x by ``np.linalg.solve``,
+    since an inverse would cost more than the solve it serves; every later
+    solve applies the factor of :func:`_factor`, whose first call inverts
+    the held G.  V^dag x is formed as conj(F conj(x)) from the k x d^2 stack
+    F of flattened Kraus operators, whose conjugate is V^dag: bitwise the
+    product with V^dag, since conjugation flips signs only.
+    """
+    flat = ch.kraus.reshape(len(ch.kraus), -1)
+    if "_kraus_factor" not in ch.__dict__ and "_kraus_gram" not in ch.__dict__:
+        made = _factorize(_kraus_matrix(ch))
+        if not isinstance(made, tuple):
+            object.__setattr__(ch, "_kraus_gram", made)
+            return lambda x: np.linalg.solve(made, (flat @ x.conj()).conj())
+        object.__setattr__(ch, "_kraus_factor", made)
     factor = _factor(ch)
     if isinstance(factor, tuple):
         basis_dag, m = factor
-        return m @ (basis_dag @ x)
-    flat = ch.kraus.reshape(len(ch.kraus), -1)
-    return factor @ (flat @ x.conj()).conj()
+        return lambda x: m @ (basis_dag @ x)
+    return lambda x: factor @ (flat @ x.conj()).conj()
 
 
 def _solve(ch: Channel, t):
     """Minimum-norm coefficients c = V^+ t, and the admissibility report
     they give.
 
-    c = V^+ t by the factor of :func:`_factor`, refined once by
-    c += V^+ (t - V c), on either route.  On the Gram route the certificate
-    makes c the one minimum-norm solution, which lstsq gives too.  The range
-    residual ||t - V c|| / ||t|| is computed from V itself.
+    c = V^+ t by :func:`_pinv`, refined once by c += V^+ (t - V c), on
+    either route: on the Gram route by two LU solves with G on a channel's
+    first solve, by two products with G^-1 from its second.  On the Gram
+    route the certificate makes c the one minimum-norm solution, which
+    lstsq gives too.  The range residual ||t - V c|| / ||t|| is computed
+    from V itself.
     """
     t = as_matrix(t)
     if t.shape != (ch.dim, ch.dim):
@@ -190,16 +216,19 @@ def _solve(ch: Channel, t):
         )
     v = _kraus_matrix(ch)
     tvec = t.reshape(-1)
-    # a finite t whose norm overflows is refused by name, as a non-finite one is
-    with np.errstate(over="ignore"):
-        tnorm = float(np.linalg.norm(tvec))
-    if not np.isfinite(tnorm):
+    # norms are taken by BLAS vdot, which raises no floating-point warning: a
+    # finite t whose norm overflows reads inf, a non-finite one inf or nan,
+    # and both are refused by name
+    tnorm = math.sqrt(np.vdot(tvec, tvec).real)
+    if not math.isfinite(tnorm):
         _overflows(t, "t", "a norm")
     if tnorm == 0.0:
         return AdmissibilityReport(True, 0.0, 0.0), np.zeros(v.shape[1], dtype=complex)
-    coeff = _pinv_times(ch, tvec)
-    coeff += _pinv_times(ch, tvec - v @ coeff)
-    residual = float(np.linalg.norm(tvec - v @ coeff)) / tnorm
+    pinv = _pinv(ch)
+    coeff = pinv(tvec)
+    coeff += pinv(tvec - v @ coeff)
+    rest = tvec - v @ coeff
+    residual = math.sqrt(np.vdot(rest, rest).real) / tnorm
     qform = float(np.vdot(coeff, coeff).real)
     ok = residual <= RANGE_TOL and qform <= 1.0 + BOUND_TOL
     return AdmissibilityReport(ok, residual, qform), coeff

@@ -35,17 +35,20 @@ BOUND_TOL = 1e-8
 # implementations._factor is the one factorization of the Kraus matrix V
 # (d^2 x k) behind admissible, realize and the random draws, on one of two
 # routes chosen by V alone.  Gram route: for k <= d^2, when a Cholesky of
-# G - GRAM_FLOOR tr(G) 1, G = V^dag V, succeeds, the channel holds G^-1 alone
-# (k x k, no larger than its Kraus stack) and V^dag t is formed from the stack.
+# G - GRAM_FLOOR tr(G) 1, G = V^dag V, succeeds, the channel holds G after its
+# first solve, which takes c by two LU solves with G, and G^-1 from its
+# second, which inverts G once; either is k x k, no larger than its Kraus
+# stack, and V^dag t is formed from the stack.
 # s_max^2 <= tr G, which is d for a channel (sum K^dag K = 1).  Success proves
 # lambda_min(G) above GRAM_FLOOR tr(G) less the rounding of the Gram product
 # and the Cholesky, a few k eps tr(G), five decades under it: so
 # kappa(V)^2 < 1 / GRAM_FLOOR, kappa(V) < 1e4, and V has full column rank far
-# inside the lstsq cutoff.  G^-1 V^dag t alone errs by about eps kappa(V)^2
-# relative; one refinement step from the residual on V takes that to about
-# eps kappa(V).  SVD route: every other V (k > d^2, dependent Kraus sets,
-# tiny Kraus weights) takes its economy SVD, kept to the singular values
-# above the lstsq cutoff eps * max(d^2, k) * s_max.
+# inside the lstsq cutoff.  G^-1 V^dag t alone, by the solve or by the
+# inverse, errs by about eps kappa(V)^2 relative; one refinement step from
+# the residual on V takes that to about eps kappa(V).  SVD route: every
+# other V (k > d^2, dependent Kraus sets, tiny Kraus weights) takes its
+# economy SVD, kept to the singular values above the lstsq cutoff
+# eps * max(d^2, k) * s_max.
 GRAM_FLOOR = 1e-8
 # channels.remix takes K'_i = sum_r u_ir K_r as trace-preserving, without
 # forming sum K'^dag K', when

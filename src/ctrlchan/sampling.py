@@ -74,9 +74,11 @@ def random_admissible_t(ch: Channel, rng: np.random.Generator) -> np.ndarray:
     T = sum_i c_i K_i, that is V c unvectorised.  V c is the projection of g
     onto range(V), so the direction of T is isotropic on range(V), on either
     route of the solve.  The first draw or solve on ``ch`` factors V and
-    ``ch`` keeps the factor, so later draws, and the ``realize`` calls that
-    use the drawn T, factor nothing, whatever runs in between.  A draw
-    consumes d^2 complex normals and one uniform.
+    ``ch`` keeps the factor.  On the Gram route that is G, and the second
+    draw or solve inverts it once and keeps G^-1 in its place; after that,
+    later draws, and the ``realize`` calls that use the drawn T, factor
+    nothing, whatever runs in between.  A draw consumes d^2 complex normals
+    and one uniform.
     """
     d = ch.dim
     coeff = _solve(ch, _complex_gaussian((d, d), rng))[1]

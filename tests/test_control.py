@@ -308,6 +308,32 @@ class TestStinespringOracle:
                     ref = _oracle_per_kraus(i0, i1, control, rho)
                     assert np.max(np.abs(got - ref)) <= 1e-12
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_reads_no_initial_buffer_contents(self, monkeypatch, d):
+        # every fresh buffer starts as NaN, so an entry the oracle reads
+        # without having written it shows in the output
+        rng = np.random.default_rng(210 + d)
+        empty = np.empty
+
+        def nan_filled(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            out.fill(np.nan)
+            return out
+
+        impls = [random_implementation(d, k, rng) for k in (1, d * d)]
+        amp = random_pure_state(2, rng)
+        # b = 0, a = 0, and both nonzero
+        controls = [ControlState.basis(0), ControlState.basis(1), ControlState(amp[0], amp[1])]
+        rho = random_density_matrix(d, rng)
+        for i0 in impls:
+            for i1 in impls:
+                for control in controls:
+                    ref = _oracle_per_kraus(i0, i1, control, rho)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(np, "empty", nan_filled)
+                        got = stinespring_oracle(i0, i1, control, rho).matrix
+                    assert np.max(np.abs(got - ref)) <= 1e-12
+
 
 class TestJointOutputAtTheAdmissibilityAllowance:
     @pytest.mark.xfail(

@@ -527,8 +527,9 @@ class TestFactorization:
 
 class TestGramRoute:
     """Solves on G = V^dag V with one refinement step agree with lstsq at
-    the certificate's boundary, and a draw and the solves after it make one
-    Gram inverse."""
+    the certificate's boundary.  A channel's first solve holds G and forms
+    no inverse; its second inverts G once, so a draw and the solves after
+    it make one Gram inverse."""
 
     @pytest.mark.parametrize("kind", ["phase_flip", "bit_flip"])
     @pytest.mark.parametrize("p, gram", [
@@ -543,7 +544,7 @@ class TestGramRoute:
             calls = count_factorizations(monkeypatch)
             admissible(ch, t)
             names = [name for name, _ in calls]
-            assert names == (["cholesky", "inv"] if gram else ["cholesky", "svd"])
+            assert names == (["cholesky"] if gram else ["cholesky", "svd"])
             for m in (t, 1.5 * t, off_range(ch, t, rng)):
                 residual, qform = lstsq_route(ch, m)
                 ok = residual <= RANGE_TOL and qform <= 1.0 + BOUND_TOL
@@ -579,6 +580,35 @@ class TestGramRoute:
         realize(ch, 0.5 * t)
         # the draw is a solve: it factors V, and both realize calls reuse it
         assert calls == [("cholesky", (9, 9)), ("inv", (9, 9))]
+
+    @pytest.mark.parametrize("d, k", [(2, 1), (3, 4), (4, 16)])
+    def test_one_solve_holds_g_and_forms_no_inverse(self, monkeypatch, d, k):
+        rng = np.random.default_rng(334 + k)
+        impl = random_implementation(d, k, rng)
+        ch = impl.channel
+        calls = count_factorizations(monkeypatch)
+        assert admissible(ch, impl.t).admissible
+        assert calls == [("cholesky", (k, k))]
+        v = kraus_matrix(ch)
+        gram = ch._kraus_gram
+        assert gram.shape == (k, k) and not gram.flags.writeable
+        assert np.array_equal(gram, v.conj().T @ v)
+        assert "_kraus_factor" not in vars(ch)
+
+    def test_second_solve_inverts_g_once_and_third_not(self, monkeypatch):
+        rng = np.random.default_rng(335)
+        impl = random_implementation(4, 9, rng)
+        ch, t = impl.channel, impl.t
+        first = admissible(ch, t)
+        calls = count_factorizations(monkeypatch)
+        second = admissible(ch, t)
+        assert calls == [("inv", (9, 9))]
+        # G^-1 is held in the place of G, so the channel holds one 9 x 9 array
+        assert "_kraus_gram" not in vars(ch) and _factor(ch).shape == (9, 9)
+        assert np.max(np.abs(realize(ch, t).env - impl.env)) <= 1e-12
+        assert calls == [("inv", (9, 9))]
+        assert abs(first.quadratic_form - second.quadratic_form) <= 1e-12
+        assert first.range_residual <= 1e-14 and second.range_residual <= 1e-14
 
     def test_more_kraus_operators_than_d_squared_never_take_it(self, monkeypatch):
         rng = np.random.default_rng(333)
