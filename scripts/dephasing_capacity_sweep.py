@@ -37,7 +37,7 @@ def main():
         controlled = coherent_info_bound(controlled_map(zp, xp, ControlState.plus()), nu0)
         formula = cc_dephasing_bound(p)
         single_channel = coherent_info_bound(
-            lambda m, ch=standard_channel("phase_flip", 2, p): apply(ch, m, validate=False),
+            lambda m, ch=standard_channel("phase_flip", 2, p): apply(ch, m),
             nu0,
         )
         rows.append({

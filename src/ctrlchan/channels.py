@@ -21,7 +21,6 @@ from .linalg import (
     REMIX_ROUNDING,
     SIGMA_X,
     SIGMA_Z,
-    _checked_spectrum,
     _isometry_deviation,
     _overflows,
     as_matrix,
@@ -115,24 +114,24 @@ def _unstackable(kraus) -> ValueError:
     return ValueError("kraus operators do not stack into one complex array")
 
 
-def apply(ch: Channel, rho, *, validate: bool = True) -> np.ndarray:
-    """Send a state through the channel: rho -> sum_i K_i rho K_i^dag.
+def apply(ch: Channel, rho) -> np.ndarray:
+    """The channel's linear map rho -> sum_i K_i rho K_i^dag.
 
     ``rho`` is one matrix ``(d, d)`` or a stack ``(..., d, d)``, mapped
-    matrix by matrix in two products.  The first, rho times the side-by-side
-    adjoints [K_1^dag ... K_k^dag] (d x kd), makes every rho K_i^dag at once.
-    Read as a column of kd rows, its result holds row s of rho K_i^dag at row
-    s k + i, so the second product takes it as it is, with the Kraus row
-    ordered to match: entry (x, s k + i) is K_i[x, s].  With
-    ``validate=False`` the input is used as-is, which extends the map
-    linearly to arbitrary matrices (useful when acting on operator blocks).
+    matrix by matrix in two products, and is used as-is: the map extends
+    linearly to arbitrary matrices, such as operator blocks, so a caller
+    that wants a state checked calls
+    :func:`~ctrlchan.linalg.validate_density_matrix` first.  The first
+    product, rho times the side-by-side adjoints [K_1^dag ... K_k^dag]
+    (d x kd), makes every rho K_i^dag at once.  Read as a column of kd rows,
+    its result holds row s of rho K_i^dag at row s k + i, so the second
+    product takes it as it is, with the Kraus row ordered to match: entry
+    (x, s k + i) is K_i[x, s].
     """
     rho = np.asarray(rho, dtype=complex)
     k, d, _ = ch.kraus.shape
     if rho.ndim < 2 or rho.shape[-2:] != (d, d):
         raise ValueError(f"state of shape {rho.shape} does not match dimension {d}")
-    if validate:
-        _checked_spectrum(rho)
     sides = rho @ ch.kraus.reshape(k * d, d).conj().T
     row = ch.kraus.transpose(1, 2, 0).reshape(d, d * k)
     return row @ sides.reshape(rho.shape[:-2] + (d * k, d))

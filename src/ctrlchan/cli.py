@@ -7,8 +7,10 @@ Verbs:
     info          communication figures of merit for a controlled pair
     distinguish   discriminate two dilations of one channel
 
-All randomness is derived from ``--seed``; identical inputs and seed produce
-byte-identical JSON reports.  Exit code is 0 iff every executed check passed.
+All randomness is derived from ``--seed``; under one BLAS build and thread
+count, identical inputs and seed produce byte-identical JSON reports (see
+``reproduce --help`` for what holds across them).  Exit code is 0 iff every
+executed check passed.
 """
 
 from __future__ import annotations
@@ -67,10 +69,13 @@ _CONTROL_HELP = (
 
 
 def _named(flag: str, fn, *args):
-    """``fn(*args)``, with a refusal named by ``flag``."""
+    """``fn(*args)``, with a ``ValueError`` or ``OSError`` named by ``flag``;
+    a ``SchemaError`` already names its field and passes unchanged."""
     try:
         return fn(*args)
-    except ValueError as exc:
+    except SchemaError:
+        raise
+    except (ValueError, OSError) as exc:
         raise SchemaError(flag, str(exc)) from exc
 
 
@@ -98,12 +103,7 @@ def _parse_control(text: str) -> ControlState | np.ndarray:
 
 def _read(reader, path: str, flag: str):
     """The document at ``path`` as ``reader`` reads it; every refusal is named by ``flag``."""
-    try:
-        return reader(load_json(path, flag), flag)
-    except SchemaError:
-        raise
-    except (ValueError, OSError) as exc:
-        raise SchemaError(flag, str(exc)) from exc
+    return _named(flag, lambda: reader(load_json(path, flag), flag))
 
 
 def _density_from_json(doc, field: str) -> np.ndarray:
@@ -319,7 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    rep = sub.add_parser("reproduce", help="run registered reproduction cases")
+    rep = sub.add_parser("reproduce", help="run registered reproduction cases", description=(
+        "Run registered reproduction cases. For one --seed, the JSON fields case_id, "
+        "expected, tolerance, passed, detail and all_passed are byte-identical on every "
+        "machine; computed and abs_error are byte-identical only for one BLAS build and "
+        "thread count."))
     rep.add_argument("--case", action="append", choices=sorted(case_ids()), metavar="CASE",
                      help="case id (repeatable; default: all). Known: " + ", ".join(case_ids()))
     rep.add_argument("--d", type=_int_at_least(2), default=2, help="target dimension, at least 2")

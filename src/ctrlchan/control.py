@@ -45,7 +45,6 @@ from .implementations import ChannelImplementation
 from .linalg import (
     DEFAULT_TOL,
     ORACLE_SKIP,
-    _check_density,
     _finite,
     _one_plus,
     as_matrix,
@@ -88,13 +87,12 @@ class ControlState:
 class ControlledOutput:
     """Joint control-target density matrix with named d x d block views.
 
-    The matrix is checked once, on construction, as a density matrix
-    (:func:`ctrlchan.linalg._check_density`): a valid one is accepted by its
-    Hermitian deviation, its trace and one shifted Cholesky, without the
-    stack rules, and only a matrix the Cholesky fails on pays for a
-    spectrum, which refuses it or accepts it as the spectrum check would.
-    A caller's matrix is copied; the outputs the library builds are checked
-    the same way and frozen in place.
+    The matrix is copied and checked once, on construction, as a density
+    matrix (:func:`ctrlchan.linalg.validate_density_matrix`): a valid one is
+    accepted by its Hermitian deviation, its trace and one shifted Cholesky,
+    without the stack rules, and only a matrix the Cholesky fails on pays
+    for a spectrum, which refuses it or accepts it as the spectrum check
+    would.  The copy is read-only.
     """
 
     matrix: np.ndarray
@@ -103,19 +101,8 @@ class ControlledOutput:
         m = as_matrix(self.matrix)
         if m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
             raise ValueError(f"joint output must be square with even side, got {m.shape}")
-        _check_density(m)
+        validate_density_matrix(m)
         object.__setattr__(self, "matrix", readonly(m))
-
-    @classmethod
-    def _fresh(cls, m: np.ndarray) -> "ControlledOutput":
-        """Wrap a joint output that the library has just built in a new
-        complex ``(2d, 2d)`` array: checked as the constructor checks it, then
-        frozen in place, with no copy."""
-        _check_density(m)
-        m.setflags(write=False)
-        out = object.__new__(cls)
-        object.__setattr__(out, "matrix", m)
-        return out
 
     @property
     def target_dim(self) -> int:
@@ -205,7 +192,7 @@ def _weights(control: ControlState | np.ndarray) -> tuple[float, float, complex]
 
 def _diagonal(impl: ChannelImplementation, weight: float, rho: np.ndarray) -> np.ndarray:
     """The diagonal block weight * C(rho) of one arm, for one matrix or a stack."""
-    return weight * apply(impl.channel, rho, validate=False)
+    return weight * apply(impl.channel, rho)
 
 
 def _joint(diag0, diag1, cross: complex, t0, t1, rho: np.ndarray) -> np.ndarray:
@@ -240,7 +227,7 @@ def controlled_output(
 ) -> ControlledOutput:
     """Coherently control between two channel implementations on input ``rho``."""
     rho = validate_density_matrix(rho)
-    return ControlledOutput._fresh(controlled_map(i0, i1, control)(rho))
+    return ControlledOutput(controlled_map(i0, i1, control)(rho))
 
 
 def _embedded_env(env: np.ndarray) -> np.ndarray:
@@ -296,7 +283,7 @@ def stinespring_oracle(
         np.multiply(control.b * (kraus1 @ psi).T[:, None, :], e0[:, None], out=amp[1, :, :, 1:])
         joint = amp.reshape(2 * d, -1)
         out += lam * (joint @ joint.conj().T)
-    return ControlledOutput._fresh(out)
+    return ControlledOutput(out)
 
 
 def _transfer_matrix(g: np.ndarray) -> np.ndarray:
@@ -398,4 +385,4 @@ def switch_output(
 ) -> ControlledOutput:
     """Send ``rho`` through the two channels in a controlled order superposition."""
     rho = validate_density_matrix(rho)
-    return ControlledOutput._fresh(switch_map(ch0, ch1, control)(rho))
+    return ControlledOutput(switch_map(ch0, ch1, control)(rho))

@@ -90,8 +90,8 @@ def output_distance(
         diag_b = diag_a
     else:
         diag_b = _diagonal(inst.candidate_b, w1, rho)
-    out_a = ControlledOutput._fresh(_joint(diag0, diag_a, cross, t0, ta, rho))
-    out_b = ControlledOutput._fresh(_joint(diag0, diag_b, cross, t0, tb, rho))
+    out_a = ControlledOutput(_joint(diag0, diag_a, cross, t0, ta, rho))
+    out_b = ControlledOutput(_joint(diag0, diag_b, cross, t0, tb, rho))
     direct = 0.5 * trace_norm(out_a.matrix - out_b.matrix)
 
     tau = ta - tb

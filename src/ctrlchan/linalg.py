@@ -37,8 +37,9 @@ BOUND_TOL = 1e-8
 # routes chosen by V alone.  Gram route: for k <= d^2, when a Cholesky of
 # G - GRAM_FLOOR tr(G) 1, G = V^dag V, succeeds, the channel holds G after its
 # first solve, which takes c by two LU solves with G, and G^-1 from its
-# second, which inverts G once; either is k x k, no larger than its Kraus
-# stack, and V^dag t is formed from the stack.
+# second, which inverts G once, or from a random draw, which inverts it at
+# once; either is k x k, no larger than its Kraus stack, and V^dag t is
+# formed from the stack.
 # s_max^2 <= tr G, which is d for a channel (sum K^dag K = 1).  Success proves
 # lambda_min(G) above GRAM_FLOOR tr(G) less the rounding of the Gram product
 # and the Cholesky, a few k eps tr(G), five decades under it: so
@@ -225,23 +226,12 @@ def _one_plus(x) -> str:
 def validate_density_matrix(rho) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return the coerced array.
 
-    The verdict and every message are those of :func:`_checked_spectrum`, but
-    a valid state is accepted by :func:`_check_density` without the stack
-    rules and without an eigendecomposition.
-    """
-    rho = as_matrix(rho)
-    _check_density(rho)
-    return rho
-
-
-def _check_density(rho: np.ndarray) -> None:
-    """Refuse one complex matrix that is not a density matrix, as
-    :func:`_checked_spectrum` would, without its spectrum when it is one.
-
-    A square matrix of nonzero side has its Hermitian deviation and trace
-    compared here as :func:`_density_rules` compares them; only a matrix
-    that fails a rule, or is not such a matrix, goes through those rules,
-    which refuse it by name.  So a valid state is accepted without them.
+    The verdict and every message are those of :func:`_checked_spectrum`,
+    but a valid state is accepted without the stack rules and without an
+    eigendecomposition.  A square matrix of nonzero side has its Hermitian
+    deviation and trace compared here as :func:`_density_rules` compares
+    them; only a matrix that fails a rule, or is not such a matrix, goes
+    through those rules, which refuse it by name.
 
     A Cholesky factor of ``rho + (DEFAULT_TOL / 2) 1`` exists only if no
     eigenvalue lies at or below ``-DEFAULT_TOL / 2``, up to rounding far
@@ -251,6 +241,7 @@ def _check_density(rho: np.ndarray) -> None:
     The Cholesky reads the lower triangle, as ``eigvalsh`` does, so both
     judge the same matrix; success is :func:`_cholesky_succeeds`.
     """
+    rho = as_matrix(rho)
     n = rho.shape[0]
     fits = False
     if n and rho.shape == (n, n):
@@ -268,6 +259,7 @@ def _check_density(rho: np.ndarray) -> None:
         shifted = rho + (DEFAULT_TOL / 2) * np.eye(rho.shape[-1])
     if not _cholesky_succeeds(shifted):
         _refuse_negative(np.linalg.eigvalsh(rho))
+    return rho
 
 
 def _cholesky_succeeds(m: np.ndarray) -> bool:
@@ -290,7 +282,7 @@ def _checked_spectrum(rho) -> np.ndarray:
 
     Every matrix is checked first by :func:`_density_rules` and then by
     :func:`_refuse_negative`.  This is the reference check: the one-matrix
-    :func:`_check_density` gives its verdicts and messages.
+    :func:`validate_density_matrix` gives its verdicts and messages.
     """
     rho = _density_rules(rho)
     w = np.linalg.eigvalsh(rho)

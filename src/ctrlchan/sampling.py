@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import Channel
-from .implementations import ChannelImplementation, _solve
+from .implementations import ChannelImplementation, _factor, _solve
 
 
 def _complex_gaussian(shape, rng: np.random.Generator) -> np.ndarray:
@@ -73,14 +73,16 @@ def random_admissible_t(ch: Channel, rng: np.random.Generator) -> np.ndarray:
     quadratic form ||c||^2 lands uniformly in [0, 1), and returns
     T = sum_i c_i K_i, that is V c unvectorised.  V c is the projection of g
     onto range(V), so the direction of T is isotropic on range(V), on either
-    route of the solve.  The first draw or solve on ``ch`` factors V and
-    ``ch`` keeps the factor.  On the Gram route that is G, and the second
-    draw or solve inverts it once and keeps G^-1 in its place; after that,
-    later draws, and the ``realize`` calls that use the drawn T, factor
-    nothing, whatever runs in between.  A draw consumes d^2 complex normals
-    and one uniform.
+    route of the solve.  A draw takes the final factor of V at once, by
+    :func:`~ctrlchan.implementations._factor`, which ``ch`` keeps: on the
+    Gram route G^-1, where a lone solve would hold G and take two LU
+    solves, since a draw is nearly always followed by a ``realize`` on the
+    same channel.  Later draws, and the ``realize`` calls that use the drawn
+    T, factor nothing, whatever runs in between.  A draw consumes d^2
+    complex normals and one uniform.
     """
     d = ch.dim
+    _factor(ch)
     coeff = _solve(ch, _complex_gaussian((d, d), rng))[1]
     coeff *= np.sqrt(rng.uniform(0.0, 1.0) / float(np.vdot(coeff, coeff).real))
     return np.tensordot(coeff, ch.kraus, axes=1)

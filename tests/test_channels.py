@@ -135,10 +135,6 @@ class TestApply:
         assert np.allclose(out, expected, atol=1e-14)
         assert np.allclose(out, np.eye(2) / 2, atol=1e-14)
 
-    def test_rejects_invalid_state(self):
-        with pytest.raises(ValueError):
-            apply(standard_channel("identity", 2), np.eye(2))
-
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             apply(standard_channel("identity", 2), np.eye(3) / 3)
@@ -148,7 +144,7 @@ class TestApply:
         rng = np.random.default_rng(2)
         ch = random_channel(d, k, rng)
         blocks = rng.standard_normal((2, 3, d, d)) + 1j * rng.standard_normal((2, 3, d, d))
-        got = apply(ch, blocks, validate=False)
+        got = apply(ch, blocks)
         assert got.shape == blocks.shape
         for idx in np.ndindex(blocks.shape[:-2]):
             ref = sum(k @ blocks[idx] @ dagger(k) for k in ch.kraus)
@@ -158,9 +154,6 @@ class TestApply:
         ch = standard_channel("identity", 2)
         states = np.stack([np.eye(2) / 2, np.eye(2) / 2])
         assert apply(ch, states).shape == (2, 2, 2)
-        states[1] = np.eye(2)
-        with pytest.raises(ValueError, match="trace"):
-            apply(ch, states)
         with pytest.raises(ValueError, match="does not match dimension"):
             apply(ch, np.zeros((2, 3, 3)))
 

@@ -17,7 +17,7 @@ from ctrlchan.discrimination import (
     trace_distance,
 )
 from ctrlchan.implementations import realize, standard_implementation
-from ctrlchan.linalg import SIGMA_X, ket, projector, trace_norm
+from ctrlchan.linalg import COLUMN_WEIGHT, SIGMA_X, ket, projector, trace_norm
 from ctrlchan.sampling import (
     haar_isometry,
     random_admissible_t,
@@ -135,27 +135,21 @@ class TestOutputDistance:
 
 
     def test_validates_rho_once_and_checks_each_output(self, monkeypatch):
-        # each joint output is built fresh, so it is checked in place by
-        # control._check_density rather than copied by the constructor
-        validations = []
-        outputs = []
+        # rho is 2 x 2 and each joint output 4 x 4, so the one spy tells
+        # the input's check from the outputs' by shape
+        calls = []
 
         def counting(rho, *args, **kwargs):
-            validations.append(rho)
+            calls.append(rho)
             return linalg.validate_density_matrix(rho, *args, **kwargs)
-
-        def checked(m):
-            outputs.append(m)
-            linalg._check_density(m)
 
         for module in (control, discrimination):
             monkeypatch.setattr(module, "validate_density_matrix", counting)
-        monkeypatch.setattr(control, "_check_density", checked)
         inst, _ = depolarising_instance(2)
         value = output_distance(inst, PLUS, projector(ket(0, 2)))
         assert abs(value - 1.0 / np.sqrt(2.0)) <= 1e-10
-        assert len(validations) == 1
-        assert len(outputs) == 2
+        assert len([m for m in calls if np.shape(m) == (2, 2)]) == 1
+        assert len([m for m in calls if np.shape(m) == (4, 4)]) == 2
 
     @pytest.mark.parametrize("d", [2, 8])
     @pytest.mark.parametrize("amplitudes", [None, (0.6, 0.8j)], ids=["plus", "0.6,0.8i"])
@@ -241,6 +235,25 @@ class TestOptimalInput:
         # tau^dag tau proportional to the identity: lowest-index convention
         v = optimal_input(SIGMA_X, -SIGMA_X)
         assert np.allclose(v, ket(0, 2))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_top_eigenvector_with_its_phase_fixed(self, seed):
+        # tau = |0><v| + 0.3 |1><w|, w orthogonal to v, so tau^dag tau has the
+        # top eigenvector v, whose e0 component 1e-9 lies below COLUMN_WEIGHT:
+        # the phase is fixed by the next component, which must come out real
+        # and positive whatever phase eigh returns v with
+        rng = np.random.default_rng(seed)
+        v = np.concatenate(([1e-9], random_pure_state(2, rng)))
+        h = random_pure_state(3, rng)
+        w = h - v * np.vdot(v, h)
+        w /= np.linalg.norm(w)
+        tau = np.outer(ket(0, 3), v.conj()) + 0.3 * np.outer(ket(1, 3), w.conj())
+        psi = optimal_input(tau, np.zeros((3, 3)))
+        gram = tau.conj().T @ tau
+        top = np.linalg.eigvalsh(gram)[-1]
+        assert np.max(np.abs(gram @ psi - top * psi)) <= 1e-12
+        lead = psi[np.abs(psi) > COLUMN_WEIGHT][0]
+        assert lead.real > 0.0 and abs(lead.imag) <= 1e-12
 
     def test_empty_matrices_rejected(self):
         with pytest.raises(ValueError, match=r"^t1 and t1p are empty: shape \(0, 0\)$"):

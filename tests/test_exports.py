@@ -60,6 +60,8 @@ def test_the_choi_pseudoinverse_and_second_shannon_sum_stay_out():
         (control, "_sandwich_order"),
         (serialization, "implementation_to_json"),
         (linalg, "CONSTANT_CUTOFF"),
+        (linalg, "_check_density"),
+        (control.ControlledOutput, "_fresh"),
     ]
     assert [f"{m.__name__}.{n}" for m, n in gone if hasattr(m, n)] == []
 

@@ -581,6 +581,24 @@ class TestGramRoute:
         # the draw is a solve: it factors V, and both realize calls reuse it
         assert calls == [("cholesky", (9, 9)), ("inv", (9, 9))]
 
+    def test_draw_takes_the_gram_inverse_at_once(self, monkeypatch):
+        # a draw is nearly always followed by realize on the same channel, so
+        # it inverts G at once: no LU solve with G, in the draw or after it
+        rng = np.random.default_rng(336)
+        ch = random_channel(4, 9, rng)
+        solves = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            solves.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        t = random_admissible_t(ch, rng)
+        realize(ch, t)
+        realize(ch, 0.5 * t)
+        assert solves == []
+
     @pytest.mark.parametrize("d, k", [(2, 1), (3, 4), (4, 16)])
     def test_one_solve_holds_g_and_forms_no_inverse(self, monkeypatch, d, k):
         rng = np.random.default_rng(334 + k)

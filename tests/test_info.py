@@ -341,7 +341,7 @@ class TestAnalyticBounds:
         nu0 = maximally_entangled(2)
         for p in np.arange(0.05, 1.0, 0.05):
             ch = standard_channel("phase_flip", 2, p)
-            single = coherent_info_bound(lambda m: apply(ch, m, validate=False), nu0)
+            single = coherent_info_bound(lambda m: apply(ch, m), nu0)
             assert abs(single - (1.0 - binary_entropy(p))) <= 1e-9
             assert cc_dephasing_bound(p) > single
 
