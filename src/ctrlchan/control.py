@@ -87,22 +87,21 @@ class ControlState:
 class ControlledOutput:
     """Joint control-target density matrix with named d x d block views.
 
-    The matrix is copied and checked once, on construction, as a density
-    matrix (:func:`ctrlchan.linalg.validate_density_matrix`): a valid one is
-    accepted by its Hermitian deviation, its trace and one shifted Cholesky,
-    without the stack rules, and only a matrix the Cholesky fails on pays
-    for a spectrum, which refuses it or accepts it as the spectrum check
-    would.  The copy is read-only.
+    The matrix is copied once, to a read-only complex array, and the copy is
+    checked once as a density matrix (:func:`ctrlchan.linalg.validate_density_matrix`):
+    a valid one is accepted by its Hermitian deviation, its trace and one
+    shifted Cholesky, and only a matrix the Cholesky fails on pays for a
+    spectrum, which refuses it or accepts it as the spectrum check would.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
+        m = as_matrix(readonly(self.matrix))
         if m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
             raise ValueError(f"joint output must be square with even side, got {m.shape}")
         validate_density_matrix(m)
-        object.__setattr__(self, "matrix", readonly(m))
+        object.__setattr__(self, "matrix", m)
 
     @property
     def target_dim(self) -> int:

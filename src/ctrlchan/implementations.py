@@ -160,8 +160,9 @@ def _factorize(v: np.ndarray) -> np.ndarray | tuple[np.ndarray, ...]:
         gram = v.conj().T @ v
         shifted = gram.copy()
         shifted.reshape(-1)[:: k + 1] -= GRAM_FLOOR * gram.trace().real
-        if _cholesky_succeeds(shifted):
-            return _frozen(gram)[0]
+        with np.errstate(invalid="ignore", over="ignore"):
+            if _cholesky_succeeds(shifted):
+                return _frozen(gram)[0]
     u, s, wh = np.linalg.svd(v, full_matrices=False)
     keep = s > np.finfo(float).eps * max(rows, k) * s[0]
     return _frozen(u[:, keep].conj().T, wh[keep].conj().T / s[keep])

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 
 # Every tolerance of the package, each named once with its reason; cases.py
 # states each reproduction case's own.
@@ -21,7 +22,8 @@ import numpy as np
 # A state check shifts rho by DEFAULT_TOL / 2 before its Cholesky: the shift
 # must stay below DEFAULT_TOL, so that success proves lambda_min > -DEFAULT_TOL,
 # and far above the rounding of the factorization (a few n * eps), so that a
-# singular state, such as a pure one, factors without a spectrum.
+# singular state, such as a pure one, factors without a spectrum.  It and the
+# Gram certificate below share one success rule, _cholesky_succeeds.
 DEFAULT_TOL = 1e-9
 # Rounding in t alone moves the least-squares coefficients by about
 # eps * kappa(V) relative, so the quadratic form of a T with ||env|| = 1 reads
@@ -229,51 +231,49 @@ def validate_density_matrix(rho) -> np.ndarray:
     The verdict and every message are those of :func:`_checked_spectrum`,
     but a valid state is accepted without the stack rules and without an
     eigendecomposition.  A square matrix of nonzero side has its Hermitian
-    deviation and trace compared here as :func:`_density_rules` compares
-    them; only a matrix that fails a rule, or is not such a matrix, goes
-    through those rules, which refuse it by name.
+    deviation and trace, summed from the diagonal of its shifted copy,
+    compared as :func:`_density_rules` compares them; any other matrix, and
+    one that fails a rule, takes the reference check, whose rules refuse it.
 
-    A Cholesky factor of ``rho + (DEFAULT_TOL / 2) 1`` exists only if no
+    A matrix that passes both is factored under the same ``errstate``: a
+    Cholesky factor of ``rho + (DEFAULT_TOL / 2) 1`` exists only if no
     eigenvalue lies at or below ``-DEFAULT_TOL / 2``, up to rounding far
-    below ``DEFAULT_TOL / 2``, so success accepts what the spectrum would.
-    Only when it fails is the spectrum taken, to refuse with its lowest
-    eigenvalue or to accept one in ``[-DEFAULT_TOL, -DEFAULT_TOL / 2]``.
-    The Cholesky reads the lower triangle, as ``eigvalsh`` does, so both
-    judge the same matrix; success is :func:`_cholesky_succeeds`.
+    below it, so success (:func:`_cholesky_succeeds`) accepts what the
+    spectrum would.  Only failure takes the spectrum, to refuse with its
+    lowest eigenvalue or accept one in ``[-DEFAULT_TOL, -DEFAULT_TOL / 2]``.
+    The Cholesky reads the lower triangle, as ``eigvalsh`` does.
     """
     rho = as_matrix(rho)
     n = rho.shape[0]
     fits = False
     if n and rho.shape == (n, n):
-        with np.errstate(invalid="ignore", over="ignore"):
-            herm = np.abs(rho - rho.T.conj()).max()
-            tr = rho.trace()
-        fits = herm <= DEFAULT_TOL and abs(tr - 1.0) <= DEFAULT_TOL
-    if fits:
         # the shift added in place on the diagonal of a copy; unlike rho + shift * 1
         # it keeps each -0.0 off the diagonal, a sign no pivot depends on
         shifted = rho.copy()
-        shifted.reshape(-1)[:: n + 1] += DEFAULT_TOL / 2
-    else:
-        rho = _density_rules(rho)
-        shifted = rho + (DEFAULT_TOL / 2) * np.eye(rho.shape[-1])
-    if not _cholesky_succeeds(shifted):
+        diag = shifted.reshape(-1)[:: n + 1]
+        with np.errstate(invalid="ignore", over="ignore"):
+            herm = np.abs(rho - rho.T.conj()).max()
+            tr = diag.sum()
+            diag += DEFAULT_TOL / 2
+            fits = herm <= DEFAULT_TOL and abs(tr - 1.0) <= DEFAULT_TOL
+            factors = fits and _cholesky_succeeds(shifted)
+    if not fits:
+        _checked_spectrum(rho)
+    elif not factors:
         _refuse_negative(np.linalg.eigvalsh(rho))
     return rho
 
 
 def _cholesky_succeeds(m: np.ndarray) -> bool:
-    """True when ``np.linalg.cholesky`` factors ``m`` with a finite last pivot.
+    """True when ``np.linalg.cholesky`` would factor the square ``m`` with
+    a finite last pivot, decided by the LAPACK kernel that it calls.
 
-    Entries that overflow when squared give a NaN pivot without a failure,
-    and a NaN pivot makes every later one NaN, so success needs a finite
-    last pivot as well as no ``LinAlgError``.
+    Call it under ``np.errstate(invalid="ignore", over="ignore")``: a failed
+    factorization then returns NaNs, and entries whose squares overflow give
+    a NaN pivot without failing; a NaN pivot makes every later one NaN, so a
+    finite last pivot is the one success rule.
     """
-    try:
-        factor = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return False
-    return cmath.isfinite(factor[-1, -1])
+    return cmath.isfinite(_cholesky_lo(m, signature="D->D")[-1, -1])
 
 
 def _checked_spectrum(rho) -> np.ndarray:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ctrlchan import implementations
 from ctrlchan.channels import choi_of, remix, standard_channel, weyl_basis
 from ctrlchan.implementations import (
     BOUND_TOL,
@@ -367,20 +368,23 @@ class TestLstsqParity:
 
 def count_factorizations(monkeypatch):
     """Record (name, shape) of every call to the ``np.linalg`` functions
-    ``qr``, ``svd``, ``eigh``, ``cholesky`` and ``inv``."""
+    ``qr``, ``svd``, ``eigh``, ``cholesky`` and ``inv``, and of every Gram
+    certificate, which factors by LAPACK's Cholesky kernel through
+    ``implementations._cholesky_succeeds``, as ``cholesky``."""
     calls = []
 
-    def counting(name):
-        fn = getattr(np.linalg, name)
+    def counting(module, attr, name):
+        fn = getattr(module, attr)
 
         def counted(a, *args, **kwargs):
             calls.append((name, a.shape))
             return fn(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(module, attr, counted)
 
     for name in ("qr", "svd", "eigh", "cholesky", "inv"):
-        counting(name)
+        counting(np.linalg, name, name)
+    counting(implementations, "_cholesky_succeeds", "cholesky")
     return calls
 
 

@@ -1,5 +1,6 @@
 """Tests for the dense linear-algebra primitives."""
 
+import cmath
 import io
 import re
 import tokenize
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 from ctrlchan import linalg
 from ctrlchan.control import ControlledOutput
@@ -59,6 +61,26 @@ class TestPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             partial_trace(np.eye(5), 2, 2)
+
+
+class TestKet:
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_index_out_of_range_refused(self, index):
+        with pytest.raises(ValueError, match=f"^basis index {index} out of range for dimension 3$"):
+            ket(index, 3)
+
+
+class TestIsometryDeviation:
+    @pytest.mark.parametrize("rows, cols", [(3, 3), (5, 3)])
+    def test_is_the_largest_entry_of_u_dag_u_minus_one(self, rows, cols):
+        u = haar_isometry(rows, cols, np.random.default_rng(rows))
+        u[:, -1] *= 1.0 + 1e-6
+        expected = np.max(np.abs(u.conj().T @ u - np.eye(cols)))
+        assert 1e-6 < expected < 1e-5
+        assert linalg._isometry_deviation(u, "u") == expected
+
+    def test_more_columns_than_rows_is_infinite(self):
+        assert linalg._isometry_deviation(np.zeros((2, 3), dtype=complex), "u") == np.inf
 
 
 class TestNorms:
@@ -117,6 +139,12 @@ class TestValidateDensityMatrix:
             validate_density_matrix(np.diag([0.5 + 2e-9, 0.5 + 2e-9]))
         with pytest.raises(ValueError, match=r"trace 1 - 3\.000e-09, expected 1"):
             validate_density_matrix(np.diag([0.5, 0.5 - 3e-9]))
+
+    def test_imaginary_trace_deviation_is_printed(self):
+        # Hermitian within tolerance (6e-10), while the imaginary parts of the
+        # diagonal add up past it; the real part deviates by exactly 0
+        with pytest.raises(ValueError, match=r"trace 1 \+ 0\.000e\+00 \+ 1\.200e-09j, expected 1"):
+            validate_density_matrix(np.diag([0.25 + 3e-10j] * 4))
 
     def test_rejects_non_hermitian(self):
         m = np.array([[0.5, 0.5], [0.0, 0.5]])
@@ -210,6 +238,19 @@ def rules_calls(monkeypatch):
         return rules(rho)
 
     monkeypatch.setattr(linalg, "_density_rules", counted)
+    return calls
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    calls = []
+    succeeds = linalg._cholesky_succeeds
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return succeeds(m)
+
+    monkeypatch.setattr(linalg, "_cholesky_succeeds", counted)
     return calls
 
 
@@ -335,6 +376,24 @@ class TestShiftedCholeskyCheck:
 
     @pytest.mark.parametrize("check", ONE_MATRIX_CHECKS.values(), ids=ONE_MATRIX_CHECKS)
     @pytest.mark.parametrize("d", [2, 8, 16])
+    def test_no_factorization_for_a_rule_refusal(self, cholesky_calls, check, d):
+        # a rule refusal ends the check; only a state that passes both rules
+        # is factored, once, and refused by its spectrum
+        n = 2 * d if check is ControlledOutput else d
+        for name, (m, _) in refused_states(n).items():
+            cholesky_calls.clear()
+            assert verdict(check, m) is not None, name
+            by_spectrum = name == "squares overflow"
+            assert (verdict(_density_rules, m) is None) == by_spectrum, name
+            assert cholesky_calls == ([m.shape] if by_spectrum else []), name
+        spectrum = np.concatenate([[1.5, -0.5], np.zeros(n - 2)])
+        negative = rotated_spectrum(spectrum, np.random.default_rng(d))
+        cholesky_calls.clear()
+        assert "negative eigenvalue -5.000e-01" in verdict(check, negative)
+        assert cholesky_calls == [(n, n)]
+
+    @pytest.mark.parametrize("check", ONE_MATRIX_CHECKS.values(), ids=ONE_MATRIX_CHECKS)
+    @pytest.mark.parametrize("d", [2, 8, 16])
     def test_refusals_match_the_spectrum(self, check, d):
         n = 2 * d if check is ControlledOutput else d
         bad = refused_states(n)
@@ -358,6 +417,73 @@ class TestShiftedCholeskyCheck:
         ):
             with pytest.raises(ValueError, match=text):
                 _checked_spectrum(np.array([mixed, m, mixed]))
+
+
+def numpy_cholesky_succeeds(m):
+    """The success rule read from the public ``np.linalg.cholesky``."""
+    try:
+        factor = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return cmath.isfinite(factor[-1, -1])
+
+
+def cholesky_inputs(n, real, rng):
+    """Side-n matrices on both sides of the Cholesky's success rule, real or
+    complex, each with the verdict it has at every n >= 2 (None: parity only)."""
+    g = rng.standard_normal((n, n))
+    if not real:
+        g = g + 1j * rng.standard_normal((n, n))
+    q = np.linalg.qr(g)[0]
+
+    def spectrum(w):
+        return (q * np.asarray(w)) @ q.conj().T
+
+    shift = (DEFAULT_TOL / 2) * np.eye(n)
+    definite = spectrum(rng.uniform(0.5, 1.5, n))
+    nan_lower, nan_upper, overflow = definite.copy(), definite.copy(), definite.copy()
+    nan_lower[n - 1, 0] = np.nan
+    nan_upper[0, n - 1] = np.nan
+    big = 1e200 if real else 1e200 * (1 + 1j)
+    overflow[n - 1, 0], overflow[0, n - 1] = big, np.conj(big)
+    return {
+        "positive definite": (definite, True),
+        "positive definite, transposed view": (definite.T, True),
+        "singular plus the shift": (spectrum(np.r_[0.0, np.ones(n - 1)]) + shift, True),
+        "pure plus the shift": (spectrum(np.r_[1.0, np.zeros(n - 1)]) + shift, True),
+        "indefinite": (spectrum(np.r_[-0.5, np.ones(n - 1)]), False),
+        "NaN in the lower triangle": (nan_lower, False),
+        "NaN in the upper triangle": (nan_upper, None),
+        "squares overflow": (overflow, None),
+    }
+
+
+class TestCholeskyKernel:
+    """``linalg._cholesky_succeeds`` calls a private numpy kernel; these pin it
+    to the public ``np.linalg.cholesky`` it stands in for."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [1, 2, 8, 16, 32])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_agrees_with_numpy_cholesky(self, n, real):
+        for name, (m, expected) in cholesky_inputs(n, real, np.random.default_rng(n)).items():
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = linalg._cholesky_succeeds(m)
+            assert got == numpy_cholesky_succeeds(m), name
+            if expected is not None:
+                assert got == expected, name
+
+    def test_is_the_kernel_numpy_cholesky_calls(self, monkeypatch):
+        called = []
+        kernel = _umath_linalg.cholesky_lo
+
+        def spy(*args, **kwargs):
+            called.append(kernel)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(_umath_linalg, "cholesky_lo", spy)
+        np.linalg.cholesky(np.eye(3, dtype=complex))
+        assert called == [linalg._cholesky_lo]
 
 
 class TestToleranceTable:
