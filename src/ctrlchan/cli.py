@@ -40,6 +40,7 @@ from .implementations import admissible, realize, standard_implementation
 from .info import Ensemble, coherent_info_bound, holevo_lower_bound
 from .linalg import (
     SATURATION_TOL,
+    _eigvalsh,
     ket,
     maximally_entangled,
     projector,
@@ -113,7 +114,7 @@ def _density_from_json(doc, field: str) -> np.ndarray:
 
 def _matrix_report(out: ControlledOutput) -> dict:
     matrix = out.matrix
-    w = np.linalg.eigvalsh(matrix)
+    w = _eigvalsh(matrix)
     return {
         "matrix": matrix_to_json(matrix),
         "blocks": {

@@ -45,8 +45,11 @@ from .implementations import ChannelImplementation
 from .linalg import (
     DEFAULT_TOL,
     ORACLE_SKIP,
+    _density_rules,
+    _eigh,
     _finite,
     _one_plus,
+    _refuse_negative,
     as_matrix,
     dagger,
     readonly,
@@ -92,16 +95,24 @@ class ControlledOutput:
     a valid one is accepted by its Hermitian deviation, its trace and one
     shifted Cholesky, and only a matrix the Cholesky fails on pays for a
     spectrum, which refuses it or accepts it as the spectrum check would.
+    The outputs the library builds are checked alike and frozen in place,
+    uncopied, since no caller holds them.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_matrix(readonly(self.matrix))
-        if m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
-            raise ValueError(f"joint output must be square with even side, got {m.shape}")
-        validate_density_matrix(m)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _joint_output(readonly(self.matrix)))
+
+    @classmethod
+    def _adopt(cls, m: np.ndarray) -> "ControlledOutput":
+        """The output on a fresh complex matrix that no caller holds, as the
+        library's maps build them: checked as the constructor checks its
+        copy, then frozen in place, with no copy."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "matrix", _joint_output(m))
+        m.setflags(write=False)
+        return out
 
     @property
     def target_dim(self) -> int:
@@ -126,6 +137,15 @@ class ControlledOutput:
     def offdiag10(self) -> np.ndarray:
         d = self.target_dim
         return self.matrix[d:, :d]
+
+
+def _joint_output(m: np.ndarray) -> np.ndarray:
+    """Refuse a complex array that is not a square matrix of even side or
+    not a density matrix; return it."""
+    m = as_matrix(m)
+    if m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
+        raise ValueError(f"joint output must be square with even side, got {m.shape}")
+    return validate_density_matrix(m)
 
 
 def _common_dim(i0: ChannelImplementation, i1: ChannelImplementation) -> int:
@@ -226,7 +246,7 @@ def controlled_output(
 ) -> ControlledOutput:
     """Coherently control between two channel implementations on input ``rho``."""
     rho = validate_density_matrix(rho)
-    return ControlledOutput(controlled_map(i0, i1, control)(rho))
+    return ControlledOutput._adopt(controlled_map(i0, i1, control)(rho))
 
 
 def _embedded_env(env: np.ndarray) -> np.ndarray:
@@ -254,17 +274,23 @@ def stinespring_oracle(
     stays in its initial state, and vice versa.  Each branch is one product
     over all Kraus operators at once, written straight into the joint state.
     Both environments are then traced out and the results mixed with the
-    eigenvalues of ``rho``.
+    eigenvalues of ``rho``.  That eigendecomposition checks ``rho`` too: it
+    refuses, with the same messages, every matrix that
+    :func:`ctrlchan.linalg.validate_density_matrix` refuses.
     """
     if not isinstance(control, ControlState):
         raise ValueError("stinespring_oracle needs a pure ControlState control")
     d = _common_dim(i0, i1)
-    rho = _map_input(validate_density_matrix(rho), d)
+    # rho is checked on the eigendecomposition the dilation needs anyway: the
+    # rules of validate_density_matrix, with its messages, then the spectrum
+    rho = _density_rules(as_matrix(rho))
+    w, vecs = _eigh(rho)
+    _refuse_negative(w)
+    _map_input(rho, d)
     kraus0 = i0.channel.kraus
     kraus1 = i1.channel.kraus
     e0 = _embedded_env(i0.env)
     e1 = _embedded_env(i1.env)
-    w, vecs = np.linalg.eigh(rho)
     out = np.zeros((2 * d, 2 * d), dtype=complex)
     # amp[c, x, m, n]: control c, target x, env0 slot m, env1 slot n; a
     # branch is multiplied into its slots, with no joint-sized temporary, and
@@ -282,7 +308,7 @@ def stinespring_oracle(
         np.multiply(control.b * (kraus1 @ psi).T[:, None, :], e0[:, None], out=amp[1, :, :, 1:])
         joint = amp.reshape(2 * d, -1)
         out += lam * (joint @ joint.conj().T)
-    return ControlledOutput(out)
+    return ControlledOutput._adopt(out)
 
 
 def _transfer_matrix(g: np.ndarray) -> np.ndarray:
@@ -384,4 +410,4 @@ def switch_output(
 ) -> ControlledOutput:
     """Send ``rho`` through the two channels in a controlled order superposition."""
     rho = validate_density_matrix(rho)
-    return ControlledOutput(switch_map(ch0, ch1, control)(rho))
+    return ControlledOutput._adopt(switch_map(ch0, ch1, control)(rho))

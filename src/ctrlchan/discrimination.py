@@ -23,6 +23,7 @@ from .linalg import (
     DEFAULT_TOL,
     DEGENERACY_TOL,
     DISTANCE_WINDOW,
+    _eigh,
     as_matrix,
     dagger,
     spectral_norm,
@@ -90,8 +91,8 @@ def output_distance(
         diag_b = diag_a
     else:
         diag_b = _diagonal(inst.candidate_b, w1, rho)
-    out_a = ControlledOutput(_joint(diag0, diag_a, cross, t0, ta, rho))
-    out_b = ControlledOutput(_joint(diag0, diag_b, cross, t0, tb, rho))
+    out_a = ControlledOutput._adopt(_joint(diag0, diag_a, cross, t0, ta, rho))
+    out_b = ControlledOutput._adopt(_joint(diag0, diag_b, cross, t0, tb, rho))
     direct = 0.5 * trace_norm(out_a.matrix - out_b.matrix)
 
     tau = ta - tb
@@ -133,7 +134,7 @@ def optimal_input(t1, t1p) -> np.ndarray:
     if float(np.max(np.abs(tau))) == 0.0:
         raise ValueError("transformation matrices are identical")
     gram = dagger(tau) @ tau
-    w, v = np.linalg.eigh(gram)
+    w, v = _eigh(gram)
     top = w >= w[-1] - DEGENERACY_TOL * max(float(w[-1]), 1.0)
     vtop = v[:, top]
     proj = vtop @ vtop.conj().T

@@ -53,11 +53,13 @@ from .linalg import (
     GRAM_FLOOR,
     RANGE_TOL,
     _cholesky_succeeds,
+    _inv,
     _one_plus,
     _overflows,
     as_matrix,
     readonly,
 )
+from .linalg import _solve as _lu_solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,6 +91,18 @@ class ChannelImplementation:
                 f"above 1 + {BOUND_TOL:.0e}"
             )
         object.__setattr__(self, "env", readonly(env))
+
+    @classmethod
+    def _certified(cls, channel: Channel, env: np.ndarray) -> "ChannelImplementation":
+        """An implementation on a fresh complex ``env``, one amplitude per
+        Kraus operator of ``channel``, whose squared norm is already bounded
+        by 1 + ``BOUND_TOL``: frozen in place, with no copy and no second
+        norm."""
+        env.setflags(write=False)
+        impl = object.__new__(cls)
+        object.__setattr__(impl, "channel", channel)
+        object.__setattr__(impl, "env", env)
+        return impl
 
     @property
     def dim(self) -> int:
@@ -147,7 +161,7 @@ def _factor(ch: Channel) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         if factor is None:
             factor = _factorize(_kraus_matrix(ch))
         if not isinstance(factor, tuple):
-            factor = _frozen(np.linalg.inv(factor))[0]
+            factor = _frozen(_inv(factor))[0]
         object.__setattr__(ch, "_kraus_factor", factor)
     return factor
 
@@ -178,7 +192,7 @@ def _pinv(ch: Channel) -> Callable[[np.ndarray], np.ndarray]:
     """x -> V^+ x for one solve on ``ch``.
 
     A channel's first solve factors V.  On the Gram route it holds G, as
-    ``_kraus_gram``, and takes V^+ x = G^-1 V^dag x by ``np.linalg.solve``,
+    ``_kraus_gram``, and takes V^+ x = G^-1 V^dag x by an LU solve,
     since an inverse would cost more than the solve it serves; every later
     solve applies the factor of :func:`_factor`, whose first call inverts
     the held G.  V^dag x is formed as conj(F conj(x)) from the k x d^2 stack
@@ -190,7 +204,7 @@ def _pinv(ch: Channel) -> Callable[[np.ndarray], np.ndarray]:
         made = _factorize(_kraus_matrix(ch))
         if not isinstance(made, tuple):
             object.__setattr__(ch, "_kraus_gram", made)
-            return lambda x: np.linalg.solve(made, (flat @ x.conj()).conj())
+            return lambda x: _lu_solve(made, (flat @ x.conj()).conj())
         object.__setattr__(ch, "_kraus_factor", made)
     factor = _factor(ch)
     if isinstance(factor, tuple):
@@ -271,7 +285,9 @@ def realize(ch: Channel, t) -> ChannelImplementation:
             f"{_one_plus(report.quadratic_form)}, above 1 + {BOUND_TOL:.0e} "
             "= 1 + BOUND_TOL; no dilation holds it"
         )
-    return ChannelImplementation(ch, coeff.conj())
+    # the report bounded ||coeff||^2, the same vdot of the same numbers as
+    # ||env||^2, conjugated
+    return ChannelImplementation._certified(ch, coeff.conj())
 
 
 _KEYWORDS = {

@@ -18,7 +18,7 @@ call, so it returns bit for bit what scoring every point with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -32,6 +32,7 @@ from .linalg import (
     LEADER_WINDOW,
     PARITY_RESIDUE,
     _checked_spectrum,
+    _eigvalsh,
     _one_plus,
     partial_trace,
     readonly,
@@ -76,16 +77,23 @@ def binary_entropy(p: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Weighted list of input states: probabilities and density matrices."""
+    """Weighted list of input states: probabilities and density matrices.
+
+    The checked ensemble is held as two read-only arrays, ``weights`` ``(n,)``
+    and ``states`` ``(n, d, d)``; ``items`` pairs each weight, as a float,
+    with its state, a view into ``states``.
+    """
 
     items: tuple[tuple[float, np.ndarray], ...]
+    weights: np.ndarray = field(init=False, repr=False)
+    states: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.items:
             raise ValueError("ensemble must contain at least one state")
-        frozen = []
+        probs = []
+        rhos = []
         total = 0.0
-        dim = None
         for idx, (p, rho) in enumerate(self.items):
             p = float(p)
             if not math.isfinite(p):
@@ -93,21 +101,25 @@ class Ensemble:
             if p < -DEFAULT_TOL:
                 raise ValueError(f"items[{idx}] has negative probability {p}")
             rho = validate_density_matrix(rho)
-            if dim is None:
-                dim = rho.shape[0]
-            elif rho.shape[0] != dim:
+            if rhos and rho.shape != rhos[0].shape:
                 raise ValueError(
-                    f"items[{idx}] has dimension {rho.shape[0]}, expected {dim}"
+                    f"items[{idx}] has dimension {rho.shape[0]}, expected {rhos[0].shape[0]}"
                 )
             total += p
-            frozen.append((p, readonly(rho)))
+            probs.append(p)
+            rhos.append(rho)
         if abs(total - 1.0) > DEFAULT_TOL:
             raise ValueError(f"probabilities sum to {_one_plus(total)}, expected 1")
-        object.__setattr__(self, "items", tuple(frozen))
+        weights, states = np.array(probs), np.stack(rhos)
+        weights.setflags(write=False)
+        states.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "items", tuple(zip(probs, states)))
 
     @property
     def dim(self) -> int:
-        return self.items[0][1].shape[0]
+        return self.states.shape[1]
 
 
 def holevo_lower_bound(output_map: Callable[[np.ndarray], np.ndarray], ensemble: Ensemble) -> float:
@@ -120,8 +132,8 @@ def holevo_lower_bound(output_map: Callable[[np.ndarray], np.ndarray], ensemble:
     lower-bounds the Holevo information of the map.  ``output_map`` is called
     once, on the stack of all ensemble states.
     """
-    probs = np.array([p for p, _ in ensemble.items])
-    outputs = output_map(np.stack([rho for _, rho in ensemble.items]))
+    probs = ensemble.weights
+    outputs = output_map(ensemble.states)
     average = (probs @ outputs.reshape(probs.size, -1)).reshape(outputs.shape[1:])
     used = probs > 0.0
     # one entropy call: the outputs of positive weight, then the average
@@ -344,7 +356,7 @@ def switch_holevo_qubit_gridsearch(
     else:
         # _parity_entropies has proved the state rules and the clamp gate for
         # every one of these, so their spectra need no check
-        bits = _spectrum_bits(np.linalg.eigvalsh(np.concatenate((outputs[:1], outputs[k], avg))))
+        bits = _spectrum_bits(_eigvalsh(np.concatenate((outputs[:1], outputs[k], avg))))
         first, rows, avg_bits = bits[0], bits[1:k.size + 1], bits[k.size + 1:]
     values = avg_bits - probs[j] * first - (1.0 - probs[j]) * rows
     best = np.argmax(values)

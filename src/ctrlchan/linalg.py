@@ -13,7 +13,13 @@ from __future__ import annotations
 import cmath
 
 import numpy as np
-from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
+from numpy.linalg._umath_linalg import (
+    cholesky_lo as _cholesky_lo,
+    eigh_lo as _eigh_lo,
+    eigvalsh_lo as _eigvalsh_lo,
+    inv as _inv_kernel,
+    solve1 as _solve1,
+)
 
 # Every tolerance of the package, each named once with its reason; cases.py
 # states each reproduction case's own.
@@ -185,6 +191,55 @@ def _isometry_deviation(u: np.ndarray, name: str) -> float:
     return dev
 
 
+# Every LAPACK decomposition of the package but the SVD goes through one of
+# the entry points below, or through _cholesky_succeeds, which calls
+# cholesky_lo under its caller's errstate.  Each entry point calls the
+# numpy.linalg._umath_linalg kernel that its numpy.linalg function calls on
+# complex input, with the same signature and under the same errstate, so its
+# results and its LinAlgError are bitwise numpy's; it skips the wrapper's
+# type resolution, shape asserts and result cast, a few microseconds per
+# call at these sides.  Each takes complex128 operands of the shapes the
+# numpy function accepts (one matrix, or a stack for the eigen-solvers),
+# which every caller has already checked.  The SVD stays on np.linalg.svd:
+# its values-only kernel changed names between numpy 1.x and 2.
+
+
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _no_convergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _lapack(kernel, signature: str, failure, *operands):
+    with np.errstate(call=failure, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return kernel(*operands, signature=signature)
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of a Hermitian matrix or
+    stack, from its lower triangle: bitwise ``np.linalg.eigh(a)``."""
+    return _lapack(_eigh_lo, "D->dD", _no_convergence, a)
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix or stack, from its lower
+    triangle: bitwise ``np.linalg.eigvalsh(a)``."""
+    return _lapack(_eigvalsh_lo, "D->d", _no_convergence, a)
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b, for a square ``a`` and a vector ``b``, by LU:
+    bitwise ``np.linalg.solve(a, b)``."""
+    return _lapack(_solve1, "DD->D", _singular, a, b)
+
+
+def _inv(a: np.ndarray) -> np.ndarray:
+    """The inverse of a square ``a``, by LU: bitwise ``np.linalg.inv(a)``."""
+    return _lapack(_inv_kernel, "D->D", _singular, a)
+
+
 def trace_norm(m) -> float:
     """Sum of singular values, bitwise ``np.linalg.norm(m, "nuc")`` without
     its axis handling around the same SVD."""
@@ -260,7 +315,7 @@ def validate_density_matrix(rho) -> np.ndarray:
     if not fits:
         _checked_spectrum(rho)
     elif not factors:
-        _refuse_negative(np.linalg.eigvalsh(rho))
+        _refuse_negative(_eigvalsh(rho))
     return rho
 
 
@@ -285,7 +340,7 @@ def _checked_spectrum(rho) -> np.ndarray:
     :func:`validate_density_matrix` gives its verdicts and messages.
     """
     rho = _density_rules(rho)
-    w = np.linalg.eigvalsh(rho)
+    w = _eigvalsh(rho)
     _refuse_negative(w)
     return w
 

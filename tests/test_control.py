@@ -4,6 +4,7 @@ baseline and the order-superposing switch."""
 import numpy as np
 import pytest
 
+from ctrlchan import linalg
 from ctrlchan.channels import Channel, remix, standard_channel
 from ctrlchan.control import (
     ControlState,
@@ -28,6 +29,7 @@ from ctrlchan.linalg import (
     ket,
     partial_trace,
     projector,
+    validate_density_matrix,
 )
 from ctrlchan.sampling import (
     haar_isometry,
@@ -40,6 +42,7 @@ from ctrlchan.sampling import (
     random_pure_state,
 )
 
+import spies
 from reference import _oracle_per_kraus, _switch_dilation, _switch_double_sum
 
 PLUS = ControlState.plus()
@@ -127,8 +130,19 @@ class TestControlledOutputType:
         m = np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex)
         out = ControlledOutput(m)
         m[0, 0] = 0.9
-        assert out.matrix[0, 0] == 0.4
+        m[1:, 1:] = 7.0
+        assert np.array_equal(out.matrix, np.diag([0.4, 0.1, 0.3, 0.2]))
         assert not out.matrix.flags.writeable and m.flags.writeable
+        assert not np.shares_memory(out.matrix, m)
+
+    def test_library_outputs_are_frozen_in_place(self):
+        m = np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex)
+        out = ControlledOutput._adopt(m)
+        assert out.matrix is m and not m.flags.writeable
+        for bad, message in ((np.eye(3, dtype=complex) / 3, "even side"),
+                             (np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex), "negative")):
+            with pytest.raises(ValueError, match=message):
+                ControlledOutput._adopt(bad)
 
     def test_library_outputs_are_checked_and_read_only(self, monkeypatch):
         # each output the library builds is checked once and held read-only;
@@ -224,7 +238,48 @@ class TestControlledOutput:
         assert np.allclose(f(a + 2.0j * b), f(a) + 2.0j * f(b), atol=1e-12)
 
 
+def refused_inputs(d, rng):
+    """Inputs of side d that validate_density_matrix refuses, one per rule."""
+    rho = random_density_matrix(d, rng)
+    skew, nan = rho.copy(), rho.copy()
+    skew[1, 0] += 0.1
+    nan[0, 1] = np.nan
+    u = haar_isometry(d, d, rng)
+    negative = (u * np.r_[1.2, -0.2, np.zeros(d - 2)]) @ u.conj().T
+    return {
+        "stack": np.array([rho, rho]),
+        "non-square": rho[:, :-1],
+        "non-hermitian": skew,
+        "trace": 1.5 * rho,
+        "negative eigenvalue": (negative + negative.conj().T) / 2,
+        "nan": nan,
+    }
+
+
 class TestStinespringOracle:
+    def test_one_eigh_and_no_cholesky_of_the_input(self, monkeypatch):
+        # rho is checked on the eigendecomposition the dilation takes; the one
+        # Cholesky is the joint output's own check
+        rng = np.random.default_rng(440)
+        i0, i1 = random_implementation(3, 2, rng), random_implementation(3, 5, rng)
+        rho = random_density_matrix(3, rng)
+        eighs = spies.shapes(monkeypatch, linalg._eigh)
+        choleskys = spies.shapes(monkeypatch, linalg._cholesky_succeeds)
+        stinespring_oracle(i0, i1, PLUS, rho)
+        assert eighs == [(3, 3)]
+        assert choleskys == [(6, 6)]
+
+    @pytest.mark.parametrize("rule", refused_inputs(3, np.random.default_rng(0)))
+    def test_refuses_as_validate_density_matrix(self, rule):
+        rng = np.random.default_rng(441)
+        i0, i1 = random_implementation(3, 2, rng), random_implementation(3, 4, rng)
+        rho = refused_inputs(3, rng)[rule]
+        with pytest.raises(ValueError) as expected:
+            validate_density_matrix(rho)
+        with pytest.raises(ValueError) as got:
+            stinespring_oracle(i0, i1, PLUS, rho)
+        assert str(got.value) == str(expected.value)
+
     def test_matches_closed_form_qubit(self):
         rng = np.random.default_rng(5)
         for trial in range(30):

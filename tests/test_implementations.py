@@ -1,13 +1,14 @@
 """Tests for channel implementations, admissibility and realisation."""
 
 import gc
+import math
 import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ctrlchan import implementations
+from ctrlchan import linalg
 from ctrlchan.channels import choi_of, remix, standard_channel, weyl_basis
 from ctrlchan.implementations import (
     BOUND_TOL,
@@ -30,6 +31,7 @@ from ctrlchan.sampling import (
     random_implementation,
 )
 
+import spies
 from reference import choi_route, kraus_matrix, lstsq_route, spike
 
 
@@ -159,6 +161,33 @@ class TestAdmissible:
 
 
 class TestRealize:
+    @pytest.mark.parametrize("d, k", [(2, 1), (3, 4), (4, 20)])
+    def test_returns_the_certified_env_without_a_second_check(self, monkeypatch, d, k):
+        # the solve's report has bounded ||env||^2, so realize builds the
+        # implementation without __post_init__ and freezes env in place
+        rng = np.random.default_rng(440 + k)
+        ch = random_channel(d, k, rng)
+        t = random_admissible_t(ch, rng)
+        coeff = _solve(ch, t)[1]
+        checks = []
+        monkeypatch.setattr(ChannelImplementation, "__post_init__", lambda impl: checks.append(impl))
+        impl = realize(ch, t)
+        assert checks == []
+        assert impl.channel is ch and not impl.env.flags.writeable
+        assert impl.env.tobytes() == coeff.conj().tobytes()
+        assert float(np.vdot(impl.env, impl.env).real) == float(np.vdot(coeff, coeff).real)
+
+    def test_constructor_still_checks_the_bound(self):
+        # what realize skips, the public constructor keeps: the same env
+        # scaled to ||env||^2 = 1 + 2 BOUND_TOL is refused
+        rng = np.random.default_rng(443)
+        ch = random_channel(3, 4, rng)
+        env = realize(ch, random_admissible_t(ch, rng)).env
+        over = env * math.sqrt((1.0 + 2 * BOUND_TOL) / np.vdot(env, env).real)
+        with pytest.raises(ValueError, match=r"squared norm 1 \+ 2\.000e-08, above 1 \+ 1e-08"):
+            ChannelImplementation(ch, over)
+        assert ChannelImplementation(ch, env).env.tobytes() == env.tobytes()
+
     def test_identity_half(self):
         ch = standard_channel("identity", 2)
         impl = realize(ch, 0.5 * np.eye(2))
@@ -368,23 +397,20 @@ class TestLstsqParity:
 
 def count_factorizations(monkeypatch):
     """Record (name, shape) of every call to the ``np.linalg`` functions
-    ``qr``, ``svd``, ``eigh``, ``cholesky`` and ``inv``, and of every Gram
-    certificate, which factors by LAPACK's Cholesky kernel through
-    ``implementations._cholesky_succeeds``, as ``cholesky``."""
+    ``qr`` and ``svd``, and to the package's entry points for LAPACK's
+    other decompositions (:mod:`spies`): ``linalg._eigh`` as ``eigh``,
+    ``linalg._inv`` as ``inv``, and ``linalg._cholesky_succeeds``, which
+    every Gram certificate and state check calls, as ``cholesky``."""
     calls = []
 
-    def counting(module, attr, name):
-        fn = getattr(module, attr)
+    def counting(name):
+        return lambda a, *rest: calls.append((name, a.shape))
 
-        def counted(a, *args, **kwargs):
-            calls.append((name, a.shape))
-            return fn(a, *args, **kwargs)
-
-        monkeypatch.setattr(module, attr, counted)
-
-    for name in ("qr", "svd", "eigh", "cholesky", "inv"):
-        counting(np.linalg, name, name)
-    counting(implementations, "_cholesky_succeeds", "cholesky")
+    for name in ("qr", "svd"):
+        monkeypatch.setattr(np.linalg, name, spies.spied(getattr(np.linalg, name), counting(name)))
+    spies.spy(monkeypatch, linalg._eigh, counting("eigh"))
+    spies.spy(monkeypatch, linalg._inv, counting("inv"))
+    spies.spy(monkeypatch, linalg._cholesky_succeeds, counting("cholesky"))
     return calls
 
 
@@ -590,14 +616,7 @@ class TestGramRoute:
         # it inverts G at once: no LU solve with G, in the draw or after it
         rng = np.random.default_rng(336)
         ch = random_channel(4, 9, rng)
-        solves = []
-        solve = np.linalg.solve
-
-        def counted(a, b):
-            solves.append(a.shape)
-            return solve(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", counted)
+        solves = spies.shapes(monkeypatch, linalg._solve)
         t = random_admissible_t(ch, rng)
         realize(ch, t)
         realize(ch, 0.5 * t)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctrlchan import linalg
 from ctrlchan.channels import Channel, apply, standard_channel
 from ctrlchan.control import ControlState, controlled_map, switch_map
 from ctrlchan.implementations import ChannelImplementation, standard_implementation
@@ -35,8 +36,9 @@ from ctrlchan.linalg import (
     partial_trace,
     projector,
 )
-from ctrlchan.sampling import random_density_matrix, random_env, random_pure_state
+from ctrlchan.sampling import random_density_matrix, random_env, random_implementation, random_pure_state
 
+import spies
 from reference import literal_gridsearch
 
 PLUS = ControlState.plus()
@@ -91,14 +93,7 @@ class TestEntropy:
             entropy(stack)
 
     def test_one_eigendecomposition_per_call(self, monkeypatch):
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counted(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        calls = spies.shapes(monkeypatch, linalg._eigvalsh)
         entropy(np.eye(3) / 3)
         assert calls == [(3, 3)]
         entropy(np.broadcast_to(np.eye(2) / 2, (5, 2, 2)))
@@ -165,6 +160,20 @@ class TestEnsemble:
     def test_non_finite_probability_rejected(self, bad):
         with pytest.raises(ValueError, match=r"^items\[1\] has non-finite probability"):
             Ensemble(((1.0, np.eye(2) / 2), (bad, np.eye(2) / 2)))
+
+    def test_held_as_two_frozen_arrays_with_items_as_views(self):
+        rng = np.random.default_rng(450)
+        given = [(0.25, random_density_matrix(3, rng)), (0, projector(ket(1, 3))),
+                 (0.75, np.eye(3) / 3)]
+        ens = Ensemble(tuple(given))
+        assert ens.weights.dtype == float and ens.states.dtype == complex
+        assert not ens.weights.flags.writeable and not ens.states.flags.writeable
+        assert ens.states.shape == (3, 3, 3)
+        for (p, rho), (q, given_rho), w, state in zip(ens.items, given, ens.weights, ens.states):
+            assert type(p) is float and p == q == w
+            assert np.shares_memory(rho, ens.states) and np.array_equal(rho, state)
+            assert not np.shares_memory(rho, given_rho) and np.array_equal(rho, given_rho)
+            assert not rho.flags.writeable
 
 
 class TestHolevoLowerBound:
@@ -242,6 +251,22 @@ class TestHolevoLowerBound:
             ))
             value = holevo_lower_bound(controlled_map(i0, i1, PLUS), ens)
             assert -1e-10 <= value <= np.log2(n) + 1e-10
+
+    def test_bitwise_the_per_item_stack(self):
+        # the held arrays give the value that stacking the items on each
+        # call, as the bound once did, gives
+        rng = np.random.default_rng(451)
+        for d, n in ((2, 2), (3, 4), (4, 3)):
+            i0, i1 = random_implementation(d, 2, rng), random_implementation(d, d * d, rng)
+            out_map = controlled_map(i0, i1, PLUS)
+            probs = rng.dirichlet(np.ones(n))
+            ens = Ensemble(tuple((float(p), random_density_matrix(d, rng)) for p in probs))
+            weights = np.array([p for p, _ in ens.items])
+            outputs = out_map(np.stack([rho for _, rho in ens.items]))
+            average = (weights @ outputs.reshape(n, -1)).reshape(outputs.shape[1:])
+            entropies = entropy(np.concatenate((outputs, average[None])))
+            expected = float(entropies[-1] - weights @ entropies[:-1])
+            assert holevo_lower_bound(out_map, ens).hex() == expected.hex()
 
     def test_one_map_evaluation(self):
         impl = standard_implementation("identity", d=2, alpha=1.0)
@@ -581,14 +606,7 @@ class TestParityRanking:
         # the ranked values alone put p0 = 0.6000000000000001 first.  The one
         # eigvalsh call scores the output at theta1 = 0 and each leader's
         # output and average.
-        held = np.linalg.eigvalsh
-        scored = []
-
-        def counted(rho):
-            scored.append(np.shape(rho))
-            return held(rho)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        scored = spies.shapes(monkeypatch, linalg._eigvalsh)
         value, point = switch_holevo_qubit_gridsearch(*TIE_GRID)
         assert point == (0.0, 3.08, 0.4)
         assert scored == [(5, 4, 4)]
@@ -597,14 +615,8 @@ class TestParityRanking:
 
     def test_few_exact_spectra(self, monkeypatch):
         sides = []
-        held = np.linalg.eigvalsh
-
-        def counted(a, *args, **kwargs):
-            a = np.asarray(a)
-            sides.extend([a.shape[-1]] * int(np.prod(a.shape[:-2])))
-            return held(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        spies.spy(monkeypatch, linalg._eigvalsh,
+                  lambda a: sides.extend([a.shape[-1]] * int(np.prod(a.shape[:-2]))))
         for a, p in BENCH_GRIDS:
             sides.clear()
             switch_holevo_qubit_gridsearch(a, p)

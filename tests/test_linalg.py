@@ -1,5 +1,6 @@
 """Tests for the dense linear-algebra primitives."""
 
+import ast
 import cmath
 import io
 import re
@@ -28,6 +29,8 @@ from ctrlchan.linalg import (
     validate_density_matrix,
 )
 from ctrlchan.sampling import haar_isometry, random_density_matrix
+
+import spies
 
 
 class TestPartialTrace:
@@ -217,15 +220,7 @@ ONE_MATRIX_CHECKS = {"validate_density_matrix": validate_density_matrix, "Contro
 
 @pytest.fixture
 def eigvalsh_calls(monkeypatch):
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    return calls
+    return spies.shapes(monkeypatch, linalg._eigvalsh)
 
 
 @pytest.fixture
@@ -484,6 +479,112 @@ class TestCholeskyKernel:
         monkeypatch.setattr(_umath_linalg, "cholesky_lo", spy)
         np.linalg.cholesky(np.eye(3, dtype=complex))
         assert called == [linalg._cholesky_lo]
+
+
+def hermitian(n, rng, lead=()):
+    g = rng.standard_normal(lead + (n, n)) + 1j * rng.standard_normal(lead + (n, n))
+    return g + g.conj().swapaxes(-1, -2)
+
+
+def general(n, rng):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+# each entry point of linalg: its numpy function, the _umath_linalg kernel
+# both call, the name linalg binds that kernel to, and operands to call both on
+ENTRY_POINTS = {
+    "_eigh": (np.linalg.eigh, "eigh_lo", "_eigh_lo", lambda n, rng: (hermitian(n, rng),)),
+    "_eigvalsh": (np.linalg.eigvalsh, "eigvalsh_lo", "_eigvalsh_lo", lambda n, rng: (hermitian(n, rng),)),
+    "_solve": (np.linalg.solve, "solve1", "_solve1", lambda n, rng: (general(n, rng), general(n, rng)[0])),
+    "_inv": (np.linalg.inv, "inv", "_inv_kernel", lambda n, rng: (general(n, rng),)),
+}
+
+
+def as_bytes(result):
+    """The bytes of an array, or of each array of a tuple of them, such as
+    the eigenvalues and eigenvectors of ``eigh`` (a named tuple in numpy)."""
+    if isinstance(result, tuple):
+        return [r.tobytes() for r in result]
+    return result.tobytes()
+
+
+class TestLapackEntryPoints:
+    """``linalg``'s entry points call the private numpy kernels that the
+    public ``np.linalg`` functions call; these pin each to its function."""
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_is_the_kernel_numpy_calls(self, monkeypatch, name):
+        numpy_fn, kernel_name, bound, operands = ENTRY_POINTS[name]
+        called = []
+        kernel = getattr(_umath_linalg, kernel_name)
+
+        def spy(*args, **kwargs):
+            called.append((kernel, kwargs))
+            return kernel(*args, **kwargs)
+
+        assert getattr(linalg, bound) is kernel
+        args = operands(3, np.random.default_rng(0))
+        monkeypatch.setattr(_umath_linalg, kernel_name, spy)
+        numpy_fn(*args)
+        monkeypatch.setattr(linalg, bound, spy)
+        getattr(linalg, name)(*args)
+        # the entry point passes the signature numpy picks for complex operands
+        assert len(called) == 2 and called[0] == called[1]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("n", [1, 2, 8, 16])
+    def test_bitwise_numpy(self, name, n):
+        numpy_fn, _, _, operands = ENTRY_POINTS[name]
+        rng = np.random.default_rng(100 + n)
+        for _ in range(5):
+            args = operands(n, rng)
+            assert as_bytes(getattr(linalg, name)(*args)) == as_bytes(numpy_fn(*args))
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 4)])
+    def test_stacks_bitwise_numpy(self, lead):
+        stack = hermitian(8, np.random.default_rng(7), lead)
+        assert as_bytes(linalg._eigh(stack)) == as_bytes(np.linalg.eigh(stack))
+        assert as_bytes(linalg._eigvalsh(stack)) == as_bytes(np.linalg.eigvalsh(stack))
+
+    def test_non_finite_entries_as_numpy(self):
+        m = np.eye(3, dtype=complex) / 3
+        m[1, 0] = np.nan
+        assert as_bytes(linalg._eigh(m)) == as_bytes(np.linalg.eigh(m))
+        assert as_bytes(linalg._eigvalsh(m)) == as_bytes(np.linalg.eigvalsh(m))
+
+    @pytest.mark.parametrize("singular", [
+        np.zeros((3, 3), dtype=complex),
+        np.array([[1.0, 2.0j], [2.0, 4.0j]]),
+    ], ids=["zero", "rank 1"])
+    def test_singular_matrix_raises_as_numpy(self, singular):
+        b = np.ones(singular.shape[0], dtype=complex)
+        for call in (lambda: linalg._solve(singular, b), lambda: linalg._inv(singular),
+                     lambda: np.linalg.solve(singular, b), lambda: np.linalg.inv(singular)):
+            with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+                call()
+
+    def test_no_module_calls_numpy_for_these(self):
+        # every eigh, eigvalsh, solve, inv and Cholesky of the package goes
+        # through linalg's entry points, and only linalg.py imports the
+        # kernels; np.linalg.svd, qr and norm stay allowed
+        package = Path(__file__).resolve().parents[1] / "src" / "ctrlchan"
+        banned = {"eigh", "eigvalsh", "solve", "inv", "cholesky"}
+        found = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and node.attr in banned:
+                    owner = node.value
+                    if getattr(owner, "attr", getattr(owner, "id", None)) == "linalg":
+                        found.append(f"{path.name}:{node.lineno}: linalg.{node.attr}")
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.linalg"):
+                    names = {alias.name for alias in node.names}
+                    private = "_umath_linalg" in node.module or "_umath_linalg" in names
+                    if names & banned and node.module == "numpy.linalg" or (
+                        private and path.name != "linalg.py"
+                    ):
+                        found.append(f"{path.name}:{node.lineno}: from {node.module} import {sorted(names)}")
+        assert found == []
 
 
 class TestToleranceTable:

@@ -75,7 +75,10 @@ def mutants(src: bytes) -> list[tuple[str, int, bytes]]:
             and not node.args
             and not node.keywords
         ):
-            out.append(("conj", node.lineno, edit(end(node.func.value), end(node), b"")))
+            # from the call's last dot: a parenthesised receiver ends before
+            # its closing parenthesis, which must stay
+            dot = src.rfind(b".", begin(node), end(node))
+            out.append(("conj", node.lineno, edit(dot, end(node), b"")))
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, (ast.Add, ast.Sub)):
             left, right = (node.left, node.right) if isinstance(node, ast.BinOp) else (node.target, node.value)
             op, new = (b"+", b"-") if isinstance(node.op, ast.Add) else (b"-", b"+")
