@@ -230,13 +230,10 @@ def _parity_numbers(m: np.ndarray) -> np.ndarray:
 _PARITY_TABLE = _parity_numbers(np.eye(32).view(complex).reshape(32, 4, 4))
 
 
-def _parity_entropies(
-    outputs: np.ndarray, probs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
+def _parity_entropies(outputs: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entropies of the grid search's outputs ``(n, 4, 4)`` and of the
     averages p out[0] + (1 - p) out[k] for p in ``probs``, of shapes
-    ``(n,)`` and ``(n, P)``, from closed-form sector spectra; or None where
-    those cannot be trusted to rank the grid.
+    ``(n,)`` and ``(n, P)``, from closed-form sector spectra.
 
     Each output's sector numbers (:func:`_parity_numbers`) are averaged with
     the weights of the matrices, so no average is built; weight 0 gives the
@@ -244,8 +241,9 @@ def _parity_entropies(
     weight], so the weighting and each sector's radius, the hypotenuse of its
     three other numbers, run on whole rows; the four eigenvalues of each
     matrix are then stacked last, in the order in which the entropy sums
-    them.  The result is None unless three things hold.  Every
-    output's Hermitian deviation and trace error is at most
+    them.  Three rules are checked, and the first that fails raises a
+    ``RuntimeError`` naming it and its measured value.  Every output's
+    Hermitian deviation and trace error is at most
     ``DEFAULT_TOL - AVERAGE_ROUNDING``, so every average passes
     :func:`ctrlchan.linalg._density_rules` too.  Every output's ||E||_F is
     at most ``PARITY_RESIDUE``, so every average's is too, up to rounding.
@@ -258,7 +256,7 @@ def _parity_entropies(
     """
     n = outputs.shape[0]
     p = np.concatenate(([0.0], probs))
-    # an entry that is not finite, or whose square is not, fails a test below,
+    # an entry that is not finite, or whose square is not, fails a rule below,
     # each written so that a NaN fails it
     with np.errstate(invalid="ignore", over="ignore"):
         herm = np.abs(outputs - outputs.swapaxes(-2, -1).conj()).max(initial=0.0)
@@ -273,14 +271,19 @@ def _parity_entropies(
         lo, hi = mean - radius, mean + radius
         # [output, weight, eigenvalue], as _spectrum_bits sums each spectrum
         w = np.stack((lo[0], lo[1], hi[0], hi[1]), axis=-1)
+        low = w.min()
+        # by Weyl, no eigvalsh eigenvalue of these matrices lies below this
+        floor = low - residue - PARITY_RESIDUE
     limit = DEFAULT_TOL - AVERAGE_ROUNDING
-    if not (
-        herm <= limit
-        and trace <= limit
-        and residue <= PARITY_RESIDUE
-        and w.min() - residue - PARITY_RESIDUE >= -ENTROPY_CLAMP
+    for rule, value, holds, bound in (
+        ("Hermitian deviation", herm, herm <= limit, "above DEFAULT_TOL - AVERAGE_ROUNDING"),
+        ("trace error", trace, trace <= limit, "above DEFAULT_TOL - AVERAGE_ROUNDING"),
+        ("parity residue", residue, residue <= PARITY_RESIDUE, "above PARITY_RESIDUE"),
+        ("lowest sector eigenvalue", low, floor >= -ENTROPY_CLAMP,
+         "within the residue and PARITY_RESIDUE of the clamping window"),
     ):
-        return None
+        if not holds:
+            raise RuntimeError(f"the parity ranking refuses the outputs: {rule} {value:.3e} {bound}")
     bits = _spectrum_bits(w)
     return bits[:, 0], bits[:, 1:]
 
@@ -303,7 +306,8 @@ def switch_holevo_qubit_gridsearch(
     is tabulated once per process, at import, as its (4, 16) matrix on the
     four 2x2 matrix units, and each call applies it once, as one product
     with the stack of all grid states.  Returns (best value, (0.0, theta1,
-    p0)).
+    p0)).  Both steps are checked, and a probability grid left empty is
+    refused, before the map is applied.
 
     The two channels under the switch are one and the same, so swapping the
     two orders maps every output to itself: each output, and each average
@@ -321,43 +325,34 @@ def switch_holevo_qubit_gridsearch(
     what :func:`entropy` would check, so the bits are its bits.  Every exact
     maximum is among these leaders, so the first of them in (theta1, p0)
     order is the point, and its value the value, that scoring the whole
-    grid exactly gives, bit for bit.  Where
-    the sectors cannot be trusted (an output near the edge of the state
-    rules, or not X (x) 1-symmetric within ``PARITY_RESIDUE``, or an
-    eigenvalue near the clamping window), every output and every point is
-    scored exactly, as are its errors.
+    grid with :func:`entropy` gives, bit for bit.  Outputs the ranking
+    cannot vouch for (near the edge of the state rules, not X (x)
+    1-symmetric within ``PARITY_RESIDUE``, or with an eigenvalue near the
+    clamping window) are refused with :func:`_parity_entropies`'s
+    ``RuntimeError``; the held map gives none.
     """
     for name, step in (("angle_step", angle_step), ("prob_step", prob_step)):
         if not 0.0 < step < math.inf:
             raise ValueError(f"{name} must be finite and positive, got {step}")
+    probs = np.arange(prob_step, 1.0, prob_step)
+    if probs.size == 0:
+        raise ValueError(f"prob_step {prob_step} leaves no probability in (0, 1)")
     thetas = np.arange(0.0, np.pi + angle_step / 2.0, angle_step)
     states = np.stack((np.cos(thetas / 2.0), np.sin(thetas / 2.0)), axis=-1).astype(complex)
     outputs = _QUBIT_SWITCH(states[:, :, None] * states[:, None, :].conj())
-    probs = np.arange(prob_step, 1.0, prob_step)
-    # an empty probability grid is refused after the outputs' own checks
-    ranked = _parity_entropies(outputs, probs) if probs.size else None
-    if ranked is None:
-        bits = entropy(outputs)
-        if probs.size == 0:
-            raise ValueError(f"prob_step {prob_step} leaves no probability in (0, 1)")
-        k, j = np.indices((bits.size, probs.size)).reshape(2, -1)
-    else:
-        # rows are theta1 and columns p0, and the leaders keep that order
-        out_bits, avg_bits = ranked
-        scores = avg_bits - probs * out_bits[0] - (1.0 - probs) * out_bits[:, None]
-        k, j = np.nonzero(scores >= scores.max() - LEADER_WINDOW)
+    out_bits, avg_bits = _parity_entropies(outputs, probs)
+    # rows are theta1 and columns p0, and the leaders keep that order
+    scores = avg_bits - probs * out_bits[0] - (1.0 - probs) * out_bits[:, None]
+    k, j = np.nonzero(scores >= scores.max() - LEADER_WINDOW)
     # The operands keep the order of the literal (theta0, theta1, p0) loop, so
     # each value is bitwise the one that loop computes at theta0 = 0, and
     # argmax finds the first maximum in (theta1, p0) order.
     p0 = probs[j, None, None]
     avg = p0 * outputs[0] + (1.0 - p0) * outputs[k]
-    if ranked is None:
-        first, rows, avg_bits = bits[0], bits[k], entropy(avg)
-    else:
-        # _parity_entropies has proved the state rules and the clamp gate for
-        # every one of these, so their spectra need no check
-        bits = _spectrum_bits(_eigvalsh(np.concatenate((outputs[:1], outputs[k], avg))))
-        first, rows, avg_bits = bits[0], bits[1:k.size + 1], bits[k.size + 1:]
+    # _parity_entropies has proved the state rules and the clamp gate for
+    # every one of these, so their spectra need no check
+    bits = _spectrum_bits(_eigvalsh(np.concatenate((outputs[:1], outputs[k], avg))))
+    first, rows, avg_bits = bits[0], bits[1:k.size + 1], bits[k.size + 1:]
     values = avg_bits - probs[j] * first - (1.0 - probs[j]) * rows
     best = np.argmax(values)
     return float(values[best]), (0.0, float(thetas[k[best]]), float(probs[j[best]]))

@@ -80,9 +80,9 @@ REMIX_ROUNDING = 8.0
 ENTROPY_CLAMP = 1e-12  # entropy: an eigenvalue in (-ENTROPY_CLAMP, 0) is rounding, set to 0
 # info.switch_holevo_qubit_gridsearch ranks its grid on the closed-form
 # spectra of the two control-parity 2x2 sectors of each output and of each
-# average p out0 + (1 - p) outk, and only when the block between the sectors
-# has Frobenius norm at most PARITY_RESIDUE in every output.  That block is
-# linear in the matrix, so in every average it is at most PARITY_RESIDUE plus
+# average p out0 + (1 - p) outk, and refuses the outputs unless the block
+# between the sectors has Frobenius norm at most PARITY_RESIDUE in each: the
+# block is linear in the matrix, so in every average it is at most that plus
 # rounding, and by Weyl the sector spectra lie that close to the exact ones.
 # The closed form, taken from sector numbers averaged like the matrices, and
 # eigvalsh each round an eigenvalue of a trace-1 4x4 by a few eps, well under
@@ -90,9 +90,9 @@ ENTROPY_CLAMP = 1e-12  # entropy: an eigenvalue in (-ENTROPY_CLAMP, 0) is roundi
 # |eta(x) - eta(y)| <= eta(|x - y|) for eta(x) = -x log2 x, four eigenvalues
 # move an entropy by at most 4 eta(1e-14) < 1.9e-12.  A ranked value
 # S(avg) - p S(out0) - (1 - p) S(outk) takes three such entropies with weights
-# summing to 2, so it differs from its exact value by at most 3.8e-12 plus
-# rounding, and every exact maximum lies within twice that, under
-# LEADER_WINDOW, of the ranked maximum.
+# summing to 2, so it differs from its value on eigvalsh's spectra by at most
+# 3.8e-12 plus rounding, and every maximum of those values lies within twice
+# that, under LEADER_WINDOW, of the ranked maximum.
 PARITY_RESIDUE = 5e-15
 LEADER_WINDOW = 1e-11
 # An entry of p a + (1 - p) b, for entries a and b of two states (so at most 1

@@ -268,10 +268,11 @@ class TestHolevoLowerBound:
             expected = float(entropies[-1] - weights @ entropies[:-1])
             assert holevo_lower_bound(out_map, ens).hex() == expected.hex()
 
-    def test_one_map_evaluation(self):
+    def test_one_map_evaluation(self, monkeypatch):
         impl = standard_implementation("identity", d=2, alpha=1.0)
         out_map = controlled_map(impl, impl, PLUS)
         shapes = []
+        scored = spies.shapes(monkeypatch, linalg._eigvalsh)
 
         def counted(rho):
             shapes.append(np.shape(rho))
@@ -284,6 +285,8 @@ class TestHolevoLowerBound:
         ))
         value = holevo_lower_bound(counted, ens)
         assert shapes == [(3, 2, 2)]
+        # one spectrum call, on the two outputs of positive weight and the average
+        assert scored == [(3, 4, 4)]
         # transparent arms: S(3/4, 1/4) of the average minus half a bit
         assert abs(value - (H2_QUARTER - 0.5)) <= 1e-12
 
@@ -372,7 +375,7 @@ class TestAnalyticBounds:
 
 
 class TestSwitchGridSearch:
-    # 0.3 and 0.77 do not divide pi and 3.5 leaves the single angle 0; the
+    # 0.3 and 0.77 do not divide pi and 3.5 leaves the angles 0 and 3.5; the
     # probability steps 0.2 and 0.3 leave out 1/2, and 0.2 ties p with 1 - p.
     @pytest.mark.parametrize(
         "angle_step",
@@ -500,7 +503,13 @@ class TestSwitchGridSearch:
             assert point == ref_point, (n, m)
             assert abs(value - ref_value) <= 1e-15, (n, m)
 
-    def test_empty_probability_grid_rejected(self):
+    def test_empty_probability_grid_rejected_before_the_map(self, monkeypatch):
+        import ctrlchan.info
+
+        def refuse(rho):
+            raise AssertionError("the grid search applied its map before checking prob_step")
+
+        monkeypatch.setattr(ctrlchan.info, "_QUBIT_SWITCH", refuse)
         with pytest.raises(ValueError, match="no probability"):
             switch_holevo_qubit_gridsearch(np.pi / 6, 1.0)
 
@@ -514,17 +523,47 @@ LITERAL_GRIDS = [
     for a in (np.pi / 6, np.pi / 7, np.pi / 13, np.pi / 60, 0.3, 0.77, 3.5)
     for p in (0.25, 0.1, 0.05, 0.2, 0.3)
 ]
+_draw = np.random.default_rng(2020)
+DRAWN_GRIDS = [
+    (float(_draw.uniform(0.05, 3.5)), float(_draw.uniform(0.02, 0.6))) for _ in range(200)
+]
+# The 486 grids on which the grid search is bitwise the entropy-scored search.
+GRIDS = BENCH_GRIDS + LITERAL_GRIDS + [(np.pi / 60.0, 0.05)] + DRAWN_GRIDS
+# The finest and coarsest steps: 3143 angles; the two angles 0 and 3.5; 200
+# angles; 999 probabilities; the single probability 0.999.
+EXTREME_GRIDS = [(1e-3, 0.5), (3.5, 0.05), (np.pi / 199, 0.05), (np.pi / 6, 1e-3), (np.pi / 60, 0.999)]
 # 0.77 and 0.2: p0 = 0.4 and p0 = 0.6 tie at theta1 = 3.08, and the first, 0.4,
 # is the point.
 TIE_GRID = (0.77, 0.2)
 
 
-def _exact_only(monkeypatch):
-    """Turn the parity ranking off, so that the grid search scores every
-    point with ``entropy``."""
+def _grid_outputs(angle_step, prob_step):
+    """The grid search's angles, probabilities and outputs on one grid."""
     import ctrlchan.info
 
-    monkeypatch.setattr(ctrlchan.info, "_parity_entropies", lambda outputs, probs: None)
+    thetas = np.arange(0.0, np.pi + angle_step / 2.0, angle_step)
+    states = np.stack((np.cos(thetas / 2.0), np.sin(thetas / 2.0)), axis=-1).astype(complex)
+    outputs = ctrlchan.info._QUBIT_SWITCH(states[:, :, None] * states[:, None, :].conj())
+    return thetas, np.arange(prob_step, 1.0, prob_step), outputs
+
+
+def _entropy_scored(angle_step, prob_step):
+    """The grid search with every output and every average at theta0 = 0
+    scored with ``entropy``, in the operand order of the literal loop,
+    keeping the first maximum in (theta1, p0) order."""
+    thetas, probs, outputs = _grid_outputs(angle_step, prob_step)
+    bits = entropy(outputs)
+    k, j = np.indices((bits.size, probs.size)).reshape(2, -1)
+    p0 = probs[j, None, None]
+    avg = p0 * outputs[0] + (1.0 - p0) * outputs[k]
+    values = entropy(avg) - probs[j] * bits[0] - (1.0 - probs[j]) * bits[k]
+    best = np.argmax(values)
+    return float(values[best]), (0.0, float(thetas[k[best]]), float(probs[j[best]]))
+
+
+def _hex(result):
+    value, point = result
+    return value.hex(), [x.hex() for x in point]
 
 
 def _symmetric_state(w):
@@ -535,71 +574,60 @@ def _symmetric_state(w):
     return np.block([[a, b], [b, a]])
 
 
-def _recorded_verdicts(monkeypatch):
-    """Record every result of the parity ranking, in a list returned here."""
+def _tilted(eps):
+    """The held switch plus eps Z (x) 1 times the trace.  It stays covariant
+    under target rotations, but in the |+>, |-> basis the tilt lies between
+    the sectors, so every output has ||E||_F = sqrt(2) eps."""
     import ctrlchan.info
 
-    held = ctrlchan.info._parity_entropies
-    verdicts = []
-    monkeypatch.setattr(
-        ctrlchan.info,
-        "_parity_entropies",
-        lambda outputs, probs: verdicts.append(held(outputs, probs)) or verdicts[-1],
-    )
-    return verdicts
+    held = ctrlchan.info._QUBIT_SWITCH
+    tilt = eps * np.kron(np.diag([1.0, -1.0]), np.eye(2)).astype(complex)
+    return lambda rho: held(rho) + np.trace(rho, axis1=-2, axis2=-1)[..., None, None] * tilt
 
 
-def _outcome(grid):
-    """What the grid search gives on ``grid``: its result, or its error message."""
-    try:
-        return switch_holevo_qubit_gridsearch(*grid)
-    except ValueError as exc:
-        return str(exc)
+def _constant(entries=(), w=(0.25,) * 4, scale=1.0):
+    """A map giving ``_symmetric_state(w) * scale``, with ``entries`` added,
+    on every input."""
+    out = _symmetric_state(list(w)) * scale
+    for entry, excess in entries:
+        out[entry] += excess
+    return lambda rho: np.broadcast_to(out, rho.shape[:-2] + (4, 4)).copy()
 
 
 def _parity_entropies_reference(outputs, probs):
-    """``_parity_entropies`` in its earlier [output, weight, number, sector]
-    layout, with the radius a reduction over the number axis."""
+    """The entropies of ``_parity_entropies`` in its earlier [output, weight,
+    number, sector] layout, with the radius a reduction over the number axis."""
     n = outputs.shape[0]
     p = np.concatenate(([0.0], probs))[:, None, None]
-    with np.errstate(invalid="ignore", over="ignore"):
-        herm = np.abs(outputs - outputs.swapaxes(-2, -1).conj()).max(initial=0.0)
-        trace = np.abs(np.trace(outputs, axis1=-2, axis2=-1) - 1.0).max(initial=0.0)
-        numbers = np.ascontiguousarray(outputs).view(float).reshape(n, 32) @ _PARITY_TABLE
-        residue = np.sqrt((numbers[:, 8:] ** 2).sum(axis=-1)).max()
-        sectors = numbers[:, :8].reshape(n, 4, 2)
-        sectors = p * sectors[0] + (1.0 - p) * sectors[:, None]
-        mean, radius = sectors[..., 0, :], np.sqrt((sectors[..., 1:, :] ** 2).sum(axis=-2))
-        w = np.concatenate((mean - radius, mean + radius), axis=-1)
-    limit = DEFAULT_TOL - AVERAGE_ROUNDING
-    if not (
-        herm <= limit
-        and trace <= limit
-        and residue <= PARITY_RESIDUE
-        and w.min() - residue - PARITY_RESIDUE >= -ENTROPY_CLAMP
-    ):
-        return None
-    bits = _spectrum_bits(w)
+    numbers = np.ascontiguousarray(outputs).view(float).reshape(n, 32) @ _PARITY_TABLE
+    sectors = numbers[:, :8].reshape(n, 4, 2)
+    sectors = p * sectors[0] + (1.0 - p) * sectors[:, None]
+    mean, radius = sectors[..., 0, :], np.sqrt((sectors[..., 1:, :] ** 2).sum(axis=-2))
+    bits = _spectrum_bits(np.concatenate((mean - radius, mean + radius), axis=-1))
     return bits[:, 0], bits[:, 1:]
 
 
 class TestParityRanking:
     """The grid search ranks on the control-parity blocks and scores its
-    leaders with ``entropy``; it must return bit for bit what scoring every
-    point with ``entropy`` returns."""
+    leaders with one unchecked ``eigvalsh``; it must return bit for bit what
+    scoring every point with ``entropy`` returns, and refuse what it cannot
+    rank."""
 
-    def test_bitwise_the_exact_path(self, monkeypatch):
-        rng = np.random.default_rng(2020)
-        drawn = [
-            (float(rng.uniform(0.05, 3.5)), float(rng.uniform(0.02, 0.6))) for _ in range(200)
-        ]
-        grids = BENCH_GRIDS + LITERAL_GRIDS + [(np.pi / 60.0, 0.05)] + drawn
-        ranked = [switch_holevo_qubit_gridsearch(a, p) for a, p in grids]
-        _exact_only(monkeypatch)
-        for (a, p), (value, point) in zip(grids, ranked):
-            ref_value, ref_point = switch_holevo_qubit_gridsearch(a, p)
-            assert value.hex() == ref_value.hex(), (a, p)
-            assert [x.hex() for x in point] == [x.hex() for x in ref_point], (a, p)
+    def test_bitwise_the_exact_path(self):
+        for a, p in GRIDS:
+            assert _hex(switch_holevo_qubit_gridsearch(a, p)) == _hex(_entropy_scored(a, p)), (a, p)
+
+    def test_held_map_passes_every_gate(self):
+        # The evidence that no grid reaches a refusal: on every grid above and
+        # at the extreme steps, the held map's outputs are exactly
+        # X (x) 1-symmetric, and _parity_entropies passes every gate.
+        for a, p in GRIDS + EXTREME_GRIDS:
+            _, probs, outputs = _grid_outputs(a, p)
+            numbers = outputs.view(float).reshape(-1, 32) @ _PARITY_TABLE
+            assert not numbers[:, 8:].any(), (a, p)
+            _parity_entropies(outputs, probs)
+        for a, p in EXTREME_GRIDS:
+            assert _hex(switch_holevo_qubit_gridsearch(a, p)) == _hex(_entropy_scored(a, p)), (a, p)
 
     def test_tie_takes_the_first_probability(self, monkeypatch):
         # Both tied points are leaders, and the exact scores keep the first;
@@ -607,11 +635,10 @@ class TestParityRanking:
         # eigvalsh call scores the output at theta1 = 0 and each leader's
         # output and average.
         scored = spies.shapes(monkeypatch, linalg._eigvalsh)
-        value, point = switch_holevo_qubit_gridsearch(*TIE_GRID)
-        assert point == (0.0, 3.08, 0.4)
+        result = switch_holevo_qubit_gridsearch(*TIE_GRID)
+        assert result[1] == (0.0, 3.08, 0.4)
         assert scored == [(5, 4, 4)]
-        _exact_only(monkeypatch)
-        assert switch_holevo_qubit_gridsearch(*TIE_GRID) == (value, point)
+        assert _hex(result) == _hex(_entropy_scored(*TIE_GRID))
 
     def test_few_exact_spectra(self, monkeypatch):
         sides = []
@@ -621,115 +648,50 @@ class TestParityRanking:
             sides.clear()
             switch_holevo_qubit_gridsearch(a, p)
             # the output at theta1 = 0, and the output and the average of the
-            # one leader, (pi, 1/2), against (n + 1)(P + 1) when every output
-            # and every average is scored with entropy
+            # one leader, (pi, 1/2), against (n + 1)(P + 1) to score every
+            # output and every average
             assert sides == [4, 4, 4], (a, p)
 
-    @pytest.mark.parametrize("eps", [0.05, 1e-13], ids=["broken", "barely-broken"])
-    @pytest.mark.parametrize("grid", [(np.pi / 6, 0.25), TIE_GRID, (0.3, 0.1)],
-                             ids=["pi/6,1/4", "0.77,0.2", "0.3,0.1"])
-    def test_asymmetric_map_scored_exactly(self, monkeypatch, eps, grid):
-        # Adding eps Z (x) 1 keeps the map covariant under target rotations,
-        # so the literal loop still finds its maximum at theta0 = 0, but it
-        # breaks the X (x) 1 symmetry: in the |+>, |-> basis it lies between
-        # the blocks, so every average has ||E||_F = sqrt(2) eps.
-        import ctrlchan.info
-
-        held = ctrlchan.info._QUBIT_SWITCH
-        tilt = eps * np.kron(np.diag([1.0, -1.0]), np.eye(2)).astype(complex)
-
-        def tilted(rho):
-            return held(rho) + np.trace(rho, axis1=-2, axis2=-1)[..., None, None] * tilt
-
-        monkeypatch.setattr(ctrlchan.info, "_QUBIT_SWITCH", tilted)
-        verdicts = _recorded_verdicts(monkeypatch)
-        value, point = switch_holevo_qubit_gridsearch(*grid)
-        assert verdicts == [None]
-        ref_value, ref_point = literal_gridsearch(*grid, tilted)
-        assert abs(value - ref_value) <= 1e-12
-        assert point == ref_point
-
     @pytest.mark.parametrize(
-        "bad, message",
+        "out_map, message",
         [
-            (_symmetric_state([-1e-6, 0.5, 0.25, 0.25 + 1e-6]),
-             r"^density matrix has a negative eigenvalue -1\.000e-06$"),
-            (_symmetric_state([-1e-11, 0.5, 0.25, 0.25 + 1e-11]),
-             r"^eigenvalue -1\.000e-11 below the clamping window$"),
-            (_symmetric_state([0.25] * 4) * 1.1,
-             r"^density matrix has trace 1 \+ 1\.000e-01, expected 1$"),
+            (_tilted(0.05), r"parity residue 7\.071e-02 above PARITY_RESIDUE$"),
+            (_tilted(1e-13), r"parity residue 1\.414e-13 above PARITY_RESIDUE$"),
+            (_constant(w=[-1e-6, 0.5, 0.25, 0.25 + 1e-6]),
+             r"lowest sector eigenvalue -1\.000e-06 within the residue and PARITY_RESIDUE"),
+            (_constant(w=[-1e-11, 0.5, 0.25, 0.25 + 1e-11]),
+             r"lowest sector eigenvalue -1\.000e-11 within the residue and PARITY_RESIDUE"),
+            (_constant(scale=1.1), r"trace error 1\.000e-01 above DEFAULT_TOL - AVERAGE_ROUNDING$"),
+            # within AVERAGE_ROUNDING of DEFAULT_TOL, and at it
+            (_constant([((1, 0), DEFAULT_TOL - AVERAGE_ROUNDING / 2.0)]),
+             r"Hermitian deviation 1\.000e-09 above DEFAULT_TOL - AVERAGE_ROUNDING$"),
+            (_constant([((0, 0), DEFAULT_TOL - AVERAGE_ROUNDING / 2.0)]),
+             r"trace error 1\.000e-09 above DEFAULT_TOL - AVERAGE_ROUNDING$"),
+            (_constant([((1, 0), DEFAULT_TOL)]),
+             r"Hermitian deviation 1\.000e-09 above DEFAULT_TOL - AVERAGE_ROUNDING$"),
+            (_constant([((1, 0), np.nan)]), r"Hermitian deviation nan above"),
         ],
-        ids=["negative", "below-clamp", "trace"],
+        ids=["tilted", "barely-tilted", "negative", "below-clamp", "trace",
+             "hermitian-band", "trace-band", "hermitian-edge", "nan"],
     )
-    def test_invalid_output_refused_as_before(self, monkeypatch, bad, message):
+    def test_refuses_what_it_cannot_rank(self, monkeypatch, out_map, message):
         import ctrlchan.info
 
-        def invalid(rho):
-            return np.broadcast_to(bad, rho.shape[:-2] + (4, 4)).copy()
-
-        monkeypatch.setattr(ctrlchan.info, "_QUBIT_SWITCH", invalid)
-        with pytest.raises(ValueError, match=message):
-            switch_holevo_qubit_gridsearch(np.pi / 6, 0.25)
-        _exact_only(monkeypatch)
-        with pytest.raises(ValueError, match=message):
-            switch_holevo_qubit_gridsearch(np.pi / 6, 0.25)
-
-    @pytest.mark.parametrize(
-        "entry, excess, verdict",
-        [
-            ((1, 0), DEFAULT_TOL - AVERAGE_ROUNDING / 2.0, None),
-            ((0, 0), DEFAULT_TOL - AVERAGE_ROUNDING / 2.0, None),
-            # every output passes the rules, but rounding takes some averages
-            # just past DEFAULT_TOL, and the exact rules refuse them
-            ((1, 0), DEFAULT_TOL, "density matrix is not Hermitian within tolerance"),
-        ],
-        ids=["hermitian-band", "trace-band", "hermitian-edge"],
-    )
-    def test_margin_band_takes_the_exact_rules(self, monkeypatch, entry, excess, verdict):
-        # An output whose Hermitian deviation (entry (1, 0)) or trace error
-        # (entry (0, 0)) lies within AVERAGE_ROUNDING of DEFAULT_TOL is not
-        # ranked, so the rules run over every average, as scoring every point
-        # exactly runs them, and the grid search gives that path's verdict.
-        import ctrlchan.info
-
-        edge = _symmetric_state([0.25] * 4)
-        edge[entry] += excess
-
-        def at_the_edge(rho):
-            return np.broadcast_to(edge, rho.shape[:-2] + (4, 4)).copy()
-
-        monkeypatch.setattr(ctrlchan.info, "_QUBIT_SWITCH", at_the_edge)
-        verdicts = _recorded_verdicts(monkeypatch)
-        outcome = _outcome((np.pi / 6, 0.1))
-        assert verdicts == [None]
-        if verdict is None:
-            assert isinstance(outcome, tuple)
-        else:
-            assert outcome == verdict
-        _exact_only(monkeypatch)
-        assert _outcome((np.pi / 6, 0.1)) == outcome
+        monkeypatch.setattr(ctrlchan.info, "_QUBIT_SWITCH", out_map)
+        with pytest.raises(RuntimeError, match=r"^the parity ranking refuses the outputs: " + message):
+            switch_holevo_qubit_gridsearch(np.pi / 6, 0.1)
 
 
 class TestRankedPathChecks:
     def test_ranked_path_rechecks_no_state(self, monkeypatch):
         # _parity_entropies has proved the state rules and the clamp gate for
-        # every matrix the leaders are scored on, so the ranked path runs no
-        # _density_rules; the exact path checks the outputs, then the averages
+        # every matrix the leaders are scored on, so the grid search runs no
+        # _density_rules
         import ctrlchan.linalg
 
-        held = ctrlchan.linalg._density_rules
-        checked = []
-
-        def counted(rho):
-            checked.append(np.shape(rho))
-            return held(rho)
-
-        monkeypatch.setattr(ctrlchan.linalg, "_density_rules", counted)
-        value, point = switch_holevo_qubit_gridsearch(*TIE_GRID)
+        checked = spies.shapes(monkeypatch, ctrlchan.linalg._density_rules)
+        switch_holevo_qubit_gridsearch(*TIE_GRID)
         assert checked == []
-        _exact_only(monkeypatch)
-        assert switch_holevo_qubit_gridsearch(*TIE_GRID) == (value, point)
-        assert checked == [(5, 4, 4), (20, 4, 4)]
 
 
 class TestParityEntropies:
@@ -815,7 +777,8 @@ class TestParityEntropies:
     @pytest.mark.parametrize("low", [-1e-6, -ENTROPY_CLAMP + PARITY_RESIDUE / 2.0])
     def test_no_ranking_near_the_clamping_window(self, low):
         outputs = np.array([_symmetric_state([0.25] * 4), _symmetric_state([low, 0.5, 0.25, 0.25 - low])])
-        assert _parity_entropies(outputs, np.array([0.5])) is None
+        with pytest.raises(RuntimeError, match=f"lowest sector eigenvalue {low:.3e} within"):
+            _parity_entropies(outputs, np.array([0.5]))
 
     def test_inside_the_clamping_window_ranked(self):
         outputs = np.array([_symmetric_state([-1e-13, 0.5, 0.25, 0.25 + 1e-13])])
@@ -823,13 +786,27 @@ class TestParityEntropies:
         assert abs(out_bits[0] - entropy(outputs)[0]) <= 1e-11
         assert abs(avg_bits[0, 0] - entropy(outputs)[0]) <= 1e-11
 
-    def test_rules_beyond_the_margin_not_ranked(self):
-        # the grid search then refuses the output by the exact rules, as
-        # test_invalid_output_refused_as_before checks
-        bad = _symmetric_state([0.25] * 4) * 1.1
-        assert _parity_entropies(np.array([bad]), np.array([0.5])) is None
+    def test_residue_widens_the_clamp_margin(self):
+        # A residue under PARITY_RESIDUE still moves eigvalsh's eigenvalues by
+        # up to itself, so a lowest sector eigenvalue 6e-15 above the clamping
+        # window is refused with ||E||_F = 2.8e-15 between the sectors, and
+        # ranked without it.
+        low = -ENTROPY_CLAMP + 6e-15
+        state = _symmetric_state([low, 0.5, 0.25, 0.25 - low])
+        tilt = 2e-15 * np.kron(np.diag([1.0, -1.0]), np.eye(2))
+        with pytest.raises(RuntimeError, match="lowest sector eigenvalue"):
+            _parity_entropies(np.array([state + tilt]), np.array([0.5]))
+        _parity_entropies(np.array([state]), np.array([0.5]))
 
-    @pytest.mark.parametrize("step", [0.0, -0.1, float("nan")], ids=["zero", "negative", "nan"])
+    def test_rules_beyond_the_margin_not_ranked(self):
+        # the grid search passes the refusal on, as
+        # TestParityRanking.test_refuses_what_it_cannot_rank checks
+        bad = _symmetric_state([0.25] * 4) * 1.1
+        with pytest.raises(RuntimeError, match="trace error 1.000e-01 above"):
+            _parity_entropies(np.array([bad]), np.array([0.5]))
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, float("nan"), float("inf")],
+                             ids=["zero", "negative", "nan", "inf"])
     @pytest.mark.parametrize("name", ["angle_step", "prob_step"])
     def test_non_positive_step_rejected_by_name(self, name, step):
         with pytest.raises(ValueError, match=name):
